@@ -1,10 +1,10 @@
 """Verification suites and report files behind one command-line front end.
 
-Each subcommand runs its suite, appends one JSON line per check to
-<out>/<subcommand>.jsonl (or rewrites <subcommand>.csv under --format csv),
-writes <out>/<subcommand>-summary.json, and exits nonzero when any check
-fails.  The output directory comes from --out, else the DUNKLDIRAC_OUT
-environment variable, else ./reports.
+Each subcommand runs its suite, writes one JSON line per check to
+<out>/<subcommand>.jsonl (or <subcommand>.csv under --format csv) and
+<out>/<subcommand>-summary.json, replacing the files of any earlier run, and
+exits nonzero when any check fails.  The output directory comes from --out,
+else the DUNKLDIRAC_OUT environment variable, else ./reports.
 
 Exact parameters are rationals written like 3/4; floats are rejected so
 that no identity is silently checked on an approximation.  Complex values
@@ -31,7 +31,8 @@ from .dunkl import DunklContext
 from .dunkltransform import (deformed_transform, eigenfunction, eigenvalue,
                              inverted_damped_values, transform_inverted,
                              transform_inverted_direct, transform_values)
-from .fischer import harmonic_basis, monogenic_basis, monomials, tower_decompose
+from .fischer import (fischer_constant, fischer_tower, harmonic_basis,
+                      monogenic_basis, monomials, tower_decompose)
 from .fourier import (damped_values, fourier_apply, kernel_values,
                       measured_eigenvalue, pde_residual, spectral_eigenvalue)
 from .kelvin import (dirac_via_inversion, intertwined_component, inversion,
@@ -139,9 +140,11 @@ class Reporter:
         self.rows = []
         ext = "jsonl" if self.fmt == "json" else "csv"
         self.rows_path = self.dir / f"{name}.{ext}"
-        self._fh = self.rows_path.open("a") if self.fmt == "json" else None
+        self._fh = self.rows_path.open("w") if self.fmt == "json" else None
 
     def add(self, row: dict):
+        if "pass" in row and not isinstance(row["pass"], bool):
+            raise TypeError(f"check verdict must be a bool, got {row['pass']!r}")
         row = _jsonable(row)
         self.rows.append(row)
         if self._fh is not None:
@@ -209,6 +212,17 @@ def _params_from(args, rng: random.Random) -> list:
             c = Fraction(-1, 2)
         triples.append(DeformParams(a, b, c))
     return triples
+
+
+def _add_inversion_rows(rep: Reporter, dk: DunklContext, inputs: list):
+    """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each input."""
+    dctx = DeformedContext(dk, inversion_params(dk.setup.mu))
+    for f in inputs:
+        rep.add({"relation": "I(I f) = f", "input": f.to_text(),
+                 "pass": (inversion(dk, inversion(dk, f)) - f).is_zero()})
+        defect = dirac_via_inversion(dk, f) - dctx.dirac(f)
+        rep.add({"relation": "I D I = D at (-2, 2 - mu, -2)",
+                 "input": f.to_text(), "pass": defect.is_zero()})
 
 
 # -- subcommands ------------------------------------------------------------
@@ -286,7 +300,6 @@ def cmd_verify_kelvin(args) -> int:
                      "pass": qp.is_zero() and pq.is_zero()})
         com = DeformParams.commuting(par.a, par.b)
         dctx = DeformedContext(dk, com)
-        pre = None
         for f in inputs:
             ok = all((intertwined_component(dctx, i, f)
                       - dctx.dirac_component(i, f)).is_zero()
@@ -294,13 +307,7 @@ def cmd_verify_kelvin(args) -> int:
             rep.add({"relation": "(a/2)^{(b-1)/2} Q T_i P = D_i",
                      "input": f.to_text(), "a": com.a, "b": com.b, "c": com.c,
                      "pass": ok})
-    inv_dctx = DeformedContext(dk, inversion_params(setup.mu))
-    for f in inputs:
-        rep.add({"relation": "I(I f) = f", "input": f.to_text(),
-                 "pass": (inversion(dk, inversion(dk, f)) - f).is_zero()})
-        defect = dirac_via_inversion(dk, f) - inv_dctx.dirac(f)
-        rep.add({"relation": "I D I = D at (-2, 2 - mu, -2)",
-                 "input": f.to_text(), "pass": defect.is_zero()})
+    _add_inversion_rows(rep, dk, inputs)
     return rep.finish(family=setup.name, m=setup.m, degree=args.degree)
 
 
@@ -367,7 +374,6 @@ def cmd_fischer(args) -> int:
                  "slots": sorted(parts),
                  "pass": annihilated and (total - terms).is_zero()})
     # the one-step lowering constants on explicit towers
-    from .fischer import fischer_constant, fischer_tower
     for ell in range(args.ell_max + 1):
         seed = monogenic_basis(dk, ell)[0]
         tower = fischer_tower(dctx, seed, ell, args.s_max)
@@ -493,7 +499,7 @@ def cmd_transform_eigen(args) -> int:
             rep.add({"t": t, "l": ell, "expected_eigenvalue": want,
                      "measured": lam, "rel_err": rel, "residual": resid,
                      "runtime_ms": round(ms, 3),
-                     "pass": rel <= args.tol and resid <= args.tol})
+                     "pass": bool(rel <= args.tol and resid <= args.tol)})
     return rep.finish(family=setup.name, m=setup.m, a=par.a, b=par.b, c=par.c,
                       kernel="closed" if closed else "series", tol=args.tol)
 
@@ -507,7 +513,7 @@ def cmd_kernel_residual(args) -> int:
         y = rng.uniform(-1.5, 1.5, size=(1, args.m))
         res = pde_residual(par, x, y)
         rep.add({"x": x[0], "y": y[0], "residual": res,
-                 "pass": res <= args.tol})
+                 "pass": bool(res <= args.tol)})
     return rep.finish(m=args.m, a=par.a, b=par.b, c=par.c, tol=args.tol)
 
 
@@ -515,14 +521,7 @@ def cmd_a_minus2_suite(args) -> int:
     rep = Reporter("a-minus2-suite", args)
     setup = _build_setup(args)
     dk = DunklContext(setup)
-    par = inversion_params(setup.mu)
-    dctx = DeformedContext(dk, par)
-    for f in _input_set(setup.m, args.degree):
-        rep.add({"relation": "I(I f) = f", "input": f.to_text(),
-                 "pass": (inversion(dk, inversion(dk, f)) - f).is_zero()})
-        defect = dirac_via_inversion(dk, f) - dctx.dirac(f)
-        rep.add({"relation": "I D I = D at (-2, 2 - mu, -2)",
-                 "input": f.to_text(), "pass": defect.is_zero()})
+    _add_inversion_rows(rep, dk, _input_set(setup.m, args.degree))
     rng = np.random.default_rng(args.seed)
     targets = rng.uniform(0.5, 1.3, size=(args.points, setup.m))
     targets *= np.sign(rng.uniform(-1, 1, size=targets.shape))

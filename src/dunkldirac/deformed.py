@@ -93,12 +93,6 @@ class DeformedContext:
         """The conjugate e^{r^a/a} D e^{-r^a/a} = D - (1+c) x_a."""
         return self.dirac(f) - self.x_a(f).scale(1 + self.par.c)
 
-    def dirac_component_damped(self, i: int, f: RadialExpr) -> RadialExpr:
-        """Component form of the conjugate: D_i - (1+c) r^{a/2-1} x_i."""
-        p = self.par
-        extra = f.mul_x(i).mul_radial(p.a / 2 - 1).scale(1 + p.c)
-        return self.dirac_component(i, f) - extra
-
     def raising(self, f: RadialExpr) -> RadialExpr:
         """(D - 2(1+c) x_a) f, the step operator of the raised tower."""
         return self.dirac(f) - self.x_a(f).scale(2 * (1 + self.par.c))

@@ -13,23 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import solve_columns
-from .poly import RadialExpr
+from .poly import RadialExpr, _acc, _add_term, _bump, r_squared_power
 from .reflection import ReflectionSetup, reflect_monomial
 
 _ZERO = Fraction(0)
-
-
-def _bump(mono: tuple, i: int, by: int = 1) -> tuple:
-    return mono[:i] + (mono[i] + by,) + mono[i + 1:]
-
-
-def _acc(d: dict, key, val):
-    cur = d.get(key)
-    val = val if cur is None else cur + val
-    if val:
-        d[key] = val
-    elif cur is not None:
-        del d[key]
 
 
 def div_linear(poly: dict, v: tuple) -> dict:
@@ -72,7 +59,7 @@ class DunklContext:
         t = out.terms
         for (s, mono, blade), c in f.terms.items():
             for mo2, cf in reflect_monomial(self.setup, ridx, mono).items():
-                _acc(t, (s, mo2, blade), cf * c)
+                _add_term(t, s, mo2, blade, cf * c)
         return out
 
     # -- the operators ------------------------------------------------------
@@ -108,9 +95,9 @@ class DunklContext:
         t = out.terms
         for (s, mono, blade), c in f.terms.items():
             if s:
-                _acc(t, (s - 2, _bump(mono, i - 1), blade), s * c)
+                _add_term(t, s - 2, _bump(mono, i - 1), blade, s * c)
             for mo2, cf in self.dunkl_monomial(i, mono).items():
-                _acc(t, (s, mo2, blade), cf * c)
+                _add_term(t, s, mo2, blade, cf * c)
         return out
 
     def dirac(self, f: RadialExpr) -> RadialExpr:
@@ -185,8 +172,6 @@ class DunklContext:
         sum x_i^2).  Serves as a cross-check for :meth:`laplacian`, which
         composes T_i twice and never sees a second-order quotient.
         """
-        from .poly import r_squared_power
-
         setup = self.setup
         blades: dict = {}
         for (s, mono, blade), c in f.terms.items():
@@ -224,7 +209,7 @@ class DunklContext:
                     for mono, c in quot.items():
                         _acc(res, mono, k * c)
             for mono, c in res.items():
-                _acc(t, (_ZERO, mono, blade), c)
+                _add_term(t, _ZERO, mono, blade, c)
         return out
 
     # -- intertwining kernel ---------------------------------------------

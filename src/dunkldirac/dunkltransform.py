@@ -162,7 +162,7 @@ def transform_inverted_direct(dk: DunklContext, g: RadialExpr, targets: np.ndarr
     # Group by the growth of each term's pullback under the substitution,
     # which is what the Gaussian grid actually sees.
     classes: dict = {}
-    for (s, mono, blade), coeff in g.line_canonical().terms.items():
+    for (s, mono, blade), coeff in g.terms.items():
         n_x = -(Fraction(s) + sum(mono))
         key = (n_x - 2 * (n_x // 2), sum(mono) % 2)
         classes.setdefault(key, []).append((n_x, (s, mono, blade), coeff))

@@ -17,8 +17,6 @@ from .dunkl import DunklContext
 from .linalg import nullspace
 from .poly import RadialExpr
 
-_ZERO = Fraction(0)
-
 
 def monomials(m: int, deg: int) -> list:
     """All exponent tuples of total degree deg, lexicographically sorted."""
@@ -47,52 +45,36 @@ def monogenic_dimension(m: int, ell: int) -> int:
     return (d - prev) * (1 << m)
 
 
+def _kernel_basis(op, m: int, cols: list) -> list:
+    """Basis of the kernel of op on the span of the x^mono e_blade in cols.
+
+    Matrix rows are keyed by the term keys (s, mono, blade) of the images;
+    the normal form makes those coordinates unique.
+    """
+    images = [op(RadialExpr.monomial(m, mo, blade=blade)) for mo, blade in cols]
+    rows: dict = {}
+    for image in images:
+        for key in image.terms:
+            rows.setdefault(key, len(rows))
+    if not rows:
+        return [RadialExpr.monomial(m, mo, blade=blade) for mo, blade in cols]
+    mat = [[Fraction(0)] * len(cols) for _ in rows]
+    for j, image in enumerate(images):
+        for key, c in image.terms.items():
+            mat[rows[key]][j] = c
+    return [RadialExpr(m, {(0, mo, blade): c for (mo, blade), c in zip(cols, vec) if c})
+            for vec in nullspace(mat)]
+
+
 def harmonic_basis(dk: DunklContext, ell: int) -> list:
     """Basis of scalar Dunkl-harmonics of degree ell (kernel of the Laplacian)."""
-    m = dk.m
-    cols = monomials(m, ell)
-    rows = {mo: i for i, mo in enumerate(monomials(m, ell - 2))}
-    if not rows:
-        return [RadialExpr.monomial(m, mo) for mo in cols]
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, mo in enumerate(cols):
-        image = dk.laplacian(RadialExpr.monomial(m, mo))
-        for (s, mo2, blade), c in image.terms.items():
-            assert s == 0 and blade == 0
-            mat[rows[mo2]][j] = c
-    basis = []
-    for vec in nullspace(mat):
-        f = RadialExpr(m)
-        for j, c in enumerate(vec):
-            if c:
-                f.terms[(_ZERO, cols[j], 0)] = c
-        basis.append(f)
-    return basis
+    return _kernel_basis(dk.laplacian, dk.m, [(mo, 0) for mo in monomials(dk.m, ell)])
 
 
 def monogenic_basis(dk: DunklContext, ell: int) -> list:
     """Basis of degree-ell spherical monogenics with values in the full algebra."""
-    m = dk.m
-    nb = 1 << m
-    cols = [(mo, blade) for mo in monomials(m, ell) for blade in range(nb)]
-    rows = {key: i for i, key in enumerate(
-        sorted((mo, blade) for mo in monomials(m, ell - 1) for blade in range(nb)))}
-    if not rows:
-        return [RadialExpr.monomial(m, mo, blade=blade) for mo, blade in cols]
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, (mo, blade) in enumerate(cols):
-        image = dk.dirac(RadialExpr.monomial(m, mo, blade=blade))
-        for (s, mo2, blade2), c in image.terms.items():
-            assert s == 0
-            mat[rows[(mo2, blade2)]][j] = c
-    basis = []
-    for vec in nullspace(mat):
-        f = RadialExpr(m)
-        for j, c in enumerate(vec):
-            if c:
-                f.terms[(_ZERO, cols[j][0], cols[j][1])] = c
-        basis.append(f)
-    return basis
+    return _kernel_basis(dk.dirac, dk.m, [(mo, blade) for mo in monomials(dk.m, ell)
+                                          for blade in range(1 << dk.m)])
 
 
 def null_solution(dctx: DeformedContext, monogenic: RadialExpr, ell: int) -> RadialExpr:

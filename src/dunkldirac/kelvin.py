@@ -31,9 +31,8 @@ def p_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
     for (s, mono, blade), coeff in f.terms.items():
         d = sum(mono)
         new_s = b + 2 * s / a + (Fraction(2) / a - 1) * d
-        factor = ExactScalar.power(a / 2, Fraction(s + d) / a)
-        out.terms[(new_s, mono, blade)] = coeff * factor
-    return RadialExpr(f.m, out.terms)
+        out.terms[(new_s, mono, blade)] = coeff * ExactScalar.power(a / 2, (s + d) / a)
+    return out
 
 
 def q_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
@@ -43,9 +42,8 @@ def q_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
     for (s, mono, blade), coeff in f.terms.items():
         d = sum(mono)
         new_s = -a * b / 2 + a * s / 2 + (a / 2 - 1) * d
-        factor = ExactScalar.power(a / 2, -Fraction(s + d) / 2)
-        out.terms[(new_s, mono, blade)] = coeff * factor
-    return RadialExpr(f.m, out.terms)
+        out.terms[(new_s, mono, blade)] = coeff * ExactScalar.power(a / 2, -(s + d) / 2)
+    return out
 
 
 def pq_constant(par: DeformParams) -> ExactScalar:
@@ -78,9 +76,9 @@ def inversion(dk: DunklContext, f: RadialExpr) -> RadialExpr:
     """Kelvin inversion r^s p_d -> r^{2 - mu - s - 2d} p_d; an involution."""
     mu = dk.setup.mu
     out = RadialExpr(f.m)
-    for (s, mono, blade), coeff in f.terms.items():
-        out.terms[(2 - mu - s - 2 * sum(mono), mono, blade)] = coeff
-    return RadialExpr(f.m, out.terms)
+    out.terms = {(2 - mu - s - 2 * sum(mono), mono, blade): coeff
+                 for (s, mono, blade), coeff in f.terms.items()}
+    return out
 
 
 def inversion_params(mu) -> DeformParams:

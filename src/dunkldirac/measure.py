@@ -309,7 +309,7 @@ def inner_product_exact(dctx: DeformedContext, f: RadialExpr, g: RadialExpr,
     gamma = setup.gamma
     m = setup.m
     eh = weight_exponent(dctx)
-    prod = f.bar().mul_expr(g).line_canonical()
+    prod = f.bar().mul_expr(g)
     out: dict = {}
     for (s, mono, blade), coeff in prod.terms.items():
         if any(e % 2 for e in mono):
@@ -329,7 +329,7 @@ def sphere_inner_exact(setup: ReflectionSetup, f: RadialExpr, g: RadialExpr) -> 
     ks = axis_multiplicities(setup)
     if ks is None:
         raise ValueError("exact sphere integrals need axis-aligned roots")
-    prod = f.bar().mul_expr(g).line_canonical()
+    prod = f.bar().mul_expr(g)
     out: dict = {}
     for (_s, mono, blade), coeff in prod.terms.items():
         term = sphere_moment(setup.m, mono, ks) * _rational_coeff(coeff)

@@ -1,23 +1,27 @@
-"""Radially shifted Clifford-valued polynomials.
+"""Radially shifted Clifford-valued polynomials in one normal form.
 
 A :class:`RadialExpr` is a finite sum of terms ``coeff * r^s * x^mono * e_B``
 with rational radial exponents ``s``, monomials ``x^mono`` in m variables, and
 blade bitmasks ``B`` (see :mod:`dunkldirac.clifford`).  Coefficients are
 ``Fraction`` or :class:`~dunkldirac.scalars.ExactScalar`.
 
-The representation of a function is not unique: ``r^2 * 1`` and
-``r^0 * (x_1^2 + ... + x_m^2)`` are the same thing.  Equality is therefore
-decided by a zero test that groups terms into comparability classes (same
-blade, same total homogeneity, radial exponents differing by even integers),
-lifts every term to the smallest radial exponent by multiplying the polynomial
-part with powers of ``sum x_i^2``, and compares coefficient dictionaries.
-Operators act per term, so they never need a canonical form themselves.
+Every stored term has ``mono[-1] <= 1``: a factor x_m^{2j+e} is rewritten as
+(r^2 - x_1^2 - ... - x_{m-1}^2)^j x_m^e the moment the term is written, by
+:func:`_add_term`.  This form is unique.  R[x] is free over
+R[x_1, ..., x_{m-1}, r^2] with basis {1, x_m}, and powers r^s whose exponents
+lie in different classes mod 2 are independent over the rational functions.
+So two expressions are equal exactly when their term dictionaries are, and
+an expression is zero exactly when it has no terms.  Operators that change
+only ``s``, the blades or the coefficients keep the form by themselves; every
+operator that can raise the exponent of x_m writes through the helper.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
+from operator import add
 
 from .clifford import Multivector, blade_product, bar_sign, blade_indices
 
@@ -38,8 +42,37 @@ def r_squared_power(m: int, j: int) -> tuple:
     return tuple(out.items())
 
 
+@lru_cache(maxsize=None)
+def _fold_table(m: int, j: int) -> tuple:
+    """(r^2 - x_1^2 - ... - x_{m-1}^2)^j as ((r_exp, head mono, int), ...)."""
+    return tuple((2 * (j - i), head, (-1) ** i * comb(j, i) * c)
+                 for i in range(j + 1) for head, c in r_squared_power(m - 1, i))
+
+
 def _bump(mono: tuple, i: int, by: int = 1) -> tuple:
     return mono[:i] + (mono[i] + by,) + mono[i + 1:]
+
+
+def _acc(d: dict, key, val):
+    """d[key] += val, deleting the entry when it reaches zero."""
+    cur = d.get(key)
+    val = val if cur is None else cur + val
+    if val:
+        d[key] = val
+    elif cur is not None:
+        del d[key]
+
+
+def _add_term(terms: dict, s, mono: tuple, blade: int, c):
+    """Accumulate c r^s x^mono e_blade into terms in the normal form."""
+    e = mono[-1]
+    if e < 2:
+        _acc(terms, (s, mono, blade), c)
+        return
+    j, e = divmod(e, 2)
+    head = mono[:-1]
+    for ds, lift, lc in _fold_table(len(mono), j):
+        _acc(terms, (s + ds, (*map(add, head, lift), e), blade), c * lc)
 
 
 class RadialExpr:
@@ -52,15 +85,7 @@ class RadialExpr:
         self.m = m
         self.terms = {}
         for (s, mono, blade), c in (terms or {}).items():
-            if not c:
-                continue
-            key = (Fraction(s), tuple(mono), blade)
-            acc = self.terms.get(key)
-            c = c if acc is None else acc + c
-            if c:
-                self.terms[key] = c
-            elif acc is not None:
-                del self.terms[key]
+            _add_term(self.terms, Fraction(s), tuple(mono), blade, c)
 
     # -- constructors ---------------------------------------------------
 
@@ -77,10 +102,7 @@ class RadialExpr:
 
     @classmethod
     def monomial(cls, m: int, mono, coeff=Fraction(1), blade: int = 0, r_exp=_ZERO):
-        out = cls(m)
-        if coeff:
-            out.terms[(Fraction(r_exp), tuple(mono), blade)] = coeff
-        return out
+        return cls(m, {(r_exp, tuple(mono), blade): coeff})
 
     @classmethod
     def variable(cls, m: int, i: int):
@@ -104,16 +126,9 @@ class RadialExpr:
     def __add__(self, other):
         if not isinstance(other, RadialExpr):
             return NotImplemented
-        out = RadialExpr(self.m)
-        out.terms = dict(self.terms)
-        t = out.terms
+        out = self.copy()
         for key, c in other.terms.items():
-            acc = t.get(key)
-            c = c if acc is None else acc + c
-            if c:
-                t[key] = c
-            elif acc is not None:
-                del t[key]
+            _acc(out.terms, key, c)
         return out
 
     def __sub__(self, other):
@@ -127,8 +142,7 @@ class RadialExpr:
     def scale(self, factor):
         out = RadialExpr(self.m)
         if factor:
-            out.terms = {k: c * factor for k, c in self.terms.items()}
-            out.terms = {k: c for k, c in out.terms.items() if c}
+            out.terms = {k: v for k, c in self.terms.items() if (v := c * factor)}
         return out
 
     def __mul__(self, other):
@@ -150,14 +164,8 @@ class RadialExpr:
         for (s1, m1, b1), c1 in self.terms.items():
             for (s2, m2, b2), c2 in other.terms.items():
                 sign, b = blade_product(b1, b2)
-                key = (s1 + s2, tuple(a + bq for a, bq in zip(m1, m2)), b)
-                c = c1 * c2 if sign == 1 else -(c1 * c2)
-                acc = t.get(key)
-                c = c if acc is None else acc + c
-                if c:
-                    t[key] = c
-                elif acc is not None:
-                    del t[key]
+                c = c1 * c2
+                _add_term(t, s1 + s2, tuple(map(add, m1, m2)), b, c if sign == 1 else -c)
         return out
 
     def mul_radial(self, ds) -> "RadialExpr":
@@ -172,7 +180,8 @@ class RadialExpr:
     def mul_x(self, i: int) -> "RadialExpr":
         """Multiply by the coordinate x_i (1-based)."""
         out = RadialExpr(self.m)
-        out.terms = {(s, _bump(mono, i - 1), b): c for (s, mono, b), c in self.terms.items()}
+        for (s, mono, b), c in self.terms.items():
+            _add_term(out.terms, s, _bump(mono, i - 1), b, c)
         return out
 
     def vector_mul_left(self, r_shift=_ZERO) -> "RadialExpr":
@@ -183,44 +192,23 @@ class RadialExpr:
         for (s, mono, b), c in self.terms.items():
             for i in range(self.m):
                 sign, nb = blade_product(1 << i, b)
-                key = (s + r_shift, _bump(mono, i), nb)
-                cc = c if sign == 1 else -c
-                acc = t.get(key)
-                cc = cc if acc is None else acc + cc
-                if cc:
-                    t[key] = cc
-                elif acc is not None:
-                    del t[key]
+                _add_term(t, s + r_shift, _bump(mono, i), nb, c if sign == 1 else -c)
         return out
 
-    def blade_mul_left(self, blade: int, coeff=Fraction(1)) -> "RadialExpr":
+    def blade_mul_left(self, blade: int) -> "RadialExpr":
+        """e_blade * self."""
         out = RadialExpr(self.m)
-        t = out.terms
         for (s, mono, b), c in self.terms.items():
             sign, nb = blade_product(blade, b)
-            key = (s, mono, nb)
-            cc = (c * coeff) if sign == 1 else -(c * coeff)
-            acc = t.get(key)
-            cc = cc if acc is None else acc + cc
-            if cc:
-                t[key] = cc
-            elif acc is not None:
-                del t[key]
+            out.terms[(s, mono, nb)] = c if sign == 1 else -c
         return out
 
-    def blade_mul_right(self, blade: int, coeff=Fraction(1)) -> "RadialExpr":
+    def blade_mul_right(self, blade: int) -> "RadialExpr":
+        """self * e_blade."""
         out = RadialExpr(self.m)
-        t = out.terms
         for (s, mono, b), c in self.terms.items():
             sign, nb = blade_product(b, blade)
-            key = (s, mono, nb)
-            cc = (c * coeff) if sign == 1 else -(c * coeff)
-            acc = t.get(key)
-            cc = cc if acc is None else acc + cc
-            if cc:
-                t[key] = cc
-            elif acc is not None:
-                del t[key]
+            out.terms[(s, mono, nb)] = c if sign == 1 else -c
         return out
 
     def bar(self) -> "RadialExpr":
@@ -229,27 +217,11 @@ class RadialExpr:
         out.terms = {k: (c if bar_sign(k[2]) == 1 else -c) for k, c in self.terms.items()}
         return out
 
-    def line_canonical(self) -> "RadialExpr":
-        """Fold x^2 = r^2 when m = 1, so term degrees match true growth."""
-        if self.m != 1:
-            return self
-        out = RadialExpr(1)
-        for (s, mono, blade), coeff in self.terms.items():
-            key = (s + 2 * (mono[0] // 2), (mono[0] % 2,), blade)
-            cur = out.terms.get(key)
-            coeff = coeff if cur is None else cur + coeff
-            if coeff:
-                out.terms[key] = coeff
-            elif cur is not None:
-                del out.terms[key]
-        return out
-
-    # -- differential/radial operators (representation-independent) ---------
+    # -- differential/radial operators ----------------------------------
 
     def euler(self) -> "RadialExpr":
         """E = sum x_i d_i; each term is homogeneous of degree s + |mono|."""
         out = RadialExpr(self.m)
-        out.terms = {}
         for (s, mono, b), c in self.terms.items():
             w = s + sum(mono)
             if w:
@@ -272,24 +244,10 @@ class RadialExpr:
         t = out.terms
         for (s, mono, b), c in self.terms.items():
             if s:
-                key = (s - 2, _bump(mono, i), b)
-                cc = c * s
-                acc = t.get(key)
-                cc = cc if acc is None else acc + cc
-                if cc:
-                    t[key] = cc
-                elif acc is not None:
-                    del t[key]
+                _add_term(t, s - 2, _bump(mono, i), b, c * s)
             e = mono[i]
             if e:
-                key = (s, _bump(mono, i, -1), b)
-                cc = c * e
-                acc = t.get(key)
-                cc = cc if acc is None else acc + cc
-                if cc:
-                    t[key] = cc
-                elif acc is not None:
-                    del t[key]
+                _add_term(t, s, _bump(mono, i, -1), b, c * e)
         return out
 
     # -- structure, comparison ------------------------------------------
@@ -317,38 +275,12 @@ class RadialExpr:
         return min((k[0] for k in self.terms), default=_ZERO)
 
     def is_zero(self) -> bool:
-        if not self.terms:
-            return True
-        classes: dict = {}
-        for (s, mono, b), c in self.terms.items():
-            h = s + sum(mono)
-            classes.setdefault((b, h, s % 2), []).append((s, mono, c))
-        for entries in classes.values():
-            s0 = min(e[0] for e in entries)
-            acc: dict = {}
-            for s, mono, c in entries:
-                j = (s - s0) / 2
-                assert j.denominator == 1 and j >= 0
-                for lift, lc in r_squared_power(self.m, int(j)):
-                    key = tuple(a + bq for a, bq in zip(mono, lift))
-                    cur = acc.get(key)
-                    val = c * lc if cur is None else cur + c * lc
-                    if val:
-                        acc[key] = val
-                    elif cur is not None:
-                        del acc[key]
-            if acc:
-                return False
-        return True
+        return not self.terms
 
     def __eq__(self, other):
         if isinstance(other, RadialExpr):
-            if other.m != self.m:
-                return False
-            return (self - other).is_zero()
-        if other == 0:
-            return self.is_zero()
-        return (self - RadialExpr.scalar(self.m, other)).is_zero()
+            return self.m == other.m and self.terms == other.terms
+        return self.terms == RadialExpr.scalar(self.m, other).terms
 
     # -- output -----------------------------------------------------------
 
@@ -394,20 +326,9 @@ class RadialExpr:
         for chunk in data:
             s = Fraction(chunk["r_exp"])
             for mono, mvdata in chunk["poly"]["monomials"]:
-                mv = Multivector.from_json(mvdata)
-                for blade, c in mv.comps.items():
-                    key = (s, tuple(mono), blade)
-                    out.terms[key] = out.terms.get(key, _ZERO) + c
-        out.terms = {k: c for k, c in out.terms.items() if c}
+                for blade, c in Multivector.from_json(mvdata).comps.items():
+                    _add_term(out.terms, s, tuple(mono), blade, c)
         return out
-
-    def as_radial_pairs(self):
-        """View as [(r_exp, {mono: Multivector})], merging equal exponents."""
-        by_s: dict = {}
-        for (s, mono, b), c in self.terms.items():
-            by_s.setdefault(s, {}).setdefault(mono, {})[b] = c
-        return [(s, {mono: Multivector(self.m, comps) for mono, comps in polys.items()})
-                for s, polys in sorted(by_s.items())]
 
 
 def x_vector(m: int) -> RadialExpr:

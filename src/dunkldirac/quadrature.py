@@ -150,7 +150,7 @@ def paired_classes(expr: RadialExpr, half) -> list:
     """
     half = Fraction(half)
     classes: dict = {}
-    for (s, mono, blade), coeff in expr.line_canonical().terms.items():
+    for (s, mono, blade), coeff in expr.terms.items():
         n_v = (Fraction(s) + sum(mono)) / half
         key = (n_v - 2 * (n_v // 2), sum(mono) % 2)
         classes.setdefault(key, []).append((n_v, (s, mono, blade), coeff))
@@ -174,7 +174,7 @@ def integrate_expr(setup: ReflectionSetup, expr: RadialExpr, a, lam, extra=0,
     """
     a = Fraction(a)
     classes: dict = {}
-    for (s, mono, blade), coeff in expr.line_canonical().terms.items():
+    for (s, mono, blade), coeff in expr.terms.items():
         total = Fraction(s) + sum(mono)
         rho = total - a * (total // a)
         classes.setdefault(rho, []).append((total, (s, mono, blade), coeff))

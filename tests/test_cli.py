@@ -163,6 +163,30 @@ def test_kernel_residual_fails_at_impossible_tolerance(tmp_path):
     assert summary["failed"] > 0
 
 
+def test_numpy_verdicts_are_counted_as_failures(tmp_path):
+    """transform-eigen compares numpy floats; every failing row must be a real
+    False that the summary counts, and the run must exit 1."""
+    code = main(["transform-eigen", "--m", "3", "--k", "0", "--t-max", "1",
+                 "--l-max", "1", "--points", "2", "--nr", "20", "--ntheta", "12",
+                 "--out", str(tmp_path)])
+    rows = read_rows(tmp_path, "transform-eigen")
+    assert all(isinstance(row["pass"], bool) for row in rows if "pass" in row)
+    failing = sum(1 for row in rows if row.get("pass") is False)
+    assert failing > 0
+    assert read_summary(tmp_path, "transform-eigen")["failed"] == failing
+    assert code == 1
+
+
+def test_reporter_rejects_a_non_bool_verdict(tmp_path):
+    import argparse
+    import numpy as np
+    from dunkldirac.cli import Reporter
+    rep = Reporter("probe", argparse.Namespace(out=str(tmp_path), format="json"))
+    with pytest.raises(TypeError, match="bool"):
+        rep.add({"pass": np.False_})
+    rep.finish()
+
+
 # -- config file mode -----------------------------------------------------------
 
 def test_config_file_builds_the_group(tmp_path):
@@ -202,13 +226,16 @@ def test_csv_format(tmp_path):
     assert "pass" in rows[0]
 
 
-def test_jsonl_appends_across_runs(tmp_path):
+def test_jsonl_rewritten_on_each_run(tmp_path):
+    """A second run into the same --out replaces the rows, so the JSONL and
+    the summary describe the same run."""
     args = ["verify-basicprops", "--m", "2", "--k", "0,0",
             "--degree", "1", "--out", str(tmp_path)]
     main(args)
-    first = len(read_rows(tmp_path, "verify-basicprops"))
     main(args)
-    assert len(read_rows(tmp_path, "verify-basicprops")) == 2 * first
+    rows = read_rows(tmp_path, "verify-basicprops")
+    assert rows
+    assert len(rows) == read_summary(tmp_path, "verify-basicprops")["checks"]
 
 
 def test_out_environment_variable(tmp_path, monkeypatch):

@@ -2,11 +2,15 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dunkldirac.clifford import Multivector
+from dunkldirac.dunkl import DunklContext
 from dunkldirac.poly import RadialExpr, x_vector
+from dunkldirac.quadrature import evaluate
+from dunkldirac.reflection import symmetric
 
 from conftest import random_expr
 
@@ -116,25 +120,78 @@ def test_deriv_sees_the_radial_factor():
 # -- line folding (m = 1) -------------------------------------------------
 
 def test_line_canonical_folds_even_powers():
+    """On the line the normal form folds x^2 into r^2 as the term is written."""
     f = RadialExpr.monomial(1, (4,))
-    assert f.line_canonical() == RadialExpr.monomial(1, (0,), r_exp=4)
+    assert f.terms == RadialExpr.monomial(1, (0,), r_exp=4).terms
     g = RadialExpr.monomial(1, (3,), Fraction(2), blade=0b1)
-    assert g.line_canonical() == RadialExpr.monomial(
-        1, (1,), Fraction(2), blade=0b1, r_exp=2)
+    assert g.terms == {(Fraction(2), (1,), 0b1): Fraction(2)}
 
 
 def test_line_canonical_detects_hidden_cancellation():
-    # x^2 - r^2 vanishes on the line; folding empties the term map,
-    # matching what the semantic zero test already concluded
+    # x^2 - r^2 vanishes on the line; the normal form empties the term map
     f = (RadialExpr.monomial(1, (2,))
          - RadialExpr.monomial(1, (0,), r_exp=2))
-    assert f.terms and f.is_zero()
-    assert not f.line_canonical().terms
+    assert not f.terms and f.is_zero()
 
 
 def test_line_canonical_is_identity_off_the_line():
+    """Only the last variable folds: x_1^2 stays, x_2^2 becomes r^2 - x_1^2."""
     f = RadialExpr.monomial(2, (2, 0))
-    assert f.line_canonical() == f
+    assert f.terms == {(Fraction(0), (2, 0), 0): Fraction(1)}
+    g = RadialExpr.monomial(2, (0, 2))
+    assert g.terms == {(Fraction(2), (0, 0), 0): Fraction(1),
+                       (Fraction(0), (2, 0), 0): Fraction(-1)}
+
+
+# -- the normal form ------------------------------------------------------
+
+SYM3 = DunklContext(symmetric(3, Fraction(1, 2)))
+POINTS = np.array([[0.9, -0.4, 0.7], [0.3, 1.1, -0.8], [-1.2, 0.5, 0.2]])
+
+
+def raw_terms(m):
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+    keys = st.tuples(
+        st.sampled_from([Fraction(0), Fraction(2), Fraction(-1), Fraction(1, 2)]),
+        st.tuples(*[st.integers(0, 3)] * m),
+        st.integers(0, (1 << m) - 1),
+    )
+    return st.dictionaries(keys, coeffs, max_size=4)
+
+
+def in_normal_form(f):
+    return all(mono[-1] <= 1 for _s, mono, _b in f.terms)
+
+
+@given(raw=raw_terms(3), other=raw_terms(3), i=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_operators_keep_the_normal_form(raw, other, i):
+    f, g = RadialExpr(3, raw), RadialExpr(3, other)
+    for h in (f, f.mul_expr(g), f.mul_x(i), f.vector_mul_left(), f.deriv(i),
+              SYM3.reflect(f, i - 1), SYM3.dunkl(i, f)):
+        assert in_normal_form(h)
+
+
+@given(raw=raw_terms(3))
+def test_normal_form_preserves_values(raw):
+    r = np.sqrt(np.sum(POINTS * POINTS, axis=1))
+    want = np.zeros((len(POINTS), 8))
+    scale = np.zeros(len(POINTS))
+    for (s, mono, blade), c in raw.items():
+        vals = float(c) * r ** float(s) * np.prod(POINTS ** np.array(mono), axis=1)
+        want[:, blade] += vals
+        scale += np.abs(vals)
+    got = evaluate(RadialExpr(3, raw), POINTS)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1 + scale)[:, None])
+
+
+@given(raw=raw_terms(3))
+def test_normal_form_is_unique(raw):
+    f = RadialExpr(3, raw)
+    total = RadialExpr.zero(3)
+    for i in range(1, 4):
+        total = total + f.mul_x(i).mul_x(i)
+    assert f.mul_radial(2).terms == total.terms
 
 
 # -- structure queries ----------------------------------------------------
