@@ -1,10 +1,25 @@
 """Verification suites and report files behind one command-line front end.
 
-Each subcommand runs its suite, writes one JSON line per check to
-<out>/<subcommand>.jsonl (or <subcommand>.csv under --format csv) and
-<out>/<subcommand>-summary.json, replacing the files of any earlier run, and
-exits nonzero when any check fails.  The output directory comes from --out,
-else the DUNKLDIRAC_OUT environment variable, else ./reports.
+Each suite is registered once in SUITES by the @suite decorator with its
+name, help text, whether it takes the group flags (--family, --m, --k,
+--config) and its own flags as name=default.  A flag's type follows from its
+default: Fraction or None an exact rational, int, float, bool a switch, list
+one or more ints, tuple a choice (the first is the default).  A suite is a
+generator of check rows whose return value holds its summary extras.
+
+One runner, main, builds the parser from the registry, rejects bad input,
+builds the group context, runs the suite and writes one JSON line per check
+to <out>/<suite>.jsonl (or <suite>.csv under --format csv) and
+<out>/<suite>-summary.json, replacing the files of any earlier run; group
+suites' summaries start with family and m.  The output directory comes from
+--out, else the DUNKLDIRAC_OUT environment variable, else ./reports.
+
+Each row holds a bool verdict under "pass" or, under "excluded", why its
+check could not run; the summary counts both.  Exit codes: 0 when every
+check ran and passed (at least one row, none failed or excluded), 1 when a
+check failed or was excluded, 2 on bad input, which is named in one line
+before any report is written (a missing or malformed --config file stops
+with its own message instead).
 
 Exact parameters are rationals written like 3/4; floats are rejected so
 that no identity is silently checked on an approximation.  Complex values
@@ -20,8 +35,10 @@ import os
 import random
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,11 +47,11 @@ from .deformed import (DeformedContext, factorization_solutions_generic,
 from .dunkl import DunklContext
 from .dunkltransform import (deformed_transform, eigenfunction, eigenvalue,
                              inverted_damped_values, transform_inverted,
-                             transform_inverted_direct, transform_values)
+                             transform_inverted_direct)
 from .fischer import (fischer_constant, fischer_tower, harmonic_basis,
                       monogenic_basis, monomials, tower_decompose)
-from .fourier import (damped_values, fourier_apply, kernel_values,
-                      measured_eigenvalue, pde_residual, spectral_eigenvalue)
+from .fourier import (damped_values, fourier_apply, measured_eigenvalue,
+                      pde_residual, spectral_eigenvalue)
 from .kelvin import (dirac_via_inversion, intertwined_component, inversion,
                      inversion_params, p_map, pq_constant, q_map)
 from .laguerre import LaguerreTower
@@ -48,6 +65,10 @@ from .reflection import (ReflectionSetup, dihedral, from_config,
 
 
 # -- argument parsing -------------------------------------------------------
+
+class BadInput(Exception):
+    """Input no suite can run on; main reports it in one line and exits 2."""
+
 
 def rational(text: str) -> Fraction:
     t = text.strip()
@@ -66,7 +87,7 @@ def rational_list(text: str) -> list:
 
 
 def _build_setup(args) -> ReflectionSetup:
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise SystemExit(f"config file not found: {path}")
@@ -74,27 +95,26 @@ def _build_setup(args) -> ReflectionSetup:
             return from_config(json.loads(path.read_text()))
         except (ValueError, KeyError) as exc:
             raise SystemExit(f"bad config {path}: {exc}")
-    ks = args.k
-    fam = args.family
-    if fam == "z2":
-        if len(ks) == 1:
-            ks = ks * args.m
-        return z2_power(args.m, ks)
-    if fam == "symmetric":
-        return symmetric(args.m, ks[0])
-    if fam == "hyperoctahedral":
-        if len(ks) != 2:
-            raise SystemExit("hyperoctahedral needs --k k_short,k_long")
-        return hyperoctahedral(args.m, ks[0], ks[1])
-    if fam == "dihedral":
-        return dihedral(args.m, *ks[:2])
-    raise SystemExit(f"unknown family {fam!r}")
+    ks, m = args.k, args.m
+    try:
+        if args.family == "z2":
+            return z2_power(m, ks * m if len(ks) == 1 else ks)
+        if args.family == "symmetric":
+            return symmetric(m, ks[0])
+        if args.family == "hyperoctahedral":
+            if len(ks) != 2:
+                raise ValueError("hyperoctahedral needs --k k_short,k_long")
+            return hyperoctahedral(m, ks[0], ks[1])
+        return dihedral(m, *ks[:2])
+    except ValueError as exc:
+        raise BadInput(f"--family {args.family} --m {m} "
+                       f"--k {','.join(map(str, ks))}: {exc}") from None
 
 
-def _group_flags(p: argparse.ArgumentParser, m_default: int = 2):
+def _group_flags(p: argparse.ArgumentParser):
     p.add_argument("--family", default="z2",
                    choices=["z2", "symmetric", "hyperoctahedral", "dihedral"])
-    p.add_argument("--m", type=int, default=m_default,
+    p.add_argument("--m", type=int, default=2,
                    help="rank (the n of I2(n) for the dihedral family)")
     p.add_argument("--k", type=rational_list, default=[Fraction(0)],
                    help="multiplicities, comma separated rationals")
@@ -106,6 +126,54 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report directory")
     p.add_argument("--format", default="json", choices=["json", "csv"])
+
+
+FLAG_HELP = {
+    "gram": "include numeric sphere Gram matrices in the summary",
+    "numeric": "also cross-check each pair by quadrature",
+    "order": "kernel series order for nontrivial multiplicities",
+}
+
+
+def _add_flag(p: argparse.ArgumentParser, name: str, default):
+    """--name with the type its default implies (see the module docstring)."""
+    kw = {"default": default, "help": FLAG_HELP.get(name)}
+    if isinstance(default, bool):
+        kw["action"] = "store_true"
+    elif isinstance(default, list):
+        kw.update(type=int, nargs="+")
+    elif isinstance(default, tuple):
+        kw.update(default=default[0], choices=list(default))
+    else:
+        kw["type"] = {int: int, float: float}.get(type(default), rational)
+    p.add_argument("--" + name.replace("_", "-"), **kw)
+
+
+def _check_params(args):
+    """Counts, sizes and seeds are non-negative; a = 0 and c = -1 are
+    degenerate for every suite that takes them."""
+    for name, val in vars(args).items():
+        if type(val) is int and val < 0:
+            raise BadInput(f"--{name.replace('_', '-')} must be non-negative")
+    if getattr(args, "a", None) == 0:
+        raise BadInput("--a 0 degenerates the radial deformation")
+    if getattr(args, "c", None) == -1:
+        raise BadInput("--c=-1 makes 1 + c vanish")
+
+
+def _positive_a(args, setup):
+    if args.a is not None and args.a <= 0:
+        raise BadInput(f"--a={args.a}: the maps P and Q need a > 0")
+
+
+def _seeds_up_to(flag: str, kind: str, top: int) -> Callable:
+    """Check for suites seeding every degree up to --flag with a basis element:
+    in rank 1 the monogenics stop at degree 0 and the harmonics at degree 1."""
+    def check(args, setup):
+        if setup.m == 1 and getattr(args, flag.replace("-", "_")) > top:
+            raise BadInput(f"--m 1 has no {kind} of degree above {top}; "
+                           f"lower --{flag} or raise --m")
+    return check
 
 
 # -- report plumbing --------------------------------------------------------
@@ -143,8 +211,8 @@ class Reporter:
         self._fh = self.rows_path.open("w") if self.fmt == "json" else None
 
     def add(self, row: dict):
-        if "pass" in row and not isinstance(row["pass"], bool):
-            raise TypeError(f"check verdict must be a bool, got {row['pass']!r}")
+        if "excluded" not in row and not isinstance(row.get("pass"), bool):
+            raise TypeError(f"check verdict must be a bool, got {row.get('pass')!r}")
         row = _jsonable(row)
         self.rows.append(row)
         if self._fh is not None:
@@ -166,14 +234,17 @@ class Reporter:
                     writer.writerow({k: json.dumps(v) if isinstance(v, (list, dict))
                                      else v for k, v in row.items()})
         failed = sum(1 for row in self.rows if row.get("pass") is False)
+        excluded = sum(1 for row in self.rows if "excluded" in row)
+        ok = bool(self.rows) and failed == 0 and excluded == 0
         summary = {"subcommand": self.name, "checks": len(self.rows),
-                   "failed": failed, "all_pass": failed == 0,
+                   "failed": failed, "excluded": excluded, "all_pass": ok,
                    "rows": str(self.rows_path), **_jsonable(extra)}
         (self.dir / f"{self.name}-summary.json").write_text(
             json.dumps(summary, indent=2) + "\n")
-        status = "ok" if failed == 0 else f"{failed} FAILED"
-        print(f"{self.name}: {len(self.rows)} checks, {status} -> {self.rows_path}")
-        return 0 if failed == 0 else 1
+        status = "ok" if ok else f"{failed} FAILED" if failed else "INCOMPLETE"
+        print(f"{self.name}: {len(self.rows)} checks, {excluded} excluded, "
+              f"{status} -> {self.rows_path}")
+        return 0 if ok else 1
 
 
 def _rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
@@ -214,37 +285,61 @@ def _params_from(args, rng: random.Random) -> list:
     return triples
 
 
-def _add_inversion_rows(rep: Reporter, dk: DunklContext, inputs: list):
+def _inversion_rows(dk: DunklContext, inputs: list):
     """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each input."""
     dctx = DeformedContext(dk, inversion_params(dk.setup.mu))
     for f in inputs:
-        rep.add({"relation": "I(I f) = f", "input": f.to_text(),
-                 "pass": (inversion(dk, inversion(dk, f)) - f).is_zero()})
+        yield {"relation": "I(I f) = f", "input": f.to_text(),
+               "pass": (inversion(dk, inversion(dk, f)) - f).is_zero()}
         defect = dirac_via_inversion(dk, f) - dctx.dirac(f)
-        rep.add({"relation": "I D I = D at (-2, 2 - mu, -2)",
-                 "input": f.to_text(), "pass": defect.is_zero()})
+        yield {"relation": "I D I = D at (-2, 2 - mu, -2)",
+               "input": f.to_text(), "pass": defect.is_zero()}
 
 
-# -- subcommands ------------------------------------------------------------
+# -- the registry -------------------------------------------------------------
 
-def cmd_verify_osp(args) -> int:
-    rep = Reporter("verify-osp", args)
+@dataclass(frozen=True)
+class Suite:
+    name: str
+    help: str
+    run: Callable          # (args, dk or None) -> generator of rows returning extras
+    flags: dict            # name -> default
+    group: bool            # takes the group flags; run gets a DunklContext
+    check: Optional[Callable]  # (args, setup) -> None, raises BadInput
+
+
+SUITES: dict = {}
+
+
+def suite(name: str, help: str, *, group: bool = True,
+          check: Optional[Callable] = None, **flags):
+    """Register the decorated generator as the suite `name`."""
+    def register(run):
+        SUITES[name] = Suite(name, help, run, flags, group, check)
+        return run
+    return register
+
+
+# -- suites -----------------------------------------------------------------
+
+@suite("verify-osp", "superalgebra relations, exact",
+       a=None, b=None, c=None, degree=3, trials=3)
+def cmd_verify_osp(args, dk):
     rng = random.Random(args.seed)
-    setup = _build_setup(args)
-    dk = DunklContext(setup)
-    inputs = _input_set(setup.m, args.degree)
+    inputs = _input_set(dk.m, args.degree)
     for par in _params_from(args, rng):
         dctx = DeformedContext(dk, par)
         for f in inputs:
             for name, defect in dctx.osp_relations_report(f).items():
-                rep.add({"relation": name, "input": f.to_text(),
-                         "a": par.a, "b": par.b, "c": par.c,
-                         "group": setup.name, "pass": defect.is_zero()})
-    return rep.finish(family=setup.name, m=setup.m, degree=args.degree)
+                yield {"relation": name, "input": f.to_text(),
+                       "a": par.a, "b": par.b, "c": par.c,
+                       "group": dk.setup.name, "pass": defect.is_zero()}
+    return {"degree": args.degree}
 
 
-def cmd_verify_factorization(args) -> int:
-    rep = Reporter("verify-factorization", args)
+@suite("verify-factorization", "classified triples factorize, perturbed ones fail",
+       group=False, ms=[2, 3], degree=3)
+def cmd_verify_factorization(args, _dk):
     for m in args.ms:
         setup0 = z2_power(m, Fraction(0))
         dk0 = DunklContext(setup0)
@@ -253,150 +348,137 @@ def cmd_verify_factorization(args) -> int:
         for par in solutions:
             dctx = DeformedContext(dk0, par)
             ok = all(dctx.factorization_defect(f).is_zero() for f in inputs)
-            rep.add({"m": m, "k": "0", "a": par.a, "b": par.b, "c": par.c,
-                     "relation": "sum D_i^2 = r^{2-a} Delta", "pass": ok})
+            yield {"m": m, "k": "0", "a": par.a, "b": par.b, "c": par.c,
+                   "relation": "sum D_i^2 = r^{2-a} Delta", "pass": ok}
         # a perturbed triple must break the factorization
         par = solutions[0]
         bad = DeformParams(par.a, par.b + Fraction(1, 7), par.c)
         dctx = DeformedContext(dk0, bad)
         broke = any(not dctx.factorization_defect(f).is_zero() for f in inputs)
-        rep.add({"m": m, "k": "0", "a": bad.a, "b": bad.b, "c": bad.c,
-                 "relation": "perturbed triple fails", "pass": broke})
+        yield {"m": m, "k": "0", "a": bad.a, "b": bad.b, "c": bad.c,
+               "relation": "perturbed triple fails", "pass": broke}
         # generic multiplicity: exactly the two k-independent triples
         setup = z2_power(m, Fraction(1, 2))
         dk = DunklContext(setup)
         for par in factorization_solutions_generic(setup.mu):
             dctx = DeformedContext(dk, par)
             ok = all(dctx.factorization_defect(f).is_zero() for f in inputs)
-            rep.add({"m": m, "k": "1/2", "a": par.a, "b": par.b, "c": par.c,
-                     "relation": "sum D_i^2 = r^{2-a} Delta", "pass": ok})
-    return rep.finish(ms=args.ms, degree=args.degree)
+            yield {"m": m, "k": "1/2", "a": par.a, "b": par.b, "c": par.c,
+                   "relation": "sum D_i^2 = r^{2-a} Delta", "pass": ok}
+    return {"ms": args.ms, "degree": args.degree}
 
 
-def cmd_verify_basicprops(args) -> int:
-    rep = Reporter("verify-basicprops", args)
-    setup = _build_setup(args)
-    dk = DunklContext(setup)
-    for f in _input_set(setup.m, args.degree):
+@suite("verify-basicprops", "first-order Dunkl calculus relations, exact", degree=3)
+def cmd_verify_basicprops(args, dk):
+    for f in _input_set(dk.m, args.degree):
         for name, defect in dk.basic_props_report(f).items():
-            rep.add({"relation": name, "input": f.to_text(),
-                     "group": setup.name, "pass": defect.is_zero()})
-    return rep.finish(family=setup.name, m=setup.m, degree=args.degree)
+            yield {"relation": name, "input": f.to_text(),
+                   "group": dk.setup.name, "pass": defect.is_zero()}
+    return {"degree": args.degree}
 
 
-def cmd_verify_kelvin(args) -> int:
-    rep = Reporter("verify-kelvin", args)
+@suite("verify-kelvin", "P/Q conjugations and the inversion, exact",
+       check=_positive_a, a=None, b=None, c=None, degree=3, trials=3)
+def cmd_verify_kelvin(args, dk):
     rng = random.Random(args.seed)
-    setup = _build_setup(args)
-    dk = DunklContext(setup)
-    inputs = _input_set(setup.m, args.degree)
+    inputs = _input_set(dk.m, args.degree)
     for par in _params_from(args, rng):
         const = pq_constant(par)
         for f in inputs:
             qp = q_map(par, p_map(par, f)) - f.scale(const)
             pq = p_map(par, q_map(par, f)) - f.scale(const)
-            rep.add({"relation": "Q P = P Q = (2/a)^{b/2}", "input": f.to_text(),
-                     "a": par.a, "b": par.b, "c": par.c,
-                     "pass": qp.is_zero() and pq.is_zero()})
+            yield {"relation": "Q P = P Q = (2/a)^{b/2}", "input": f.to_text(),
+                   "a": par.a, "b": par.b, "c": par.c,
+                   "pass": qp.is_zero() and pq.is_zero()}
         com = DeformParams.commuting(par.a, par.b)
         dctx = DeformedContext(dk, com)
         for f in inputs:
             ok = all((intertwined_component(dctx, i, f)
                       - dctx.dirac_component(i, f)).is_zero()
-                     for i in range(1, setup.m + 1))
-            rep.add({"relation": "(a/2)^{(b-1)/2} Q T_i P = D_i",
-                     "input": f.to_text(), "a": com.a, "b": com.b, "c": com.c,
-                     "pass": ok})
-    _add_inversion_rows(rep, dk, inputs)
-    return rep.finish(family=setup.name, m=setup.m, degree=args.degree)
+                     for i in range(1, dk.m + 1))
+            yield {"relation": "(a/2)^{(b-1)/2} Q T_i P = D_i",
+                   "input": f.to_text(), "a": com.a, "b": com.b, "c": com.c,
+                   "pass": ok}
+    yield from _inversion_rows(dk, inputs)
+    return {"degree": args.degree}
 
 
-def cmd_basis(args) -> int:
-    rep = Reporter("basis", args)
-    setup = _build_setup(args)
-    dk = DunklContext(setup)
-    build = monogenic_basis if args.kind == "monogenic" else harmonic_basis
-    gram = None
+@suite("basis", "harmonic or monogenic basis dump",
+       kind=("monogenic", "harmonic"), ell_max=3, gram=False)
+def cmd_basis(args, dk):
+    build, op = ((monogenic_basis, dk.dirac) if args.kind == "monogenic"
+                 else (harmonic_basis, dk.laplacian))
+    gram = {}
     for ell in range(args.ell_max + 1):
         basis = build(dk, ell)
         for idx, f in enumerate(basis):
-            row = {"kind": args.kind, "ell": ell, "index": idx,
-                   "text": f.to_text(), "terms": f.to_json()}
-            if args.kind == "monogenic":
-                row["pass"] = dk.dirac(f).is_zero()
-            else:
-                row["pass"] = dk.laplacian(f).is_zero()
-            rep.add(row)
+            yield {"kind": args.kind, "ell": ell, "index": idx,
+                   "text": f.to_text(), "terms": f.to_json(),
+                   "pass": op(f).is_zero()}
         if args.gram and basis:
-            gram = gram or {}
-            mat = [[float(sphere_inner_exact(setup, f, g).get(0) or 0.0)
-                    for g in basis] for f in basis]
-            gram[str(ell)] = mat
-    extra = {"family": setup.name, "m": setup.m}
-    if gram is not None:
-        extra["gram"] = gram
-    return rep.finish(**extra)
+            gram[str(ell)] = [[float(sphere_inner_exact(dk.setup, f, g).get(0) or 0.0)
+                               for g in basis] for f in basis]
+    return {"gram": gram} if gram else {}
 
 
-def cmd_fischer(args) -> int:
-    rep = Reporter("fischer", args)
+@suite("fischer", "tower decomposition and lowering constants",
+       check=_seeds_up_to("ell-max", "monogenics", 0),
+       a=Fraction(2), b=Fraction(0), c=Fraction(0), degree=4, trials=5,
+       ell_max=2, s_max=4)
+def cmd_fischer(args, dk):
     rng = random.Random(args.seed)
-    setup = _build_setup(args)
-    dk = DunklContext(setup)
     par = DeformParams(args.a, args.b, args.c)
     dctx = DeformedContext(dk, par)
-    # random homogeneous inputs split into towers and reassembled
+    bases = [monogenic_basis(dk, ell)
+             for ell in range(max(args.degree, args.ell_max) + 1)]
+    # the slots x_a^s r^{beta_ell} M_ell with s + ell <= degree whose step
+    # constants are nonzero, keyed by their homogeneity s a/2 + beta_ell + ell
+    slots: dict = {}
+    for ell in range(args.degree + 1):
+        for s in range(args.degree - ell + 1):
+            if bases[ell] and all(fischer_constant(dctx, ell, j) for j in range(1, s + 1)):
+                h = s * par.a / 2 + dctx.beta(ell) + ell
+                slots.setdefault(h, []).append((s, ell))
+    # random towers over the slots of one homogeneity, split and compared part by part
     for _ in range(args.trials):
-        deg = rng.randint(1, args.degree)
-        terms = RadialExpr(setup.m)
-        for mono in monomials(setup.m, deg):
-            coeff = _rand_fraction(rng, -3, 3)
-            if coeff:
-                terms = terms + RadialExpr.monomial(
-                    setup.m, mono, coeff, blade=rng.randrange(1 << setup.m))
-        if terms.is_zero():
-            continue
+        h = rng.choice(sorted(slots))
+        f, want = RadialExpr(dk.m), {}
+        for s, ell in slots[h]:
+            mono = RadialExpr(dk.m)
+            for g in bases[ell]:
+                mono = mono + g.scale(_rand_fraction(rng, -3, 3))
+            tower = fischer_tower(dctx, bases[ell][0] if mono.is_zero() else mono, ell, s)
+            want[s] = tower[0]
+            f = f + tower[s]
+        row = {"relation": "tower decomposition recovers each part",
+               "homogeneity": h, "slots": slots[h]}
         try:
-            parts = tower_decompose(dctx, terms)
+            row["pass"] = tower_decompose(dctx, f) == want
         except ValueError as exc:
-            rep.add({"relation": "tower decomposition", "degree": deg,
-                     "excluded": str(exc)})
-            continue
-        total = RadialExpr(setup.m)
-        annihilated = True
-        for s, u in parts.items():
-            annihilated = annihilated and dctx.dirac(u).is_zero()
-            piece = u
-            for _ in range(s):
-                piece = dctx.x_a(piece)
-            total = total + piece
-        rep.add({"relation": "decomposition reassembles", "degree": deg,
-                 "slots": sorted(parts),
-                 "pass": annihilated and (total - terms).is_zero()})
+            row["excluded"] = str(exc)
+        yield row
     # the one-step lowering constants on explicit towers
     for ell in range(args.ell_max + 1):
-        seed = monogenic_basis(dk, ell)[0]
-        tower = fischer_tower(dctx, seed, ell, args.s_max)
+        tower = fischer_tower(dctx, bases[ell][0], ell, args.s_max)
         for s in range(1, args.s_max + 1):
             want = tower[s - 1].scale(fischer_constant(dctx, ell, s))
             defect = dctx.dirac(tower[s]) - want
-            rep.add({"relation": "D x_a^s u = const x_a^{s-1} u",
-                     "ell": ell, "s": s,
-                     "const": fischer_constant(dctx, ell, s),
-                     "pass": defect.is_zero()})
-    return rep.finish(family=setup.name, m=setup.m,
-                      a=par.a, b=par.b, c=par.c)
+            yield {"relation": "D x_a^s u = const x_a^{s-1} u",
+                   "ell": ell, "s": s,
+                   "const": fischer_constant(dctx, ell, s),
+                   "pass": defect.is_zero()}
+    return {"a": par.a, "b": par.b, "c": par.c}
 
 
-def cmd_laguerre_table(args) -> int:
-    rep = Reporter("laguerre-table", args)
-    setup = _build_setup(args)
-    dk = DunklContext(setup)
+@suite("laguerre-table", "psi_t coefficients with step and norm constants",
+       check=_seeds_up_to("ell-max", "monogenics", 0),
+       a=Fraction(2), b=Fraction(0), c=Fraction(0), t_max=4, ell_max=2)
+def cmd_laguerre_table(args, dk):
     par = DeformParams(args.a, args.b, args.c)
     dctx = DeformedContext(dk, par)
     for ell in range(args.ell_max + 1):
         if dctx.is_singular(ell):
-            rep.add({"ell": ell, "excluded": "singular locus"})
+            yield {"ell": ell, "excluded": "singular locus"}
             continue
         tower = LaguerreTower(dctx, ell, monogenic_basis(dk, ell)[0])
         for t in range(args.t_max + 1):
@@ -412,20 +494,23 @@ def cmd_laguerre_table(args) -> int:
             except ValueError as exc:
                 row["norm_constant"] = None
                 row["norm_note"] = str(exc)
-            rep.add(row)
-    return rep.finish(family=setup.name, m=setup.m,
-                      a=par.a, b=par.b, c=par.c)
+            yield row
+    return {"a": par.a, "b": par.b, "c": par.c}
 
 
-def cmd_orthogonality(args) -> int:
-    rep = Reporter("orthogonality", args)
-    setup = _build_setup(args)
-    dk = DunklContext(setup)
+@suite("orthogonality", "damped towers are orthogonal with known norms",
+       check=_seeds_up_to("ell-max", "monogenics", 0),
+       a=Fraction(2), b=Fraction(0), c=Fraction(0), t_max=3, ell_max=2,
+       numeric=False, nr=60, ntheta=80, tol=1e-8)
+def cmd_orthogonality(args, dk):
+    setup = dk.setup
     par = DeformParams(args.a, args.b, args.c)
     dctx = DeformedContext(dk, par)
     towers = {}
     for ell in range(args.ell_max + 1):
-        if not dctx.is_singular(ell):
+        if dctx.is_singular(ell):
+            yield {"ell": ell, "excluded": "singular locus"}
+        else:
             towers[ell] = LaguerreTower(dctx, ell, monogenic_basis(dk, ell)[0])
     eh = weight_exponent(dctx)
     for ell, tower in towers.items():
@@ -438,8 +523,8 @@ def cmd_orthogonality(args) -> int:
                     try:
                         got = inner_product_exact(dctx, f, g)
                     except ValueError as exc:
-                        rep.add({"t": t, "ell": ell, "s": s, "ell2": ell2,
-                                 "excluded": str(exc)})
+                        yield {"t": t, "ell": ell, "s": s, "ell2": ell2,
+                               "excluded": str(exc)}
                         continue
                     diag = t == s and ell == ell2
                     if diag:
@@ -463,15 +548,16 @@ def cmd_orthogonality(args) -> int:
                         err = float(np.max(np.abs(num - ref)) / scale)
                         row["numeric_err"] = err
                         row["pass"] = row["pass"] and err <= args.tol
-                    rep.add(row)
-    return rep.finish(family=setup.name, m=setup.m, a=par.a, b=par.b, c=par.c,
-                      tol=args.tol)
+                    yield row
+    return {"a": par.a, "b": par.b, "c": par.c, "tol": args.tol}
 
 
-def cmd_transform_eigen(args) -> int:
-    rep = Reporter("transform-eigen", args)
-    setup = _build_setup(args)
-    dk = DunklContext(setup)
+@suite("transform-eigen", "transform eigenvalues on the damped towers",
+       check=_seeds_up_to("l-max", "monogenics", 0),
+       a=Fraction(2), b=Fraction(0), t_max=3, l_max=2, nr=100, ntheta=120,
+       order=28, points=6, tol=1e-6)
+def cmd_transform_eigen(args, dk):
+    setup = dk.setup
     par = DeformParams.commuting(args.a, args.b)
     dctx = DeformedContext(dk, par)
     rng = np.random.default_rng(args.seed)
@@ -480,7 +566,7 @@ def cmd_transform_eigen(args) -> int:
     closed = setup.gamma == 0
     for ell in range(args.l_max + 1):
         if dctx.is_singular(ell):
-            rep.add({"ell": ell, "excluded": "singular locus"})
+            yield {"ell": ell, "excluded": "singular locus"}
             continue
         tower = LaguerreTower(dctx, ell, monogenic_basis(dk, ell)[0])
         for t in range(args.t_max + 1):
@@ -496,34 +582,35 @@ def cmd_transform_eigen(args) -> int:
             want = spectral_eigenvalue(par, ell, t)
             rel = abs(lam - want) / abs(want)
             ms = 1000 * (time.perf_counter() - start)
-            rep.add({"t": t, "l": ell, "expected_eigenvalue": want,
-                     "measured": lam, "rel_err": rel, "residual": resid,
-                     "runtime_ms": round(ms, 3),
-                     "pass": bool(rel <= args.tol and resid <= args.tol)})
-    return rep.finish(family=setup.name, m=setup.m, a=par.a, b=par.b, c=par.c,
-                      kernel="closed" if closed else "series", tol=args.tol)
+            yield {"t": t, "l": ell, "expected_eigenvalue": want,
+                   "measured": lam, "rel_err": rel, "residual": resid,
+                   "runtime_ms": round(ms, 3),
+                   "pass": bool(rel <= args.tol and resid <= args.tol)}
+    return {"a": par.a, "b": par.b, "c": par.c,
+            "kernel": "closed" if closed else "series", "tol": args.tol}
 
 
-def cmd_kernel_residual(args) -> int:
-    rep = Reporter("kernel-residual", args)
+@suite("kernel-residual", "closed kernel satisfies its first-order system",
+       group=False, a=Fraction(2), b=Fraction(0), m=2, samples=100, tol=1e-10)
+def cmd_kernel_residual(args, _dk):
     par = DeformParams.commuting(args.a, args.b)
     rng = np.random.default_rng(args.seed)
     for _ in range(args.samples):
         x = rng.uniform(-1.5, 1.5, size=(1, args.m))
         y = rng.uniform(-1.5, 1.5, size=(1, args.m))
         res = pde_residual(par, x, y)
-        rep.add({"x": x[0], "y": y[0], "residual": res,
-                 "pass": bool(res <= args.tol)})
-    return rep.finish(m=args.m, a=par.a, b=par.b, c=par.c, tol=args.tol)
+        yield {"x": x[0], "y": y[0], "residual": res,
+               "pass": bool(res <= args.tol)}
+    return {"m": args.m, "a": par.a, "b": par.b, "c": par.c, "tol": args.tol}
 
 
-def cmd_a_minus2_suite(args) -> int:
-    rep = Reporter("a-minus2-suite", args)
-    setup = _build_setup(args)
-    dk = DunklContext(setup)
-    _add_inversion_rows(rep, dk, _input_set(setup.m, args.degree))
+@suite("a-minus2-suite", "the inverted realization, exact and through the transform",
+       check=_seeds_up_to("l-max", "harmonics", 1),
+       degree=3, j_max=1, l_max=1, order=28, nr=60, ntheta=64, points=5, tol=1e-6)
+def cmd_a_minus2_suite(args, dk):
+    yield from _inversion_rows(dk, _input_set(dk.m, args.degree))
     rng = np.random.default_rng(args.seed)
-    targets = rng.uniform(0.5, 1.3, size=(args.points, setup.m))
+    targets = rng.uniform(0.5, 1.3, size=(args.points, dk.m))
     targets *= np.sign(rng.uniform(-1, 1, size=targets.shape))
     for j in range(args.j_max + 1):
         for ell in range(args.l_max + 1):
@@ -537,147 +624,48 @@ def cmd_a_minus2_suite(args) -> int:
             scale = float(np.max(np.abs(ref)))
             agree = float(np.max(np.abs(one - two))) / scale
             eig = float(np.max(np.abs(one - eigenvalue(j, ell) * ref))) / scale
-            rep.add({"j": j, "l": ell, "paths_agree_err": agree,
-                     "eigen_rel_err": eig,
-                     "pass": agree <= args.tol and eig <= args.tol})
-    return rep.finish(family=setup.name, m=setup.m, tol=args.tol)
+            yield {"j": j, "l": ell, "paths_agree_err": agree,
+                   "eigen_rel_err": eig,
+                   "pass": agree <= args.tol and eig <= args.tol}
+    return {"tol": args.tol}
 
 
-# -- wiring -----------------------------------------------------------------
+# -- the runner ---------------------------------------------------------------
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="dunkldirac",
         description="verification suites for the deformed Dunkl Dirac family")
     sub = top.add_subparsers(dest="cmd", required=True)
+    for spec in SUITES.values():
+        p = sub.add_parser(spec.name, help=spec.help)
+        if spec.group:
+            _group_flags(p)
+        for name, default in spec.flags.items():
+            _add_flag(p, name, default)
+        _common_flags(p)
+    return top
 
-    p = sub.add_parser("verify-osp", help="superalgebra relations, exact")
-    _group_flags(p)
-    p.add_argument("--a", type=rational, default=None)
-    p.add_argument("--b", type=rational, default=None)
-    p.add_argument("--c", type=rational, default=None)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--trials", type=int, default=3)
-    _common_flags(p)
-    p.set_defaults(run=cmd_verify_osp)
 
-    p = sub.add_parser("verify-factorization",
-                       help="classified triples factorize, perturbed ones fail")
-    p.add_argument("--ms", type=int, nargs="+", default=[2, 3])
-    p.add_argument("--degree", type=int, default=3)
-    _common_flags(p)
-    p.set_defaults(run=cmd_verify_factorization)
-
-    p = sub.add_parser("verify-basicprops",
-                       help="first-order Dunkl calculus relations, exact")
-    _group_flags(p)
-    p.add_argument("--degree", type=int, default=3)
-    _common_flags(p)
-    p.set_defaults(run=cmd_verify_basicprops)
-
-    p = sub.add_parser("verify-kelvin",
-                       help="P/Q conjugations and the inversion, exact")
-    _group_flags(p)
-    p.add_argument("--a", type=rational, default=None)
-    p.add_argument("--b", type=rational, default=None)
-    p.add_argument("--c", type=rational, default=None)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--trials", type=int, default=3)
-    _common_flags(p)
-    p.set_defaults(run=cmd_verify_kelvin)
-
-    p = sub.add_parser("basis", help="harmonic or monogenic basis dump")
-    _group_flags(p)
-    p.add_argument("--kind", default="monogenic",
-                   choices=["monogenic", "harmonic"])
-    p.add_argument("--ell-max", type=int, default=3)
-    p.add_argument("--gram", action="store_true",
-                   help="include numeric sphere Gram matrices in the summary")
-    _common_flags(p)
-    p.set_defaults(run=cmd_basis)
-
-    p = sub.add_parser("fischer",
-                       help="tower decomposition and lowering constants")
-    _group_flags(p)
-    p.add_argument("--a", type=rational, default=Fraction(2))
-    p.add_argument("--b", type=rational, default=Fraction(0))
-    p.add_argument("--c", type=rational, default=Fraction(0))
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--ell-max", type=int, default=2)
-    p.add_argument("--s-max", type=int, default=4)
-    _common_flags(p)
-    p.set_defaults(run=cmd_fischer)
-
-    p = sub.add_parser("laguerre-table",
-                       help="psi_t coefficients with step and norm constants")
-    _group_flags(p)
-    p.add_argument("--a", type=rational, default=Fraction(2))
-    p.add_argument("--b", type=rational, default=Fraction(0))
-    p.add_argument("--c", type=rational, default=Fraction(0))
-    p.add_argument("--t-max", type=int, default=4)
-    p.add_argument("--ell-max", type=int, default=2)
-    _common_flags(p)
-    p.set_defaults(run=cmd_laguerre_table)
-
-    p = sub.add_parser("orthogonality",
-                       help="damped towers are orthogonal with known norms")
-    _group_flags(p)
-    p.add_argument("--a", type=rational, default=Fraction(2))
-    p.add_argument("--b", type=rational, default=Fraction(0))
-    p.add_argument("--c", type=rational, default=Fraction(0))
-    p.add_argument("--t-max", type=int, default=3)
-    p.add_argument("--ell-max", type=int, default=2)
-    p.add_argument("--numeric", action="store_true",
-                   help="also cross-check each pair by quadrature")
-    p.add_argument("--nr", type=int, default=60)
-    p.add_argument("--ntheta", type=int, default=80)
-    p.add_argument("--tol", type=float, default=1e-8)
-    _common_flags(p)
-    p.set_defaults(run=cmd_orthogonality)
-
-    p = sub.add_parser("transform-eigen",
-                       help="transform eigenvalues on the damped towers")
-    _group_flags(p)
-    p.add_argument("--a", type=rational, default=Fraction(2))
-    p.add_argument("--b", type=rational, default=Fraction(0))
-    p.add_argument("--t-max", type=int, default=3)
-    p.add_argument("--l-max", type=int, default=2)
-    p.add_argument("--nr", type=int, default=100)
-    p.add_argument("--ntheta", type=int, default=120)
-    p.add_argument("--order", type=int, default=28,
-                   help="kernel series order for nontrivial multiplicities")
-    p.add_argument("--points", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-6)
-    _common_flags(p)
-    p.set_defaults(run=cmd_transform_eigen)
-
-    p = sub.add_parser("kernel-residual",
-                       help="closed kernel satisfies its first-order system")
-    p.add_argument("--a", type=rational, default=Fraction(2))
-    p.add_argument("--b", type=rational, default=Fraction(0))
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10)
-    _common_flags(p)
-    p.set_defaults(run=cmd_kernel_residual)
-
-    p = sub.add_parser("a-minus2-suite",
-                       help="the inverted realization, exact and through the transform")
-    _group_flags(p)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--j-max", type=int, default=1)
-    p.add_argument("--l-max", type=int, default=1)
-    p.add_argument("--order", type=int, default=28)
-    p.add_argument("--nr", type=int, default=60)
-    p.add_argument("--ntheta", type=int, default=64)
-    p.add_argument("--points", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-6)
-    _common_flags(p)
-    p.set_defaults(run=cmd_a_minus2_suite)
-
+def main(argv=None) -> int:
+    top = _parser()
     args = top.parse_args(argv)
-    return args.run(args)
+    spec = SUITES[args.cmd]
+    try:
+        setup = _build_setup(args) if spec.group else None
+        _check_params(args)
+        if spec.check is not None:
+            spec.check(args, setup)
+    except BadInput as exc:
+        top.exit(2, f"dunkldirac {spec.name}: error: {exc}\n")
+    rep = Reporter(spec.name, args)
+    head = {"family": setup.name, "m": setup.m} if spec.group else {}
+    rows = spec.run(args, DunklContext(setup) if spec.group else None)
+    while True:
+        try:
+            rep.add(next(rows))
+        except StopIteration as done:
+            return rep.finish(**head, **done.value)
 
 
 if __name__ == "__main__":

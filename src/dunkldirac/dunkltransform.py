@@ -159,22 +159,15 @@ def transform_inverted_direct(dk: DunklContext, g: RadialExpr, targets: np.ndarr
     r2t = np.sum(targets * targets, axis=1)
     inv_targets = targets / r2t[:, None]
     out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
-    # Group by the growth of each term's pullback under the substitution,
-    # which is what the Gaussian grid actually sees.
-    classes: dict = {}
-    for (s, mono, blade), coeff in g.terms.items():
-        n_x = -(Fraction(s) + sum(mono))
-        key = (n_x - 2 * (n_x // 2), sum(mono) % 2)
-        classes.setdefault(key, []).append((n_x, (s, mono, blade), coeff))
-    for (_rho, parity), group in classes.items():
-        fold = min(nx for nx, _key, _c in group) + parity
-        part = RadialExpr(setup.m, {key: c for _nx, key, c in group})
-        pts, wts = weighted_grid(setup, 2, 1, 2 - mu + fold, n_r, n_ang)
-        r2 = np.sum(pts * pts, axis=1)
-        inv_pts = pts / r2[:, None]
-        vals = evaluate(part, inv_pts) * (r2 ** (-float(fold) / 2))[:, None]
+    # After the substitution a term r^s x^mono of g grows like r_x^{-(s+|mono|)}
+    # on the Gaussian grid, so g is split with half = -1; each class's
+    # r_v^fold = r_x^{-fold} goes into the rule and its rebased part is
+    # evaluated at the inverted nodes.
+    for fold, part in paired_classes(g, -1):
+        pts, wts = weighted_grid(setup, 2, 1, 2 - mu - fold, n_r, n_ang)
+        inv_pts = pts / np.sum(pts * pts, axis=1)[:, None]
         M = kernel_matrix(dk, pts, inv_targets, order)
-        out += np.einsum("p,pb,pt->tb", wts, vals, M)
+        out += np.einsum("p,pb,pt->tb", wts, evaluate(part, inv_pts), M)
     out /= normalization(setup, n_r, n_ang)
     return out * (r2t ** ((2 - float(mu)) / 2))[:, None]
 

@@ -122,9 +122,10 @@ def tower_decompose(dctx: DeformedContext, f: RadialExpr, max_steps: int = 64) -
 
     Works by applying D until it annihilates f; the top slot then telescopes
     through the Fischer constants and is peeled off.  Raises when f is not a
-    finite tower over null solutions, and when the telescope crosses the
-    singular locus (a vanishing odd constant), where the decomposition
-    genuinely breaks down.
+    finite tower over null solutions (at once, before any D is applied, when
+    no slot s <= max_steps admits a monogenic degree at f's homogeneity), and
+    when the telescope crosses the singular locus (a vanishing odd constant),
+    where the decomposition genuinely breaks down.
     """
     if f.is_zero():
         return {}
@@ -132,6 +133,8 @@ def tower_decompose(dctx: DeformedContext, f: RadialExpr, max_steps: int = 64) -
     if len(parts) != 1:
         raise ValueError("tower decomposition needs homogeneous input")
     h = next(iter(parts))
+    if all(_slot_degree(dctx, h, s) is None for s in range(max_steps + 1)):
+        raise ValueError(f"homogeneity {h} admits no monogenic degree in any slot")
     out: dict = {}
     rem = f
     while not rem.is_zero():

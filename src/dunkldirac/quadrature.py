@@ -170,7 +170,9 @@ def integrate_expr(setup: ReflectionSetup, expr: RadialExpr, a, lam, extra=0,
     Terms are grouped by their total radial degree mod a, each group is
     rebased at its lowest degree (folded into the rule's weight), and what
     remains is a polynomial in r^a against a matched weight, so each group
-    integrates exactly.
+    integrates exactly.  This grouping is not :func:`paired_classes` with
+    half = a/2: its parity split would leave the odd groups with odd
+    multiples of a/2, which are not polynomial in r^a.
     """
     a = Fraction(a)
     classes: dict = {}

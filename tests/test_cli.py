@@ -256,3 +256,104 @@ def test_seed_determinism(tmp_path):
     rows1 = read_rows(out1, "verify-osp")
     rows2 = read_rows(out2, "verify-osp")
     assert rows1 == rows2
+
+
+# -- verdicts: excluded rows and empty runs --------------------------------------
+
+def test_reporter_counts_excluded_rows(tmp_path, capsys):
+    import argparse
+    from dunkldirac.cli import Reporter
+    rep = Reporter("probe", argparse.Namespace(out=str(tmp_path), format="json"))
+    rep.add({"pass": True})
+    rep.add({"excluded": "singular locus"})
+    assert rep.finish() == 1
+    summary = read_summary(tmp_path, "probe")
+    assert (summary["checks"], summary["failed"], summary["excluded"]) == (2, 0, 1)
+    assert summary["all_pass"] is False
+    assert "1 excluded" in capsys.readouterr().out
+
+
+def test_a_run_without_rows_is_not_green(tmp_path):
+    import argparse
+    from dunkldirac.cli import Reporter
+    rep = Reporter("probe", argparse.Namespace(out=str(tmp_path), format="json"))
+    assert rep.finish() == 1
+    assert read_summary(tmp_path, "probe")["all_pass"] is False
+
+
+def test_singular_degrees_are_excluded_rows(tmp_path, capsys):
+    """At a = -2 both degrees are on the singular locus: no pair can be checked,
+    so the run must say so and fail instead of printing '0 checks, ok'."""
+    code = main(["orthogonality", "--a=-2", "--m", "2", "--k", "1/2,3/2",
+                 "--t-max", "1", "--ell-max", "1", "--out", str(tmp_path)])
+    assert code == 1
+    rows = read_rows(tmp_path, "orthogonality")
+    assert rows == [{"ell": 0, "excluded": "singular locus"},
+                    {"ell": 1, "excluded": "singular locus"}]
+    summary = read_summary(tmp_path, "orthogonality")
+    assert (summary["checks"], summary["excluded"], summary["all_pass"]) == (2, 2, False)
+    assert "2 excluded" in capsys.readouterr().out
+
+
+def test_fischer_decomposes_sampled_towers(tmp_path):
+    """The sampled inputs are genuine towers: every trial row carries a verdict
+    (none excluded) and compares each recovered part with the sampled one."""
+    code = main(["fischer", "--family", "z2", "--m", "3", "--k", "1/2",
+                 "--a", "4/3", "--b", "1/3", "--c", "1/2", "--out", str(tmp_path)])
+    assert code == 0
+    summary = read_summary(tmp_path, "fischer")
+    assert summary["excluded"] == 0 and summary["all_pass"] is True
+    trials = [row for row in read_rows(tmp_path, "fischer")
+              if row["relation"] == "tower decomposition recovers each part"]
+    assert len(trials) == 5
+    assert all(row["pass"] is True for row in trials)
+
+
+# -- bad input ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify-kelvin", "--a=-2"], "--a"),
+    (["fischer", "--m", "1"], "--m"),
+    (["laguerre-table", "--m", "1"], "--m"),
+    (["orthogonality", "--c=-1"], "--c"),
+    (["transform-eigen", "--seed=-1"], "--seed"),
+])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and flag in err
+    assert not list(tmp_path.iterdir())
+
+
+# -- the registry -----------------------------------------------------------------
+
+SMALL = {
+    "verify-osp": ["--degree", "1", "--trials", "1"],
+    "verify-factorization": ["--ms", "2", "--degree", "1"],
+    "verify-basicprops": ["--degree", "1"],
+    "verify-kelvin": ["--degree", "1", "--trials", "1"],
+    "basis": ["--ell-max", "1"],
+    "fischer": ["--degree", "2", "--trials", "2", "--ell-max", "1", "--s-max", "2"],
+    "laguerre-table": ["--t-max", "1", "--ell-max", "1"],
+    "orthogonality": ["--t-max", "1", "--ell-max", "1"],
+    "transform-eigen": ["--t-max", "1", "--l-max", "1", "--points", "2",
+                        "--nr", "30", "--ntheta", "30"],
+    "kernel-residual": ["--samples", "5"],
+    "a-minus2-suite": ["--degree", "1", "--j-max", "0", "--l-max", "0",
+                       "--points", "2", "--nr", "30", "--ntheta", "32"],
+}
+
+
+def test_every_suite_is_registered():
+    from dunkldirac.cli import SUITES
+    assert set(SUITES) == set(SMALL) and len(SUITES) == 11
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_registered_suite_runs_green(tmp_path, name):
+    assert main([name, *SMALL[name], "--out", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path, name)
+    assert summary["checks"] == len(read_rows(tmp_path, name)) > 0
+    assert summary["excluded"] == 0 and summary["all_pass"] is True

@@ -177,3 +177,16 @@ def test_classical_degree_one_split():
             piece = ctx.x_a(piece)
         rebuilt = rebuilt + piece
     assert (rebuilt - f).is_zero()
+
+
+def test_tower_decompose_rejects_a_slotless_homogeneity_before_applying_d():
+    """No slot admits a monogenic degree at homogeneity 4/3, so the input is
+    rejected before the D chain is built."""
+    ctx = make_ctx(2, 0, 0)
+
+    def no_dirac(_f):
+        raise AssertionError("D applied to an input no slot admits")
+    ctx.dirac = no_dirac
+    f = RadialExpr.monomial(2, (1, 0), r_exp=Fraction(1, 3))
+    with pytest.raises(ValueError, match="admits no monogenic degree"):
+        tower_decompose(ctx, f)
