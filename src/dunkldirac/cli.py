@@ -17,9 +17,9 @@ suites' summaries start with family and m.  The output directory comes from
 Each row holds a bool verdict under "pass" or, under "excluded", why its
 check could not run; the summary counts both.  Exit codes: 0 when every
 check ran and passed (at least one row, none failed or excluded), 1 when a
-check failed or was excluded, 2 on bad input, which is named in one line
-before any report is written (a missing or malformed --config file stops
-with its own message instead).
+check failed or was excluded, 2 on bad input (a missing or malformed
+--config file among it), which is named in one line before any report is
+written.
 
 Exact parameters are rationals written like 3/4; floats are rejected so
 that no identity is silently checked on an approximation.  Complex values
@@ -46,8 +46,8 @@ from .deformed import (DeformedContext, factorization_solutions_generic,
                        factorization_solutions_zero_k)
 from .dunkl import DunklContext
 from .dunkltransform import (deformed_transform, eigenfunction, eigenvalue,
-                             inverted_damped_values, transform_inverted,
-                             transform_inverted_direct)
+                             inverted_damped_values, kernel_route,
+                             transform_inverted, transform_inverted_direct)
 from .fischer import (fischer_constant, fischer_tower, harmonic_basis,
                       monogenic_basis, monomials, tower_decompose)
 from .fourier import (damped_values, fourier_apply, measured_eigenvalue,
@@ -90,11 +90,11 @@ def _build_setup(args) -> ReflectionSetup:
     if args.config:
         path = Path(args.config)
         if not path.exists():
-            raise SystemExit(f"config file not found: {path}")
+            raise BadInput(f"config file not found: {path}")
         try:
             return from_config(json.loads(path.read_text()))
-        except (ValueError, KeyError) as exc:
-            raise SystemExit(f"bad config {path}: {exc}")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise BadInput(f"bad config {path}: {exc}") from None
     ks, m = args.k, args.m
     try:
         if args.family == "z2":
@@ -131,7 +131,8 @@ def _common_flags(p: argparse.ArgumentParser):
 FLAG_HELP = {
     "gram": "include numeric sphere Gram matrices in the summary",
     "numeric": "also cross-check each pair by quadrature",
-    "order": "kernel series order for nontrivial multiplicities",
+    "order": "kernel series order for nontrivial multiplicities; ignored "
+             "where the closed Bessel product applies (z2^m, dihedral(2))",
 }
 
 
@@ -587,7 +588,7 @@ def cmd_transform_eigen(args, dk):
                    "runtime_ms": round(ms, 3),
                    "pass": bool(rel <= args.tol and resid <= args.tol)}
     return {"a": par.a, "b": par.b, "c": par.c,
-            "kernel": "closed" if closed else "series", "tol": args.tol}
+            "kernel": "closed" if closed else kernel_route(setup), "tol": args.tol}
 
 
 @suite("kernel-residual", "closed kernel satisfies its first-order system",
@@ -627,7 +628,7 @@ def cmd_a_minus2_suite(args, dk):
             yield {"j": j, "l": ell, "paths_agree_err": agree,
                    "eigen_rel_err": eig,
                    "pass": agree <= args.tol and eig <= args.tol}
-    return {"tol": args.tol}
+    return {"kernel": kernel_route(dk.setup), "tol": args.tol}
 
 
 # -- the runner ---------------------------------------------------------------

@@ -89,10 +89,6 @@ class DeformedContext:
             out = out + f.partial_r().mul_x(i).mul_radial(l - 1).scale(p.c)
         return out
 
-    def dirac_damped(self, f: RadialExpr) -> RadialExpr:
-        """The conjugate e^{r^a/a} D e^{-r^a/a} = D - (1+c) x_a."""
-        return self.dirac(f) - self.x_a(f).scale(1 + self.par.c)
-
     def raising(self, f: RadialExpr) -> RadialExpr:
         """(D - 2(1+c) x_a) f, the step operator of the raised tower."""
         return self.dirac(f) - self.x_a(f).scale(2 * (1 + self.par.c))
@@ -118,9 +114,6 @@ class DeformedContext:
         return out
 
     # -- second-order: compositions and closed forms -----------------------
-
-    def dirac_squared(self, f: RadialExpr) -> RadialExpr:
-        return self.dirac(self.dirac(f))
 
     def sum_components_squared(self, f: RadialExpr) -> RadialExpr:
         out = RadialExpr(self.m)
@@ -246,9 +239,6 @@ class DeformedContext:
                 (xxf.euler() - self.x_a(self.x_a(f.euler()))) - xxf.scale(a),
         }
         return report
-
-    def osp_relations_hold(self, f: RadialExpr) -> bool:
-        return all(defect.is_zero() for defect in self.osp_relations_report(f).values())
 
 
 # -- classification of the scalar factorizations ---------------------------

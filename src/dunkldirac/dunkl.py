@@ -5,12 +5,16 @@ is carried out by polynomial division with a zero-remainder check, so a
 failure of divisibility raises instead of silently truncating.  Per-monomial
 actions are cached on the context: T_i is linear and commutes with the radial
 shift rule T_i(r^s p) = s r^{s-2} x_i p + r^s T_i(p), which holds because r
-is invariant under every reflection of the group.
+is invariant under every reflection of the group.  The one float object is
+the kernel's coefficient matrix, converted from the exact series once per
+order for the numerical transform.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .linalg import solve_columns
 from .poly import RadialExpr, _acc, _add_term, _bump, r_squared_power
@@ -50,6 +54,7 @@ class DunklContext:
         self.setup = setup
         self.m = setup.m
         self._t_cache: dict = {}
+        self._kernel_cache: dict = {}
 
     # -- reflections -------------------------------------------------------
 
@@ -158,9 +163,6 @@ class DunklContext:
                     self.dunkl(i, f.mul_x(j)) + self.dunkl(j, f).mul_x(i)
                     - self.dunkl(j, f.mul_x(i)) - self.dunkl(i, f).mul_x(j))
         return report
-
-    def basic_props_hold(self, f: RadialExpr) -> bool:
-        return all(d.is_zero() for d in self.basic_props_report(f).values())
 
     # -- independent oracle for the Laplacian --------------------------------
 
@@ -281,6 +283,29 @@ class DunklContext:
                             level[(mo, ym)] = sols[ci][t]
             series.append(level)
         return series
+
+    def kernel_coefficients(self, order: int) -> tuple:
+        """(xmonos, C, ymonos) with E(x, -i y) = sum C[s, t] x^xmonos[s] y^ymonos[t]
+        through the given order, built once per order.
+
+        C is the float image of :meth:`kernel_series` with the (-i)^n weights
+        folded in.
+        """
+        cached = self._kernel_cache.get(order)
+        if cached is not None:
+            return cached
+        series = self.kernel_series(order)
+        xmonos = sorted({xm for level in series for (xm, _ym) in level})
+        ymonos = sorted({ym for level in series for (_xm, ym) in level})
+        xi = {mo: t for t, mo in enumerate(xmonos)}
+        yi = {mo: t for t, mo in enumerate(ymonos)}
+        C = np.zeros((len(xmonos), len(ymonos)), dtype=complex)
+        for n, level in enumerate(series):
+            w = (-1j) ** (n % 4)
+            for (xm, ym), c in level.items():
+                C[xi[xm], yi[ym]] += w * float(c)
+        out = self._kernel_cache[order] = (xmonos, C, ymonos)
+        return out
 
     def verify_kernel_series(self, series: list) -> bool:
         """Exact check of T_{i,x} K_n = y_i K_{n-1} for every i and n."""

@@ -1,14 +1,20 @@
-"""Dunkl transform with a nontrivial reflection weight, by series.
-
-No closed kernel exists once the multiplicity is switched on, but the
-bihomogeneous components K_n built by :meth:`DunklContext.kernel_series`
-converge like an exponential's Taylor series, so
+"""Dunkl transform with a nontrivial reflection weight.
 
     F f(y) = c_k^{-1} int f(x) E(x, -i y) w_k(x) dx,
-    E(x, -i y) = sum_n (-i)^n K_n(x, y),
+    E(x, -i y) = sum_n (-i)^n K_n(x, y).
 
-truncated near order thirty is accurate to square-summable noise against
-Gaussian-damped inputs on moderate balls.  The natural eigenfunctions are
+:func:`kernel_matrix` is the one route to E.  When every root is a
+coordinate vector (z2^m, dihedral(2)) the kernel is Rösler's closed product
+of rank-one kernels (Dunkl operators: theory and applications, LNM 1817),
+
+    E(x, -i y) = prod_j [j_{k_j - 1/2}(z_j) - i z_j/(2 k_j + 1) j_{k_j + 1/2}(z_j)],
+
+with z_j = x_j y_j and the normalized Bessel function
+j_nu(z) = 0F1(; nu + 1; -z^2/4).  Every other group sums the bihomogeneous
+components K_n built by :meth:`DunklContext.kernel_series`, which converge
+like an exponential's Taylor series, so truncating near order thirty is
+accurate to square-summable noise against Gaussian-damped inputs on moderate
+balls.  The natural eigenfunctions are
 
     L_j^{mu/2 + ell - 1}(r^2) H_ell(x) e^{-r^2/2},
 
@@ -25,25 +31,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import hyp0f1
 
 from .deformed import DeformedContext
 from .dunkl import DunklContext
 from .kelvin import inversion, p_map, q_coordinate_map
 from .laguerre import laguerre_poly
-from .measure import mehta_constant
+from .measure import axis_multiplicities, mehta_constant
 from .poly import RadialExpr
 from .quadrature import evaluate, paired_classes, weighted_grid
 from .reflection import ReflectionSetup
 from .scalars import ExactScalar
-
-
-def _series(dk: DunklContext, order: int) -> list:
-    """Kernel components through the requested order, cached on the context."""
-    cache = getattr(dk, "_series_cache", None)
-    if cache is None or len(cache) <= order:
-        cache = dk.kernel_series(order)
-        dk._series_cache = cache
-    return cache[: order + 1]
 
 
 def _mono_values(P: np.ndarray, monos: list) -> np.ndarray:
@@ -59,24 +57,43 @@ def _mono_values(P: np.ndarray, monos: list) -> np.ndarray:
     return out
 
 
+def kernel_route(setup: ReflectionSetup) -> str:
+    """Which route :func:`kernel_matrix` takes: "bessel" or "series"."""
+    return "series" if axis_multiplicities(setup) is None else "bessel"
+
+
+def _series_kernel(dk: DunklContext, X: np.ndarray, Y: np.ndarray,
+                   order: int) -> np.ndarray:
+    """E(x, -i y) summed through `order` from the coefficients cached on dk."""
+    xmonos, C, ymonos = dk.kernel_coefficients(order)
+    right = np.ascontiguousarray(C @ _mono_values(Y, ymonos).T)
+    # the real matrix of x-monomials meets the complex right factor as its
+    # interleaved float view, so it is never copied to complex
+    return (_mono_values(X, xmonos) @ right.view(float)).view(complex)
+
+
+def _bessel_kernel(ks: list, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """E(x, -i y) as the product over coordinates of rank-one Bessel kernels."""
+    out = np.ones((len(X), len(Y)), dtype=complex)
+    for j, k in enumerate(ks):
+        k = float(k)
+        z = np.multiply.outer(X[:, j], Y[:, j])
+        w = -0.25 * z * z
+        out *= hyp0f1(k + 0.5, w) - 1j * z / (2 * k + 1) * hyp0f1(k + 1.5, w)
+    return out
+
+
 def kernel_matrix(dk: DunklContext, X: np.ndarray, Y: np.ndarray,
                   order: int) -> np.ndarray:
-    """E(x, -i y) truncated at the given order, for every row pair.
+    """E(x, -i y) for every row pair, as a complex (len(X), len(Y)) array.
 
-    Returns a complex (len(X), len(Y)) array.  The (-i)^n weights are
-    folded into one coefficient matrix so the evaluation is two matmuls.
+    Sign-flip groups take the closed Bessel product and ignore `order`;
+    0F1 is even in z and 1 at z = 0, so points on an axis need no special
+    case.  Every other group sums the series through `order`.
     """
-    series = _series(dk, order)
-    xmonos = sorted({xm for level in series for (xm, _ym) in level})
-    ymonos = sorted({ym for level in series for (_xm, ym) in level})
-    xi = {mo: t for t, mo in enumerate(xmonos)}
-    yi = {mo: t for t, mo in enumerate(ymonos)}
-    C = np.zeros((len(xmonos), len(ymonos)), dtype=complex)
-    for n, level in enumerate(series):
-        w = (-1j) ** (n % 4)
-        for (xm, ym), c in level.items():
-            C[xi[xm], yi[ym]] += w * float(c)
-    return _mono_values(X, xmonos) @ C @ _mono_values(Y, ymonos).T
+    if kernel_route(dk.setup) == "series":
+        return _series_kernel(dk, X, Y, order)
+    return _bessel_kernel(axis_multiplicities(dk.setup), X, Y)
 
 
 def normalization(setup: ReflectionSetup, n_r: int = 60, n_ang: int = 64) -> float:

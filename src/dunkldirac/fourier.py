@@ -11,8 +11,10 @@ ell / (a (1 + c))}.  Everything here evaluates the kernel and the transform
 numerically; the kernel's singular radial powers are folded into the
 quadrature weight rather than sampled, which is worth eight digits.
 
-Nontrivial reflection weights have no closed kernel; for those see the
-series-based transform in :mod:`dunkldirac.dunkltransform`.
+With a nontrivial reflection weight the kernel is closed for sign-flip
+groups (z2^m, dihedral(2)) as Rösler's product of normalized Bessel
+functions, and a series otherwise; :mod:`dunkldirac.dunkltransform` takes
+both routes.
 """
 
 from __future__ import annotations

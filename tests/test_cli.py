@@ -143,6 +143,25 @@ def test_a_minus2_suite(tmp_path):
     assert read_summary(tmp_path, "a-minus2-suite")["all_pass"] is True
 
 
+_EIGEN_SMALL = ["--t-max", "0", "--l-max", "0", "--points", "2",
+                "--nr", "30", "--ntheta", "30"]
+
+
+@pytest.mark.parametrize("argv, kernel", [
+    (["transform-eigen", "--k", "0,0", *_EIGEN_SMALL], "closed"),
+    (["transform-eigen", "--k", "1/2,3/2", *_EIGEN_SMALL], "bessel"),
+    (["transform-eigen", "--family", "dihedral", "--k", "1/2,3/2", *_EIGEN_SMALL],
+     "bessel"),
+    (["transform-eigen", "--family", "hyperoctahedral", "--k", "1,2",
+      "--order", "8", *_EIGEN_SMALL], "series"),
+    (["a-minus2-suite", "--k", "1/2", "--degree", "0", "--j-max", "0",
+      "--l-max", "0", "--points", "2", "--nr", "30", "--ntheta", "32"], "bessel"),
+])
+def test_summary_records_the_kernel_route(tmp_path, argv, kernel):
+    main(argv + ["--out", str(tmp_path)])
+    assert read_summary(tmp_path, argv[0])["kernel"] == kernel
+
+
 def test_kernel_residual_passes_at_default_params(tmp_path):
     code = main(["kernel-residual", "--samples", "40", "--seed", "7",
                  "--out", str(tmp_path)])
@@ -198,20 +217,33 @@ def test_config_file_builds_the_group(tmp_path):
     assert code == 0
 
 
-def test_missing_config_file_is_an_actionable_error(tmp_path):
+def test_missing_config_file_is_an_actionable_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-basicprops", "--config", str(tmp_path / "absent.json"),
               "--out", str(tmp_path)])
-    assert "not found" in str(exc.value)
+    err = capsys.readouterr().err.strip()
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "not found" in err
 
 
-def test_bad_config_file_is_an_actionable_error(tmp_path):
+def test_bad_config_file_is_an_actionable_error(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     with pytest.raises(SystemExit) as exc:
         main(["verify-basicprops", "--config", str(cfg),
               "--out", str(tmp_path)])
-    assert "bad config" in str(exc.value)
+    err = capsys.readouterr().err.strip()
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "bad config" in err
+
+
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-basicprops", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "bad config" in capsys.readouterr().err
 
 
 # -- output formats ---------------------------------------------------------------

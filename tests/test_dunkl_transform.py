@@ -10,6 +10,7 @@ import pytest
 from dunkldirac.deformed import DeformedContext
 from dunkldirac.dunkl import DunklContext
 from dunkldirac.dunkltransform import (
+    _series_kernel,
     deformed_transform,
     eigenfunction,
     eigenvalue,
@@ -26,7 +27,7 @@ from dunkldirac.laguerre import LaguerreTower
 from dunkldirac.measure import mehta_constant
 from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
-from dunkldirac.reflection import z2_power
+from dunkldirac.reflection import hyperoctahedral, z2_power
 
 
 def sample_points(rng, n, lo=0.3, hi=1.2):
@@ -58,6 +59,38 @@ def test_kernel_matrix_truncation_converges():
     low = kernel_matrix(dk, X, Y, 16)
     high = kernel_matrix(dk, X, Y, 28)
     np.testing.assert_allclose(low, high, atol=1e-9)
+
+
+@pytest.mark.parametrize("ks", [
+    (Fraction(1, 2), Fraction(3, 2)),
+    (Fraction(1, 3), Fraction(0)),
+    (Fraction(1, 3), Fraction(2), Fraction(0)),
+])
+def test_series_route_matches_the_bessel_product(ks):
+    """The series, which sign-flip groups no longer take, against the closed
+    product they do take; rows include a point on an axis and a zero target."""
+    m = len(ks)
+    dk = DunklContext(z2_power(m, list(ks)))
+    rng = np.random.default_rng(19)
+    X = rng.uniform(-1, 1, size=(6, m)) / np.sqrt(m)
+    Y = rng.uniform(-1, 1, size=(5, m)) / np.sqrt(m)
+    X[0, 1:] = 0
+    Y[0] = 0
+    series = _series_kernel(dk, X, Y, 20)
+    np.testing.assert_allclose(series, kernel_matrix(dk, X, Y, 20), rtol=1e-12)
+
+
+def test_b2_kernel_is_symmetric_and_converges():
+    """Off the axes the series route runs: E(x, y) = E(y, x) from two calls on
+    fresh arrays of the same shape, and order 16 already agrees with 28."""
+    dk = DunklContext(hyperoctahedral(2, 1, 2))
+    rng = random.Random(23)
+    U = sample_points(rng, 5)
+    V = sample_points(rng, 5)
+    high = kernel_matrix(dk, U, V, 28)
+    swapped = kernel_matrix(dk, V.copy(), U.copy(), 28)
+    np.testing.assert_allclose(swapped.T, high, rtol=1e-12)
+    np.testing.assert_allclose(kernel_matrix(dk, U, V, 16), high, atol=1e-9)
 
 
 def test_normalization_matches_the_closed_constant():
