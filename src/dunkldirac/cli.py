@@ -167,6 +167,14 @@ def _positive_a(args, setup):
         raise BadInput(f"--a={args.a}: the maps P and Q need a > 0")
 
 
+def _all_of(*checks) -> Callable:
+    """One suite check that runs each of the given checks in turn."""
+    def check(args, setup):
+        for one in checks:
+            one(args, setup)
+    return check
+
+
 def _seeds_up_to(flag: str, kind: str, top: int) -> Callable:
     """Check for suites seeding every degree up to --flag with a basis element:
     in rank 1 the monogenics stop at degree 0 and the harmonics at degree 1."""
@@ -328,6 +336,7 @@ def suite(name: str, help: str, *, group: bool = True,
 def cmd_verify_osp(args, dk):
     rng = random.Random(args.seed)
     inputs = _input_set(dk.m, args.degree)
+    image_cache = {op: {"hits": 0, "misses": 0} for op in ("dirac", "x_a")}
     for par in _params_from(args, rng):
         dctx = DeformedContext(dk, par)
         for f in inputs:
@@ -335,7 +344,10 @@ def cmd_verify_osp(args, dk):
                 yield {"relation": name, "input": f.to_text(),
                        "a": par.a, "b": par.b, "c": par.c,
                        "group": dk.setup.name, "pass": defect.is_zero()}
-    return {"degree": args.degree}
+        for op, counts in dctx.cache_info().items():
+            for kind, n in counts.items():
+                image_cache[op][kind] += n
+    return {"degree": args.degree, "image_cache": image_cache}
 
 
 @suite("verify-factorization", "classified triples factorize, perturbed ones fail",
@@ -554,7 +566,7 @@ def cmd_orthogonality(args, dk):
 
 
 @suite("transform-eigen", "transform eigenvalues on the damped towers",
-       check=_seeds_up_to("l-max", "monogenics", 0),
+       check=_all_of(_positive_a, _seeds_up_to("l-max", "monogenics", 0)),
        a=Fraction(2), b=Fraction(0), t_max=3, l_max=2, nr=100, ntheta=120,
        order=28, points=6, tol=1e-6)
 def cmd_transform_eigen(args, dk):

@@ -9,6 +9,15 @@ between the two is
 
 and the commutator part carries the factor l + cl - c, which vanishes exactly
 on the commuting line c = 2/a - 1.
+
+D and x_a are linear, so each context applies them term by term from their
+images on unit terms: the image of r^s x^mono is built once by the
+compositional formula, the image of r^s x^mono e_B is that times e_B on the
+right (both operators multiply by Clifford elements from the left).  Each
+is stored under its term key (s, mono, B), in dicts owned by the context,
+for the context's lifetime (no eviction).  The images depend on (a, b, c)
+and on the group, so no two contexts share them.  The components D_i, dirac_on_damped and dirac_from_commutator stay
+uncached: they are the oracles that D is confronted with.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from fractions import Fraction
 
 from .dunkl import DunklContext
 from .params import DeformParams
-from .poly import RadialExpr
+from .poly import RadialExpr, _UnitImages, _merge
 
 _ZERO = Fraction(0)
 
@@ -29,6 +38,12 @@ class DeformedContext:
         self.dk = dk
         self.par = par
         self.m = dk.m
+        self._dirac = _UnitImages(self._dirac_image)
+        self._x_a = _UnitImages(self._x_a_image)
+
+    def cache_info(self) -> dict:
+        """Hits and misses of the unit-term image caches, per operator."""
+        return {"dirac": self._dirac.info(), "x_a": self._x_a.info()}
 
     # -- derived scalars ----------------------------------------------------
 
@@ -63,6 +78,9 @@ class DeformedContext:
 
     def x_a(self, f: RadialExpr) -> RadialExpr:
         """Left multiplication by x_a = r^{a/2-1} x; squares to -r^a."""
+        return self._x_a(f)
+
+    def _x_a_image(self, f: RadialExpr) -> RadialExpr:
         return f.vector_mul_left(self.par.a / 2 - 1)
 
     def euler_half_delta(self, f: RadialExpr) -> RadialExpr:
@@ -70,6 +88,10 @@ class DeformedContext:
         return f.euler() + f.scale(self.delta / 2)
 
     def dirac(self, f: RadialExpr) -> RadialExpr:
+        """D f = r^{1-a/2} D_k f + b r^{-a/2-1} x f + c r^{-a/2-1} x E f."""
+        return self._dirac(f)
+
+    def _dirac_image(self, f: RadialExpr) -> RadialExpr:
         p = self.par
         out = self.dk.dirac(f).mul_radial(1 - p.a / 2)
         if p.b:
@@ -118,7 +140,7 @@ class DeformedContext:
     def sum_components_squared(self, f: RadialExpr) -> RadialExpr:
         out = RadialExpr(self.m)
         for i in range(1, self.m + 1):
-            out = out + self.dirac_component(i, self.dirac_component(i, f))
+            _merge(out.terms, self.dirac_component(i, self.dirac_component(i, f)).terms)
         return out
 
     def laplacian_weighted(self, f: RadialExpr) -> RadialExpr:
@@ -169,7 +191,7 @@ class DeformedContext:
                 for j in range(i + 1, self.m + 1):
                     blade = (1 << (i - 1)) | (1 << (j - 1))
                     part = tf[j - 1].mul_x(i) - tf[i - 1].mul_x(j)
-                    biv = biv + part.blade_mul_left(blade)
+                    _merge(biv.terms, part.blade_mul_left(blade).terms)
             out = out + biv.mul_radial(2 * l - 2).scale(cx)
         return out
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import solve_columns
-from .poly import RadialExpr, _acc, _add_term, _bump, r_squared_power
+from .poly import RadialExpr, _acc, _add_term, _bump, _merge, r_squared_power
 from .reflection import ReflectionSetup, reflect_monomial
 
 _ZERO = Fraction(0)
@@ -109,21 +109,21 @@ class DunklContext:
         """sum_i e_i T_i f; squares to minus the Laplacian."""
         out = RadialExpr(self.m)
         for i in range(1, self.m + 1):
-            out = out + self.dunkl(i, f).blade_mul_left(1 << (i - 1))
+            _merge(out.terms, self.dunkl(i, f).blade_mul_left(1 << (i - 1)).terms)
         return out
 
     def laplacian(self, f: RadialExpr) -> RadialExpr:
         """sum_i T_i T_i f."""
         out = RadialExpr(self.m)
         for i in range(1, self.m + 1):
-            out = out + self.dunkl(i, self.dunkl(i, f))
+            _merge(out.terms, self.dunkl(i, self.dunkl(i, f)).terms)
         return out
 
     def sum_x_dunkl(self, f: RadialExpr) -> RadialExpr:
         """sum_i x_i T_i f, the radial contraction of the Dunkl gradient."""
         out = RadialExpr(self.m)
         for i in range(1, self.m + 1):
-            out = out + self.dunkl(i, f).mul_x(i)
+            _merge(out.terms, self.dunkl(i, f).mul_x(i).terms)
         return out
 
     def basic_props_report(self, f: RadialExpr) -> dict:
@@ -140,7 +140,8 @@ class DunklContext:
         report = {}
         total = RadialExpr(m)
         for j in range(1, m + 1):
-            total = total + self.dunkl(j, f.mul_x(j)) + self.dunkl(j, f).mul_x(j)
+            _merge(total.terms, self.dunkl(j, f.mul_x(j)).terms)
+            _merge(total.terms, self.dunkl(j, f).mul_x(j).terms)
         report["sum_j (x_j T_j + T_j x_j) = 2 E + mu"] = (
             total - f.euler().scale(2) - f.scale(mu))
         lap = self.laplacian(f)

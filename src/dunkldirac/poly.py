@@ -26,6 +26,7 @@ from operator import add
 from .clifford import Multivector, blade_product, bar_sign, blade_indices
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +62,73 @@ def _acc(d: dict, key, val):
         d[key] = val
     elif cur is not None:
         del d[key]
+
+
+def _merge(d: dict, terms: dict):
+    """d += terms, entry by entry through :func:`_acc`."""
+    for key, c in terms.items():
+        _acc(d, key, c)
+
+
+class _UnitImages:
+    """A linear operator on RadialExpr applied term by term from its images
+    on unit terms.
+
+    The operator must commute with right multiplication by blades, as every
+    operator that multiplies by Clifford elements from the left does.  So
+    the image of r^s x^mono e_blade is the image of r^s x^mono, built once
+    by ``image`` and kept in ``bases``, times e_blade on the right.  It is
+    kept under its term key (s, mono, blade), as a tuple of (key id, coeff)
+    pairs with the ids indexing ``keys``.  A call sums coeff * image over
+    the terms of its input on those int ids, and maps the ids back to term
+    keys once at the end; the images are in normal form already, so nothing
+    is folded again.
+    """
+
+    __slots__ = ("image", "images", "bases", "ids", "keys", "lookups")
+
+    def __init__(self, image):
+        self.image = image
+        self.images: dict = {}
+        self.bases: dict = {}
+        self.ids: dict = {}
+        self.keys: list = []
+        self.lookups = 0
+
+    def _build(self, m: int, key) -> tuple:
+        s, mono, blade = key
+        base = self.bases.get((s, mono))
+        if base is None:
+            unit = RadialExpr(m)
+            unit.terms[(s, mono, 0)] = _ONE
+            base = self.bases[(s, mono)] = self.image(unit)
+        img = []
+        for k, c in base.blade_mul_right(blade).terms.items():
+            if k not in self.ids:
+                self.ids[k] = len(self.keys)
+                self.keys.append(k)
+            img.append((self.ids[k], c))
+        self.images[key] = img = tuple(img)
+        return img
+
+    def __call__(self, f: "RadialExpr") -> "RadialExpr":
+        self.lookups += len(f.terms)
+        images = self.images
+        acc: dict = {}
+        for key, cf in f.terms.items():
+            img = images.get(key)
+            if img is None:
+                img = self._build(f.m, key)
+            for i, c in img:
+                _acc(acc, i, cf * c)
+        out = RadialExpr(f.m)
+        keys = self.keys
+        out.terms = {keys[i]: c for i, c in acc.items()}
+        return out
+
+    def info(self) -> dict:
+        """Hits and misses; nothing is evicted, so the misses are the images stored."""
+        return {"hits": self.lookups - len(self.images), "misses": len(self.images)}
 
 
 def _add_term(terms: dict, s, mono: tuple, blade: int, c):
@@ -127,12 +195,16 @@ class RadialExpr:
         if not isinstance(other, RadialExpr):
             return NotImplemented
         out = self.copy()
-        for key, c in other.terms.items():
-            _acc(out.terms, key, c)
+        _merge(out.terms, other.terms)
         return out
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, RadialExpr):
+            return NotImplemented
+        out = self.copy()
+        for key, c in other.terms.items():
+            _acc(out.terms, key, -c)
+        return out
 
     def __neg__(self):
         out = RadialExpr(self.m)

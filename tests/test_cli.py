@@ -61,6 +61,14 @@ def test_verify_osp_writes_reports_and_passes(tmp_path):
     assert all(row["pass"] for row in rows)
 
 
+def test_verify_osp_summary_records_image_cache_hits(tmp_path):
+    assert main(["verify-osp", "--out", str(tmp_path)]) == 0
+    cache = read_summary(tmp_path, "verify-osp")["image_cache"]
+    assert set(cache) == {"dirac", "x_a"}
+    for counts in cache.values():
+        assert counts["hits"] > 0 and counts["misses"] > 0
+
+
 def test_verify_factorization_passes(tmp_path):
     code = main(["verify-factorization", "--ms", "2", "--degree", "2",
                  "--out", str(tmp_path)])
@@ -349,6 +357,7 @@ def test_fischer_decomposes_sampled_towers(tmp_path):
     (["laguerre-table", "--m", "1"], "--m"),
     (["orthogonality", "--c=-1"], "--c"),
     (["transform-eigen", "--seed=-1"], "--seed"),
+    (["transform-eigen", "--a=-2"], "--a"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

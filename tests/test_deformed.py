@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dunkldirac.deformed import (
     DeformedContext,
@@ -11,9 +12,10 @@ from dunkldirac.deformed import (
     factorization_solutions_zero_k,
 )
 from dunkldirac.dunkl import DunklContext
+from dunkldirac.kelvin import p_map
 from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
-from dunkldirac.reflection import symmetric, z2_power
+from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
 
 from conftest import monomial_inputs, rand_fraction, random_expr
 
@@ -193,3 +195,101 @@ def test_ansatz_reproduces_dirac_from_the_commutator():
 def test_ansatz_at_a_two_is_the_dunkl_dirac():
     par = DeformParams.ansatz(2, Fraction(4))
     assert (par.a, par.b, par.c) == (2, 0, 0)
+
+
+# -- the unit-term image caches of D and x_a ---------------------------------------
+
+GROUPS = [
+    DunklContext(z2_power(3, [Fraction(1, 2), Fraction(1, 3), Fraction(2)])),
+    DunklContext(symmetric(3, Fraction(1, 2))),
+    DunklContext(hyperoctahedral(2, Fraction(1, 2), Fraction(1, 3))),
+]
+
+
+def uncached_dirac(ctx, f):
+    """D f by the composition, through the gauge form at lam = 0."""
+    return ctx.dirac_on_damped(f, 0)
+
+
+def uncached_x_a(ctx, f):
+    return f.vector_mul_left(ctx.par.a / 2 - 1)
+
+
+def assert_matches_compositions(ctx, f):
+    assert ctx.dirac(f) == uncached_dirac(ctx, f)
+    assert ctx.x_a(f) == uncached_x_a(ctx, f)
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+triples = st.tuples(fractions.filter(bool), fractions,
+                    fractions.filter(lambda c: c != -1))
+
+
+@st.composite
+def group_and_expr(draw):
+    dk = draw(st.sampled_from(GROUPS))
+    m = dk.m
+    keys = st.tuples(
+        st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 3),
+                         Fraction(2), Fraction(5, 3)]),
+        st.tuples(*[st.integers(0, 2)] * m),
+        st.integers(0, (1 << m) - 1))
+    terms = draw(st.dictionaries(keys, fractions.filter(bool), min_size=1, max_size=4))
+    return dk, RadialExpr(m, terms)
+
+
+@given(case=group_and_expr(), par=triples, other=triples)
+@settings(max_examples=40, deadline=None)
+def test_cached_operators_match_their_compositions(case, par, other):
+    dk, f = case
+    ctx = DeformedContext(dk, DeformParams(*par))
+    assert_matches_compositions(ctx, f)           # cold
+    assert_matches_compositions(ctx, f)           # warm
+    # the same monomials and blades under another radial exponent
+    assert_matches_compositions(ctx, f.mul_radial(Fraction(1, 3)) + f.scale(2))
+    # another triple on the same group builds its own images
+    if other != par:
+        assert_matches_compositions(DeformedContext(dk, DeformParams(*other)), f)
+
+
+def test_each_context_keeps_its_own_images():
+    dk = GROUPS[1]
+    f = random_expr(random.Random(21), 3, 2)
+    first = DeformedContext(dk, DeformParams(Fraction(2, 3), Fraction(1, 2), Fraction(1, 3)))
+    second = DeformedContext(dk, DeformParams(Fraction(4), Fraction(-1, 3), Fraction(2)))
+    for ctx in (first, second, first, second):
+        assert_matches_compositions(ctx, f)
+        assert_matches_compositions(ctx, f.mul_radial(Fraction(-1, 2)))
+
+
+def test_mutating_a_result_leaves_the_images_intact():
+    ctx = DeformedContext(GROUPS[0], DeformParams(Fraction(3, 2), Fraction(1, 4), Fraction(-1, 2)))
+    f = random_expr(random.Random(22), 3, 2)
+    for op in (ctx.dirac, ctx.x_a):
+        got = op(f)
+        for key in got.terms:
+            got.terms[key] *= 5
+        got.terms[(Fraction(7), (0, 0, 0), 0)] = Fraction(1)
+    assert_matches_compositions(ctx, f)
+
+
+def test_exact_scalar_coefficients_pass_through_the_images():
+    par = DeformParams.commuting(Fraction(3), Fraction(1, 2))
+    g = random_expr(random.Random(23), 2, 2)
+    f = p_map(par, g)   # coefficients carry powers of 3/2 such as (3/2)^(1/3)
+    assert any(not c.is_rational() for c in f.terms.values())
+    ctx = DeformedContext(GROUPS[2], par)
+    for _ in range(2):
+        assert_matches_compositions(ctx, f)
+
+
+def test_cache_info_counts_hits_and_misses_per_operator():
+    ctx = DeformedContext(GROUPS[2], DeformParams(2, 0, 0))
+    f = RadialExpr.monomial(2, (1, 0)) + RadialExpr.monomial(2, (0, 1), blade=0b11)
+    assert ctx.cache_info() == {"dirac": {"hits": 0, "misses": 0},
+                                "x_a": {"hits": 0, "misses": 0}}
+    ctx.dirac(f)
+    ctx.dirac(f)
+    ctx.x_a(f.scale(3))
+    assert ctx.cache_info() == {"dirac": {"hits": 2, "misses": 2},
+                                "x_a": {"hits": 0, "misses": 2}}
