@@ -651,7 +651,7 @@ def _parser() -> argparse.ArgumentParser:
         description="verification suites for the deformed Dunkl Dirac family")
     sub = top.add_subparsers(dest="cmd", required=True)
     for spec in SUITES.values():
-        p = sub.add_parser(spec.name, help=spec.help)
+        p = sub.add_parser(spec.name, help=spec.help, allow_abbrev=False)
         if spec.group:
             _group_flags(p)
         for name, default in spec.flags.items():

@@ -63,8 +63,8 @@ class DunklContext:
         out = RadialExpr(self.m)
         t = out.terms
         for (s, mono, blade), c in f.terms.items():
-            for mo2, cf in reflect_monomial(self.setup, ridx, mono).items():
-                _add_term(t, s, mo2, blade, cf * c)
+            mo2, sign = reflect_monomial(self.setup, ridx, mono)
+            _add_term(t, s, mo2, blade, sign * c)
         return out
 
     # -- the operators ------------------------------------------------------
@@ -84,13 +84,13 @@ class DunklContext:
             vi = root[i - 1]
             if not k or not vi:
                 continue
+            mo2, sign = reflect_monomial(setup, ridx, mono)
             diff = {mono: Fraction(1)}
-            for mo2, cf in reflect_monomial(setup, ridx, mono).items():
-                _acc(diff, mo2, -cf)
+            _acc(diff, mo2, Fraction(-sign))
             if not diff:
                 continue
-            for mo2, cf in div_linear(diff, root).items():
-                _acc(out, mo2, k * vi * cf)
+            for qm, cf in div_linear(diff, root).items():
+                _acc(out, qm, k * vi * cf)
         self._t_cache[key] = out
         return out
 
@@ -205,8 +205,8 @@ class DunklContext:
                 norm2 = setup.norm2(ridx)
                 for mono, c in poly.items():
                     _acc(num, mono, -norm2 * c)
-                    for mo2, cf in reflect_monomial(setup, ridx, mono).items():
-                        _acc(num, mo2, norm2 * c * cf)
+                    mo2, sign = reflect_monomial(setup, ridx, mono)
+                    _acc(num, mo2, norm2 * c * sign)
                 if num:
                     quot = div_linear(div_linear(num, root), root)
                     for mono, c in quot.items():
@@ -216,20 +216,6 @@ class DunklContext:
         return out
 
     # -- intertwining kernel ---------------------------------------------
-
-    def _monomial_orbit(self, mono: tuple) -> list:
-        frontier = [mono]
-        seen = {mono}
-        while frontier:
-            nxt = []
-            for mo in frontier:
-                for ridx in range(len(self.setup.roots)):
-                    for mo2 in reflect_monomial(self.setup, ridx, mo):
-                        if mo2 not in seen:
-                            seen.add(mo2)
-                            nxt.append(mo2)
-            frontier = nxt
-        return sorted(seen)
 
     def kernel_series(self, order: int) -> list:
         """Bihomogeneous kernel components K_0 .. K_order.
@@ -244,7 +230,10 @@ class DunklContext:
 
         block diagonal over orbits of x-monomials, which is what gets solved
         here; the defining first-order property is then re-checked exactly by
-        :meth:`verify_kernel_series`.
+        :meth:`verify_kernel_series`.  Each reflection is a signed permutation
+        (enforced by :class:`ReflectionSetup`), so each orbit is walked once,
+        one :func:`reflect_monomial` lookup per root and monomial, and its
+        block is filled during that walk.
         """
         setup = self.setup
         m = setup.m
@@ -260,19 +249,22 @@ class DunklContext:
             for xm in sorted({key[0] for key in rhs}):
                 if xm in seen:
                     continue
-                orbit = self._monomial_orbit(xm)
+                orbit, idx, entries = [xm], {xm: 0}, []
+                for col, mo in enumerate(orbit):  # grows while it is walked
+                    for ridx, k in enumerate(setup.mults):
+                        mo2, sign = reflect_monomial(setup, ridx, mo)
+                        if mo2 not in idx:
+                            idx[mo2] = len(orbit)
+                            orbit.append(mo2)
+                        if k:
+                            entries.append((idx[mo2], col, k * sign))
                 seen.update(orbit)
-                idx = {mo: t for t, mo in enumerate(orbit)}
                 size = len(orbit)
                 mat = [[Fraction(0)] * size for _ in range(size)]
                 for t in range(size):
                     mat[t][t] = n + gamma
-                for ridx, k in enumerate(setup.mults):
-                    if not k:
-                        continue
-                    for col, mo in enumerate(orbit):
-                        for mo2, cf in reflect_monomial(setup, ridx, mo).items():
-                            mat[idx[mo2]][col] -= k * cf
+                for row, col, v in entries:
+                    mat[row][col] -= v
                 ymonos = sorted({ym for (xm2, ym) in rhs if xm2 in idx})
                 cols = []
                 for ym in ymonos:

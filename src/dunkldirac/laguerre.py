@@ -41,14 +41,12 @@ class LaguerreTower:
     turns these into the eigenfunctions of the generalized Fourier transform.
     """
 
-    def __init__(self, dctx: DeformedContext, ell: int, monogenic: RadialExpr,
-                 validate: bool = True):
-        if validate:
-            if not dctx.dk.dirac(monogenic).is_zero():
-                raise ValueError("seed is not monogenic")
-            degs = {s + sum(mono) for (s, mono, _b) in monogenic.terms}
-            if degs and degs != {Fraction(ell)}:
-                raise ValueError(f"seed is not homogeneous of degree {ell}")
+    def __init__(self, dctx: DeformedContext, ell: int, monogenic: RadialExpr):
+        if not dctx.dk.dirac(monogenic).is_zero():
+            raise ValueError("seed is not monogenic")
+        degs = {s + sum(mono) for (s, mono, _b) in monogenic.terms}
+        if degs and degs != {Fraction(ell)}:
+            raise ValueError(f"seed is not homogeneous of degree {ell}")
         self.dctx = dctx
         self.ell = ell
         self.monogenic = monogenic

@@ -3,14 +3,16 @@
 Roots are stored as primitive integer vectors (one per positive root line)
 together with a rational multiplicity per root.  The normalization to
 squared length 2 only ever enters through the even power (2/<v,v>)^k in the
-weight function, so all operator coefficients stay rational.  Every built-in
-family acts by signed coordinate permutations, which keeps reflections of
-monomials monomial.
+weight function, so all operator coefficients stay rational.  Every
+reflection must act by a signed permutation of the coordinates, as those of
+every built-in family do: :class:`ReflectionSetup` computes each one once and
+rejects a root whose reflection is not of that form, so a reflected monomial
+is always one signed monomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -38,12 +40,17 @@ def _primitive(vec) -> tuple:
 
 @dataclass(frozen=True)
 class ReflectionSetup:
-    """A root system fragment: positive root lines plus multiplicities."""
+    """A root system fragment: positive root lines plus multiplicities.
+
+    ``perms[ridx]`` is the reflection in root ``ridx`` as the (perm, signs)
+    of :meth:`signed_permutation`, fixed at construction.
+    """
 
     name: str
     m: int
     roots: tuple
     mults: tuple
+    perms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.roots) != len(self.mults):
@@ -51,6 +58,12 @@ class ReflectionSetup:
         for v in self.roots:
             if len(v) != self.m:
                 raise ValueError("root dimension mismatch")
+        perms = tuple(self.signed_permutation(r) for r in range(len(self.roots)))
+        for v, sp in zip(self.roots, perms):
+            if sp is None:
+                raise ValueError(f"the reflection in root ({', '.join(map(str, v))}) "
+                                 "is not a signed permutation of the coordinates")
+        object.__setattr__(self, "perms", perms)
 
     @property
     def gamma(self) -> Fraction:
@@ -102,10 +115,6 @@ class ReflectionSetup:
                     return False
         return True
 
-    def weight_exponent(self) -> Fraction:
-        """Homogeneity degree 2 gamma of the weight function."""
-        return 2 * self.gamma
-
     def weight_numeric(self, points):
         """prod_alpha |<alpha, x>|^{2 k_alpha} with <alpha,alpha> = 2, per row of points."""
         import numpy as np
@@ -124,12 +133,13 @@ class ReflectionSetup:
         return out
 
     def to_config(self) -> dict:
-        return {
-            "family": self.name,
-            "m": self.m,
-            "roots": [[str(x) for x in v] for v in self.roots],
-            "mults": [str(k) for k in self.mults],
-        }
+        """The {family, m, k} config that :func:`from_config` reads back."""
+        ks = [str(k) for k in self.mults]
+        if self.name == "symmetric":
+            ks = ks[0] if ks else "0"
+        elif self.name == "hyperoctahedral":
+            ks = [ks[0], ks[-1]]
+        return {"family": self.name, "m": self.m, "k": ks}
 
 
 def z2_power(m: int, ks) -> ReflectionSetup:
@@ -210,27 +220,13 @@ def from_config(cfg: dict) -> ReflectionSetup:
 
 @lru_cache(maxsize=None)
 def reflect_monomial(setup: ReflectionSetup, ridx: int, mono: tuple):
-    """x^mono composed with the reflection, as a monomial->coeff map.
+    """x^mono composed with reflection ``ridx``, as one pair (mono2, sign).
 
-    For the built-in families the result is a single signed monomial, but the
-    expansion below handles any rational reflection.
+    The reflection maps e_j to signs[j] e_perm[j] (a signed permutation,
+    enforced when the setup is built), so x^mono o r = sign * x^mono2 with
+    mono2[j] = mono[perm[j]] and sign the product of signs[j]^mono2[j].
     """
-    mat = setup.reflection_matrix(ridx)
-    acc = {(0,) * setup.m: Fraction(1)}
-    for i, e in enumerate(mono):
-        if not e:
-            continue
-        row = mat[i]
-        lin = {}
-        for j, a in enumerate(row):
-            if a:
-                key = tuple(1 if t == j else 0 for t in range(setup.m))
-                lin[key] = a
-        for _ in range(e):
-            nxt: dict = {}
-            for mo, c in acc.items():
-                for lo, lc in lin.items():
-                    key = tuple(x + y for x, y in zip(mo, lo))
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * lc
-            acc = nxt
-    return {k: v for k, v in acc.items() if v}
+    perm, signs = setup.perms[ridx]
+    mono2 = tuple(mono[p] for p in perm)
+    odd = sum(e for e, sg in zip(mono2, signs) if sg < 0) % 2
+    return mono2, -1 if odd else 1

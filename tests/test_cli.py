@@ -368,6 +368,22 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["transform-eigen", "--a=-2", "--c=1"], "--c=1"),
+    (["verify-osp", "--deg", "1"], "--deg"),
+])
+def test_flags_are_not_read_as_abbreviations(tmp_path, capsys, argv, flag):
+    """A flag the suite lacks is rejected by name, not taken as a prefix of
+    one it has (``--c`` of ``--config``, ``--deg`` of ``--degree``)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert "config" not in err
+    assert not list(tmp_path.iterdir())
+
+
 # -- the registry -----------------------------------------------------------------
 
 SMALL = {

@@ -124,8 +124,9 @@ def test_reflect_is_algebra_map():
 
 # -- kernel series --------------------------------------------------------
 
-def test_kernel_series_passes_its_own_verifier():
-    dk = DunklContext(z2_power(2, [Fraction(1, 2), Fraction(1, 2)]))
+@pytest.mark.parametrize("dk", contexts(),
+                         ids=lambda dk: f"{dk.setup.name}-{dk.setup.m}")
+def test_kernel_series_passes_its_own_verifier(dk):
     series = dk.kernel_series(6)
     assert dk.verify_kernel_series(series)
 

@@ -1,11 +1,14 @@
 """Reflection groups: root data, invariance, weight functions."""
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from dunkldirac.reflection import (
+    ReflectionSetup,
     dihedral,
     from_config,
     hyperoctahedral,
@@ -108,11 +111,45 @@ def test_signed_permutation_detection():
                for r in range(len(d4.roots)))
 
 
-def test_reflect_monomial_expands_binomially():
+def test_reflect_monomial_permutes_exponents():
     s = symmetric(2, 1)
     # s swaps x1, x2: x1^2 x2 goes to x2^2 x1
-    terms = dict(reflect_monomial(s, 0, (2, 1)))
-    assert terms == {(1, 2): Fraction(1)}
+    assert reflect_monomial(s, 0, (2, 1)) == ((1, 2), 1)
+
+
+SIGNED_SETUPS = [z2_power(3, 1), symmetric(3, 1), symmetric(4, 1),
+                 hyperoctahedral(2, 1, 1), hyperoctahedral(3, 1, 1),
+                 dihedral(4, 1)]
+
+
+@st.composite
+def reflected_monomials(draw):
+    s = draw(st.sampled_from(SIGNED_SETUPS))
+    ridx = draw(st.integers(0, len(s.roots) - 1))
+    mono, left = [], 6
+    for _ in range(s.m):
+        e = draw(st.integers(0, left))
+        mono.append(e)
+        left -= e
+    nonzero = st.fractions(-3, 3, max_denominator=7).filter(bool)
+    x = tuple(draw(st.lists(nonzero, min_size=s.m, max_size=s.m)))
+    return s, ridx, tuple(mono), x
+
+
+@given(reflected_monomials())
+def test_reflect_monomial_agrees_with_the_reflected_point(case):
+    """x^mono at r(x), from the root itself, equals sign * x^mono2 at x."""
+    s, ridx, mono, x = case
+    mono2, sign = reflect_monomial(s, ridx, mono)
+    rx = s.reflect_vector(ridx, x)
+    assert sign in (1, -1) and sum(mono2) == sum(mono)
+    assert prod(v ** e for v, e in zip(rx, mono)) == sign * prod(
+        v ** e for v, e in zip(x, mono2))
+
+
+def test_non_signed_permutation_root_is_rejected():
+    with pytest.raises(ValueError, match="signed permutation"):
+        ReflectionSetup("custom", 2, ((1, 2),), (1,))
 
 
 def test_dihedral_odd_order_is_rejected():
@@ -136,11 +173,7 @@ def test_config_roundtrip_via_from_config():
     ]:
         s = from_config(cfg)
         assert s.check_invariance()
-        back = s.to_config()
-        assert back["family"] == s.name
-        assert back["m"] == s.m
-        # the emitted root/mult lists rebuild the same weight data
-        assert [Fraction(k) for k in back["mults"]] == list(s.mults)
+        assert from_config(s.to_config()) == s
 
 
 def test_from_config_rejects_unknown_family():
