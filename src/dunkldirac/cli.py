@@ -11,8 +11,9 @@ One runner, main, builds the parser from the registry, rejects bad input,
 builds the group context, runs the suite and writes one JSON line per check
 to <out>/<suite>.jsonl (or <suite>.csv under --format csv) and
 <out>/<suite>-summary.json, replacing the files of any earlier run; group
-suites' summaries start with family and m.  The output directory comes from
---out, else the DUNKLDIRAC_OUT environment variable, else ./reports.
+suites' summaries start with the setup's {family, m, k}, which --config reads
+back.  The output directory comes from --out, else the DUNKLDIRAC_OUT
+environment variable, else ./reports.
 
 Each row holds a bool verdict under "pass" or, under "excluded", why its
 check could not run; the summary counts both.  Exit codes: 0 when every
@@ -156,6 +157,10 @@ def _check_params(args):
     for name, val in vars(args).items():
         if type(val) is int and val < 0:
             raise BadInput(f"--{name.replace('_', '-')} must be non-negative")
+    for name in ("m", "ms"):
+        ranks = getattr(args, name, 1)
+        if min(ranks if isinstance(ranks, list) else [ranks]) < 1:
+            raise BadInput(f"--{name} must be at least 1")
     if getattr(args, "a", None) == 0:
         raise BadInput("--a 0 degenerates the radial deformation")
     if getattr(args, "c", None) == -1:
@@ -165,6 +170,14 @@ def _check_params(args):
 def _positive_a(args, setup):
     if args.a is not None and args.a <= 0:
         raise BadInput(f"--a={args.a}: the maps P and Q need a > 0")
+
+
+def _sphere_rule(args, setup):
+    """Check for suites that integrate numerically (orthogonality only under
+    --numeric): the quadrature's sphere rule stops at m = 3."""
+    if setup.m > 3 and getattr(args, "numeric", True):
+        raise BadInput(f"rank m = {setup.m}: the quadrature's sphere rule "
+                       "covers m <= 3 only; lower --m")
 
 
 def _all_of(*checks) -> Callable:
@@ -350,6 +363,23 @@ def cmd_verify_osp(args, dk):
     return {"degree": args.degree, "image_cache": image_cache}
 
 
+def _commute_rows(dctx: DeformedContext, k: str, inputs: list, degree: int):
+    """The row for [D_i, D_j] = 0 iff c = 2/a - 1 on one triple.
+
+    [D_i, D_j] acts through x_i T_j - x_j T_i, so only two coordinates and
+    inputs of positive degree can tell the line from off it; short of them
+    no row is written.
+    """
+    m, par = dctx.m, dctx.par
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    if pairs and degree > 0:
+        zero = all(dctx.commute_defect(i, j, f).is_zero()
+                   for i, j in pairs for f in inputs)
+        yield {"m": m, "k": k, "a": par.a, "b": par.b, "c": par.c,
+               "relation": "[D_i, D_j] = 0 iff c = 2/a - 1",
+               "pass": zero == par.is_commuting_choice()}
+
+
 @suite("verify-factorization", "classified triples factorize, perturbed ones fail",
        group=False, ms=[2, 3], degree=3)
 def cmd_verify_factorization(args, _dk):
@@ -363,6 +393,7 @@ def cmd_verify_factorization(args, _dk):
             ok = all(dctx.factorization_defect(f).is_zero() for f in inputs)
             yield {"m": m, "k": "0", "a": par.a, "b": par.b, "c": par.c,
                    "relation": "sum D_i^2 = r^{2-a} Delta", "pass": ok}
+            yield from _commute_rows(dctx, "0", inputs, args.degree)
         # a perturbed triple must break the factorization
         par = solutions[0]
         bad = DeformParams(par.a, par.b + Fraction(1, 7), par.c)
@@ -370,6 +401,7 @@ def cmd_verify_factorization(args, _dk):
         broke = any(not dctx.factorization_defect(f).is_zero() for f in inputs)
         yield {"m": m, "k": "0", "a": bad.a, "b": bad.b, "c": bad.c,
                "relation": "perturbed triple fails", "pass": broke}
+        yield from _commute_rows(dctx, "0", inputs, args.degree)
         # generic multiplicity: exactly the two k-independent triples
         setup = z2_power(m, Fraction(1, 2))
         dk = DunklContext(setup)
@@ -378,6 +410,7 @@ def cmd_verify_factorization(args, _dk):
             ok = all(dctx.factorization_defect(f).is_zero() for f in inputs)
             yield {"m": m, "k": "1/2", "a": par.a, "b": par.b, "c": par.c,
                    "relation": "sum D_i^2 = r^{2-a} Delta", "pass": ok}
+            yield from _commute_rows(dctx, "1/2", inputs, args.degree)
     return {"ms": args.ms, "degree": args.degree}
 
 
@@ -512,7 +545,7 @@ def cmd_laguerre_table(args, dk):
 
 
 @suite("orthogonality", "damped towers are orthogonal with known norms",
-       check=_seeds_up_to("ell-max", "monogenics", 0),
+       check=_all_of(_seeds_up_to("ell-max", "monogenics", 0), _sphere_rule),
        a=Fraction(2), b=Fraction(0), c=Fraction(0), t_max=3, ell_max=2,
        numeric=False, nr=60, ntheta=80, tol=1e-8)
 def cmd_orthogonality(args, dk):
@@ -566,7 +599,8 @@ def cmd_orthogonality(args, dk):
 
 
 @suite("transform-eigen", "transform eigenvalues on the damped towers",
-       check=_all_of(_positive_a, _seeds_up_to("l-max", "monogenics", 0)),
+       check=_all_of(_positive_a, _seeds_up_to("l-max", "monogenics", 0),
+                     _sphere_rule),
        a=Fraction(2), b=Fraction(0), t_max=3, l_max=2, nr=100, ntheta=120,
        order=28, points=6, tol=1e-6)
 def cmd_transform_eigen(args, dk):
@@ -618,7 +652,7 @@ def cmd_kernel_residual(args, _dk):
 
 
 @suite("a-minus2-suite", "the inverted realization, exact and through the transform",
-       check=_seeds_up_to("l-max", "harmonics", 1),
+       check=_all_of(_seeds_up_to("l-max", "harmonics", 1), _sphere_rule),
        degree=3, j_max=1, l_max=1, order=28, nr=60, ntheta=64, points=5, tol=1e-6)
 def cmd_a_minus2_suite(args, dk):
     yield from _inversion_rows(dk, _input_set(dk.m, args.degree))
@@ -672,7 +706,7 @@ def main(argv=None) -> int:
     except BadInput as exc:
         top.exit(2, f"dunkldirac {spec.name}: error: {exc}\n")
     rep = Reporter(spec.name, args)
-    head = {"family": setup.name, "m": setup.m} if spec.group else {}
+    head = setup.to_config() if spec.group else {}
     rows = spec.run(args, DunklContext(setup) if spec.group else None)
     while True:
         try:

@@ -129,12 +129,6 @@ class Multivector:
     def bar(self):
         return Multivector(self.m, {b: bar_sign(b) * c for b, c in self.comps.items()})
 
-    def grade(self, g: int):
-        return Multivector(self.m, {b: c for b, c in self.comps.items() if b.bit_count() == g})
-
-    def grade0(self):
-        return self.comps.get(0, Fraction(0))
-
     def is_zero(self):
         return not self.comps
 

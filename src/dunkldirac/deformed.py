@@ -16,8 +16,16 @@ compositional formula, the image of r^s x^mono e_B is that times e_B on the
 right (both operators multiply by Clifford elements from the left).  Each
 is stored under its term key (s, mono, B), in dicts owned by the context,
 for the context's lifetime (no eviction).  The images depend on (a, b, c)
-and on the group, so no two contexts share them.  The components D_i, dirac_on_damped and dirac_from_commutator stay
-uncached: they are the oracles that D is confronted with.
+and on the group, so no two contexts share them.
+
+The components D_i stay uncached: the factorization and commutator rows of
+``verify-factorization`` and the Kelvin rows compose them directly.  Three
+routines here are test oracles that no suite runs, reference computations
+the tests confront D with: dirac_squared_closed (D^2 through the bridge
+above, with sum_components_squared_closed behind it), dirac_on_damped (D
+on f e^{-r^a/a} by the chain rule) and dirac_from_commutator
+(-(1/2)[x_a, r^{2-a} Delta_k], at the triple
+:meth:`~dunkldirac.params.DeformParams.ansatz`).
 """
 
 from __future__ import annotations
@@ -200,7 +208,7 @@ class DeformedContext:
         return self.sum_components_squared(f) - self.laplacian_weighted(f)
 
     def commute_defect(self, i: int, j: int, f: RadialExpr) -> RadialExpr:
-        """[D_i, D_j] f by composition."""
+        """[D_i, D_j] f by composition; zero for all f exactly when c = 2/a - 1."""
         return (self.dirac_component(i, self.dirac_component(j, f))
                 - self.dirac_component(j, self.dirac_component(i, f)))
 

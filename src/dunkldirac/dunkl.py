@@ -56,17 +56,6 @@ class DunklContext:
         self._t_cache: dict = {}
         self._kernel_cache: dict = {}
 
-    # -- reflections -------------------------------------------------------
-
-    def reflect(self, f: RadialExpr, ridx: int) -> RadialExpr:
-        """f composed with the reflection r_v; r^s is invariant, blades untouched."""
-        out = RadialExpr(self.m)
-        t = out.terms
-        for (s, mono, blade), c in f.terms.items():
-            mo2, sign = reflect_monomial(self.setup, ridx, mono)
-            _add_term(t, s, mo2, blade, sign * c)
-        return out
-
     # -- the operators ------------------------------------------------------
 
     def dunkl_monomial(self, i: int, mono: tuple) -> dict:
@@ -229,11 +218,12 @@ class DunklContext:
             ((n + gamma) I - sum_v k_v r_v^x) K_n = <x, y> K_{n-1},
 
         block diagonal over orbits of x-monomials, which is what gets solved
-        here; the defining first-order property is then re-checked exactly by
-        :meth:`verify_kernel_series`.  Each reflection is a signed permutation
-        (enforced by :class:`ReflectionSetup`), so each orbit is walked once,
-        one :func:`reflect_monomial` lookup per root and monomial, and its
-        block is filled during that walk.
+        here.  The defining first-order property is not re-checked when this
+        runs: :meth:`verify_kernel_series` checks it exactly, as a test oracle
+        the solved series is held against.  Each reflection is a signed
+        permutation (enforced by :class:`ReflectionSetup`), so each orbit is
+        walked once, one :func:`reflect_monomial` lookup per root and
+        monomial, and its block is filled during that walk.
         """
         setup = self.setup
         m = setup.m

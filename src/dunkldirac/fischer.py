@@ -31,6 +31,8 @@ def monomials(m: int, deg: int) -> list:
 
 
 def harmonic_dimension(m: int, ell: int) -> int:
+    """Dimension of the degree-ell harmonics in m variables; a test oracle
+    for :func:`harmonic_basis`, which no suite runs."""
     if ell < 0:
         return 0
     d = comb(ell + m - 1, m - 1)
@@ -38,6 +40,8 @@ def harmonic_dimension(m: int, ell: int) -> int:
 
 
 def monogenic_dimension(m: int, ell: int) -> int:
+    """Dimension of the degree-ell monogenics with values in Cl(0, m); a test
+    oracle for :func:`monogenic_basis`, which no suite runs."""
     if ell < 0:
         return 0
     d = comb(ell + m - 1, m - 1)

@@ -63,15 +63,6 @@ def intertwined_component(dctx: DeformedContext, i: int, f: RadialExpr) -> Radia
     return q_map(par, dctx.dk.dunkl(i, p_map(par, f))).scale(pre)
 
 
-def intertwined_dirac(dctx: DeformedContext, f: RadialExpr) -> RadialExpr:
-    """(a/2)^{(b-1)/2} Q (Dunkl Dirac) P f on the commuting line."""
-    par = dctx.par
-    if not par.is_commuting_choice():
-        raise ValueError("intertwining needs c = 2/a - 1")
-    pre = ExactScalar.power(par.a / 2, (par.b - 1) / 2)
-    return q_map(par, dctx.dk.dirac(p_map(par, f))).scale(pre)
-
-
 def inversion(dk: DunklContext, f: RadialExpr) -> RadialExpr:
     """Kelvin inversion r^s p_d -> r^{2 - mu - s - 2d} p_d; an involution."""
     mu = dk.setup.mu
@@ -91,25 +82,10 @@ def dirac_via_inversion(dk: DunklContext, f: RadialExpr) -> RadialExpr:
     return inversion(dk, dk.dirac(inversion(dk, f)))
 
 
-# -- pointwise coordinate maps for numerics ---------------------------------
-
-def p_coordinate_map(par: DeformParams, pts: np.ndarray) -> np.ndarray:
-    """z(x) = (a/2)^{1/a} x r^{2/a - 1}, so that (Pf)(x) = r^b f(z(x))."""
-    a = float(par.a)
-    r = np.sqrt(np.sum(pts * pts, axis=-1, keepdims=True))
-    return (a / 2) ** (1 / a) * pts * r ** (2 / a - 1)
-
+# -- the pointwise coordinate map for numerics ------------------------------
 
 def q_coordinate_map(par: DeformParams, pts: np.ndarray) -> np.ndarray:
     """y'(y) = (2/a)^{1/2} y r^{a/2 - 1}, so that (Qg)(y) = r^{-ab/2} g(y'(y))."""
     a = float(par.a)
     r = np.sqrt(np.sum(pts * pts, axis=-1, keepdims=True))
     return (2 / a) ** 0.5 * pts * r ** (a / 2 - 1)
-
-
-def p_jacobian_det(par: DeformParams, pts: np.ndarray) -> np.ndarray:
-    """det(dz/dx) at each point: (a/2)^{m/a} (2/a) r^{(2/a - 1) m}."""
-    a = float(par.a)
-    m = pts.shape[-1]
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
-    return (a / 2) ** (m / a) * (2 / a) * r ** ((2 / a - 1) * m)

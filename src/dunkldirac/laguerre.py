@@ -104,6 +104,10 @@ class LaguerreTower:
 
     def oscillator_constant(self, t: int) -> Fraction:
         """(e^{u} D e^{-u})^2 - (1+c)^2 x_a^2 acts on psi_t by this scalar,
-        equivalently (D^2 - (1+c)^2 x_a^2) on psi_t e^{-r^a/a}."""
+        equivalently (D^2 - (1+c)^2 x_a^2) on psi_t e^{-r^a/a}.
+
+        A test oracle that no suite runs: the suites that build towers are
+        benchmarked, and checking it needs D^2 on every rung.
+        """
         p = self.dctx.par
         return (1 + p.c) ** 2 * (self.dctx.gamma_ell(self.ell) + p.a * t)

@@ -128,7 +128,3 @@ def solve_columns(A, B_cols) -> list[list[Fraction]]:
         if any(M[i][ncols:]):
             raise InconsistentSystem("residual in dependent equations")
     return sols
-
-
-def solve(A, b) -> list[Fraction]:
-    return solve_columns(A, [list(b)])[0]

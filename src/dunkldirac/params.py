@@ -32,10 +32,6 @@ class DeformParams:
         """The exponent 1 - a/2 carried by the Dunkl part of each component."""
         return 1 - self.a / 2
 
-    @property
-    def half_a(self) -> Fraction:
-        return self.a / 2
-
     def beta(self, ell: int) -> Fraction:
         """Radial exponent beta_ell = -(b + c*ell)/(1 + c) of the null solutions."""
         return -(self.b + self.c * ell) / (1 + self.c)

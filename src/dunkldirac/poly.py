@@ -158,10 +158,6 @@ class RadialExpr:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, m: int):
-        return cls(m)
-
-    @classmethod
     def scalar(cls, m: int, c):
         out = cls(m)
         if c:
@@ -171,18 +167,6 @@ class RadialExpr:
     @classmethod
     def monomial(cls, m: int, mono, coeff=Fraction(1), blade: int = 0, r_exp=_ZERO):
         return cls(m, {(r_exp, tuple(mono), blade): coeff})
-
-    @classmethod
-    def variable(cls, m: int, i: int):
-        """x_i as an expression (i is 1-based)."""
-        return cls.monomial(m, _bump((0,) * m, i - 1))
-
-    @classmethod
-    def from_multivector(cls, mv: Multivector):
-        out = cls(mv.m)
-        for blade, c in mv.comps.items():
-            out.terms[(_ZERO, (0,) * mv.m, blade)] = c
-        return out
 
     def copy(self):
         out = RadialExpr(self.m)
@@ -324,14 +308,6 @@ class RadialExpr:
 
     # -- structure, comparison ------------------------------------------
 
-    def select_blade(self, blade: int):
-        out = RadialExpr(self.m)
-        out.terms = {k: c for k, c in self.terms.items() if k[2] == blade}
-        return out
-
-    def blades(self):
-        return sorted({k[2] for k in self.terms})
-
     def homogeneous_components(self) -> dict:
         """Split into Euler-homogeneous parts, keyed by degree s + |mono|."""
         parts: dict = {}
@@ -339,12 +315,6 @@ class RadialExpr:
             h = s + sum(mono)
             parts.setdefault(h, RadialExpr(self.m)).terms[(s, mono, b)] = c
         return parts
-
-    def poly_degree(self) -> int:
-        return max((sum(k[1]) for k in self.terms), default=0)
-
-    def min_r_exp(self) -> Fraction:
-        return min((k[0] for k in self.terms), default=_ZERO)
 
     def is_zero(self) -> bool:
         return not self.terms

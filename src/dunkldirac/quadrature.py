@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_jacobi
 
-from .clifford import blade_product
 from .measure import axis_multiplicities
 from .poly import RadialExpr
 from .reflection import ReflectionSetup
@@ -116,23 +115,6 @@ def evaluate(expr: RadialExpr, pts: np.ndarray) -> np.ndarray:
             if e:
                 vals = vals * pts[:, i] ** e
         out[:, blade] += vals
-    return out
-
-
-def vector_mul_values(pts: np.ndarray, vals: np.ndarray, r_shift=0) -> np.ndarray:
-    """Pointwise left product (r^r_shift sum_i x_i e_i) * vals on blade columns."""
-    nblades = vals.shape[1]
-    out = np.zeros_like(vals)
-    for blade in range(nblades):
-        col = vals[:, blade]
-        if not np.any(col):
-            continue
-        for i in range(pts.shape[1]):
-            sign, res = blade_product(1 << i, blade)
-            out[:, res] += sign * pts[:, i] * col
-    if r_shift:
-        r = np.sqrt(np.sum(pts * pts, axis=1))
-        out = out * (r ** float(r_shift))[:, None]
     return out
 
 

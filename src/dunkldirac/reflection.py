@@ -7,7 +7,9 @@ weight function, so all operator coefficients stay rational.  Every
 reflection must act by a signed permutation of the coordinates, as those of
 every built-in family do: :class:`ReflectionSetup` computes each one once and
 rejects a root whose reflection is not of that form, so a reflected monomial
-is always one signed monomial.
+is always one signed monomial.  Construction also enforces that the
+reflections permute the root lines and keep their multiplicities, so the
+weight and the Dunkl operators are invariant under the group they generate.
 """
 
 from __future__ import annotations
@@ -53,16 +55,24 @@ class ReflectionSetup:
     perms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"rank m = {self.m}; it must be at least 1")
         if len(self.roots) != len(self.mults):
             raise ValueError("one multiplicity per root")
         for v in self.roots:
             if len(v) != self.m:
                 raise ValueError("root dimension mismatch")
         perms = tuple(self.signed_permutation(r) for r in range(len(self.roots)))
-        for v, sp in zip(self.roots, perms):
+        lines = {_primitive(v): k for v, k in zip(self.roots, self.mults)}
+        for ridx, (v, sp) in enumerate(zip(self.roots, perms)):
             if sp is None:
-                raise ValueError(f"the reflection in root ({', '.join(map(str, v))}) "
-                                 "is not a signed permutation of the coordinates")
+                fault = "is not a signed permutation of the coordinates"
+            elif any(lines.get(_primitive(self.reflect_vector(ridx, w))) != k
+                     for w, k in lines.items()):
+                fault = "does not permute the root lines with their multiplicities"
+            else:
+                continue
+            raise ValueError(f"the reflection in root ({', '.join(map(str, v))}) {fault}")
         object.__setattr__(self, "perms", perms)
 
     @property
@@ -104,16 +114,6 @@ class ReflectionSetup:
             perm.append(hits[0])
             signs.append(1 if col[hits[0]] > 0 else -1)
         return tuple(perm), tuple(signs)
-
-    def check_invariance(self) -> bool:
-        """Each reflection must permute the root lines preserving multiplicities."""
-        lines = {_primitive(v): k for v, k in zip(self.roots, self.mults)}
-        for ridx in range(len(self.roots)):
-            for v, k in lines.items():
-                img = _primitive(self.reflect_vector(ridx, v))
-                if lines.get(img) != k:
-                    return False
-        return True
 
     def weight_numeric(self, points):
         """prod_alpha |<alpha, x>|^{2 k_alpha} with <alpha,alpha> = 2, per row of points."""

@@ -93,10 +93,6 @@ class ExactScalar:
     def power(cls, base, exp, coeff=1):
         return cls(base, {Fraction(exp): Fraction(coeff)})
 
-    @classmethod
-    def from_rational(cls, value, base=1):
-        return cls(base, {Fraction(0): Fraction(value)})
-
     # -- predicates ---------------------------------------------------
 
     def __bool__(self):
@@ -206,21 +202,6 @@ class ExactScalar:
             return NotImplemented
         diff = self - other
         return not diff.terms
-
-    def numeric(self, dps=50):
-        """High-precision numeric value via mpmath."""
-        import mpmath
-
-        with mpmath.workdps(dps):
-            total = mpmath.mpf(0)
-            for q, c in self.terms.items():
-                b = mpmath.mpf(self.base.numerator) / self.base.denominator
-                p = mpmath.power(abs(b), mpmath.mpf(q.numerator) / q.denominator)
-                if self.base < 0 and q.numerator % 2:
-                    # only odd-denominator exponents survive construction
-                    p = -p
-                total += (mpmath.mpf(c.numerator) / c.denominator) * p
-            return total
 
     def __float__(self):
         total = 0.0

@@ -69,6 +69,19 @@ def test_verify_osp_summary_records_image_cache_hits(tmp_path):
         assert counts["hits"] > 0 and counts["misses"] > 0
 
 
+def test_verify_factorization_reports_the_commuting_line(tmp_path):
+    """At the default --ms 2 3 the commutator rows cover triples on the line
+    c = 2/a - 1 and, at m = 3, off it: (6, 1, 0) and (-6, 0, -2)."""
+    assert main(["verify-factorization", "--out", str(tmp_path)]) == 0
+    rows = [row for row in read_rows(tmp_path, "verify-factorization")
+            if row["relation"] == "[D_i, D_j] = 0 iff c = 2/a - 1"]
+    off = [(row["m"], row["a"], row["b"], row["c"]) for row in rows
+           if Fraction(row["c"]) != 2 / Fraction(row["a"]) - 1]
+    assert off == [(3, "6", "1", "0"), (3, "-6", "0", "-2")]
+    assert len(rows) > len(off) and {row["m"] for row in rows} == {2, 3}
+    assert all(row["pass"] is True for row in rows)
+
+
 def test_verify_factorization_passes(tmp_path):
     code = main(["verify-factorization", "--ms", "2", "--degree", "2",
                  "--out", str(tmp_path)])
@@ -225,6 +238,31 @@ def test_config_file_builds_the_group(tmp_path):
     assert code == 0
 
 
+def test_group_summary_head_is_the_setup_config(tmp_path):
+    from dunkldirac.reflection import from_config, hyperoctahedral
+    assert main(["verify-basicprops", "--family", "hyperoctahedral", "--m", "2",
+                 "--k", "1/3,1", "--degree", "1", "--out", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path, "verify-basicprops")
+    head = {key: summary[key] for key in ("family", "m", "k")}
+    assert from_config(head) == hyperoctahedral(2, Fraction(1, 3), Fraction(1))
+
+
+def test_config_file_of_rank_zero_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "rank0.json"
+    cfg.write_text(json.dumps({"family": "z2^m", "m": 0, "k": []}))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-osp", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip()
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "bad config" in err and "at least 1" in err
+
+
+def test_orthogonality_without_numeric_runs_at_rank_four(tmp_path):
+    """Only the quadrature cross-check needs the sphere rule's m <= 3."""
+    assert main(["orthogonality", "--m", "4", "--t-max", "1", "--ell-max", "1",
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_missing_config_file_is_an_actionable_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-basicprops", "--config", str(tmp_path / "absent.json"),
@@ -358,6 +396,12 @@ def test_fischer_decomposes_sampled_towers(tmp_path):
     (["orthogonality", "--c=-1"], "--c"),
     (["transform-eigen", "--seed=-1"], "--seed"),
     (["transform-eigen", "--a=-2"], "--a"),
+    (["verify-osp", "--m", "0", "--a", "2"], "--m"),
+    (["verify-factorization", "--ms", "0"], "--ms"),
+    (["kernel-residual", "--m", "0"], "--m"),
+    (["transform-eigen", "--m", "4"], "--m"),
+    (["a-minus2-suite", "--m", "4"], "--m"),
+    (["orthogonality", "--m", "4", "--numeric"], "--m"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

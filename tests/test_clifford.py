@@ -123,14 +123,6 @@ def test_vector_times_its_bar_is_the_squared_norm():
     assert x.bar() * x == Multivector.scalar(m, 1 + 4 + 9)
 
 
-def test_grade_projection_and_scalar_part():
-    m = 2
-    x = Multivector(m, {0: Fraction(7), 0b1: Fraction(2), 0b11: Fraction(-1)})
-    assert x.grade(0) == Multivector.scalar(m, 7)
-    assert x.grade(1) == Multivector(m, {0b1: Fraction(2)})
-    assert x.grade0() == 7
-
-
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         Multivector.basis_vector(2, 1) * Multivector.basis_vector(3, 1)

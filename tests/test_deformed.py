@@ -52,7 +52,7 @@ def test_beta_and_l():
 def test_dirac_is_the_sum_of_its_components():
     ctx = make_ctx(Fraction(2, 3), Fraction(1, 2), Fraction(-1, 3))
     f = random_expr(random.Random(4), 2, 2)
-    total = RadialExpr.zero(2)
+    total = RadialExpr(2)
     for i in (1, 2):
         total = total + ctx.dirac_component(i, f).blade_mul_left(1 << (i - 1))
     assert ctx.dirac(f) == total

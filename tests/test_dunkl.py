@@ -3,12 +3,13 @@
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from dunkldirac.dunkl import DunklContext
 from dunkldirac.poly import RadialExpr, x_vector
-from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
+from dunkldirac.reflection import hyperoctahedral, reflect_monomial, symmetric, z2_power
 
 from conftest import monomial_inputs, random_expr
 
@@ -68,7 +69,7 @@ def test_laplacian_is_sum_of_squares():
     for dk in contexts():
         m = dk.setup.m
         f = random_expr(random.Random(7 * m), m, 2)
-        total = RadialExpr.zero(m)
+        total = RadialExpr(m)
         for i in range(1, m + 1):
             total = total + dk.dunkl(i, dk.dunkl(i, f))
         assert dk.laplacian(f) == total
@@ -112,14 +113,17 @@ def test_dirac_anticommutes_with_x():
 
 
 def test_reflect_is_algebra_map():
-    dk = DunklContext(symmetric(3, Fraction(1, 2)))
+    """(x^p x^q) o r = (x^p o r)(x^q o r) for each reflection's signed monomials."""
+    setup = hyperoctahedral(3, Fraction(1, 3), Fraction(1))
     rng = random.Random(23)
-    f = random_expr(rng, 3, 2)
-    g = random_expr(rng, 3, 2)
-    ridx = 1
-    left = dk.reflect(f.mul_expr(g), ridx)
-    right = dk.reflect(f, ridx).mul_expr(dk.reflect(g, ridx))
-    assert left == right
+    for _ in range(20):
+        p = tuple(rng.randint(0, 3) for _ in range(3))
+        q = tuple(rng.randint(0, 3) for _ in range(3))
+        for ridx in range(len(setup.roots)):
+            mp, sp = reflect_monomial(setup, ridx, p)
+            mq, sq = reflect_monomial(setup, ridx, q)
+            pq = tuple(map(add, p, q))
+            assert reflect_monomial(setup, ridx, pq) == (tuple(map(add, mp, mq)), sp * sq)
 
 
 # -- kernel series --------------------------------------------------------

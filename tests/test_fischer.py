@@ -98,7 +98,7 @@ def test_tower_decompose_roundtrip():
     ell = 1
     basis = monogenic_basis(ctx.dk, ell)
     # build a homogeneous combination across slots 0..2 over degree-ell monogenics
-    f = RadialExpr.zero(2)
+    f = RadialExpr(2)
     by_slot = {}
     for s in range(3):
         u = null_solution(ctx, basis[rng.randrange(len(basis))], ell)
@@ -169,7 +169,7 @@ def test_classical_degree_one_split():
     ctx = make_ctx(2, 0, 0)
     f = RadialExpr.monomial(2, (1, 0), blade=0)  # x1 * 1, homogeneous degree 1
     got = tower_decompose(ctx, f)
-    rebuilt = RadialExpr.zero(2)
+    rebuilt = RadialExpr(2)
     for s, u in got.items():
         assert ctx.dirac(u).is_zero()
         piece = u

@@ -190,14 +190,13 @@ def test_transform_intertwines_the_operator_with_multiplication():
     # D (psi_t e^{-u}) = (dirac_on_damped psi_t) e^{-u}
     dpsi = ctx.dirac_on_damped(psi)
     lhs = fourier_apply(ctx, dpsi, targets)
-    # right side: i (1+c) x_a applied pointwise to the transform of psi
-    from dunkldirac.quadrature import vector_mul_values
-    fpsi = fourier_apply(ctx, psi, targets)
-    a = float(ctx.par.a)
+    # right side: i (1+c) x_a F(psi), with F(psi) = lam psi e^{-u} at the
+    # targets, so x_a F(psi) = lam (x_a psi) e^{-u}
+    lam, resid = measured_eigenvalue(damped_values(ctx, psi, targets),
+                                     fourier_apply(ctx, psi, targets))
+    assert resid < 1e-8
     one_c = float(1 + ctx.par.c)
-    rhs = 1j * one_c * (
-        vector_mul_values(targets, fpsi.real, r_shift=a / 2 - 1)
-        + 1j * vector_mul_values(targets, fpsi.imag, r_shift=a / 2 - 1))
+    rhs = 1j * one_c * lam * damped_values(ctx, ctx.x_a(psi), targets)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
 
 

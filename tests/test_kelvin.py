@@ -11,11 +11,8 @@ from dunkldirac.dunkl import DunklContext
 from dunkldirac.kelvin import (
     dirac_via_inversion,
     intertwined_component,
-    intertwined_dirac,
     inversion,
     inversion_params,
-    p_coordinate_map,
-    p_jacobian_det,
     p_map,
     pq_constant,
     q_coordinate_map,
@@ -25,7 +22,6 @@ from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
 from dunkldirac.quadrature import evaluate
 from dunkldirac.reflection import z2_power
-from dunkldirac.scalars import ExactScalar
 
 from conftest import rand_fraction, random_expr
 
@@ -54,7 +50,7 @@ def test_qp_and_pq_are_the_same_constant():
 def test_pq_constant_value():
     par = DeformParams.commuting(Fraction(1, 2), 3)
     # (2/a)^{b/2} = 4^{3/2} = 8
-    assert pq_constant(par) == ExactScalar.from_rational(8)
+    assert pq_constant(par) == 8
 
 
 def test_p_map_at_a_two_is_the_identity():
@@ -67,12 +63,16 @@ def test_p_map_at_a_two_is_the_identity():
 # -- intertwining on the commuting line ----------------------------------------
 
 def test_intertwined_dirac_matches_deformed_dirac():
+    """sum_i e_i (a/2)^{(b-1)/2} Q T_i P f = D f, the cached operator."""
     rng = random.Random(7)
     for a, b in [(2, Fraction(1, 3)), (4, Fraction(-1, 2)),
                  (Fraction(2, 3), Fraction(1, 4))]:
         ctx = make_ctx(a, b)
         f = random_expr(rng, 2, 2)
-        assert intertwined_dirac(ctx, f) == ctx.dirac(f)
+        got = RadialExpr(2)
+        for i in (1, 2):
+            got = got + intertwined_component(ctx, i, f).blade_mul_left(1 << (i - 1))
+        assert got == ctx.dirac(f)
 
 
 def test_intertwined_components_match():
@@ -86,7 +86,7 @@ def test_intertwining_requires_the_commuting_line():
     dk = DunklContext(z2_power(2, [Fraction(1, 2), Fraction(3, 2)]))
     off = DeformedContext(dk, DeformParams(4, Fraction(1, 2), 1))
     with pytest.raises(ValueError, match="c = 2/a - 1"):
-        intertwined_dirac(off, RadialExpr.monomial(2, (1, 0)))
+        intertwined_component(off, 1, RadialExpr.monomial(2, (1, 0)))
 
 
 # -- inversion ------------------------------------------------------------------
@@ -116,25 +116,16 @@ def test_inversion_fixes_the_kelvin_degree():
 
 # -- pointwise coordinate maps ------------------------------------------------
 
-def test_q_coordinate_map_undoes_p():
-    par = DeformParams.commuting(Fraction(3, 2), Fraction(1, 4))
-    pts = np.array([[0.4, 0.8], [1.2, -0.5], [0.05, 0.02]])
-    np.testing.assert_allclose(
-        q_coordinate_map(par, p_coordinate_map(par, pts)), pts, rtol=1e-12)
-    np.testing.assert_allclose(
-        p_coordinate_map(par, q_coordinate_map(par, pts)), pts, rtol=1e-12)
-
-
 def test_p_map_is_the_pullback_under_the_coordinate_change():
-    """(P f)(x) = r^b f(z(x)) pointwise."""
+    """(P f)(x) = |x|^b f(z(x)), where z inverts y': so (P f)(y'(y)) = |y'(y)|^b f(y)."""
     par = DeformParams.commuting(Fraction(3, 2), Fraction(1, 4))
     f = random_expr(random.Random(17), 2, 2)
     pf = p_map(par, f)
     pts = np.array([[0.4, 0.8], [1.2, -0.5], [2.0, 1.0]])
-    r = np.sqrt(np.sum(pts * pts, axis=1))
-    lhs = evaluate(pf, pts)
-    rhs = evaluate(f, p_coordinate_map(par, pts)) \
-        * (r ** float(par.b))[:, None]
+    x = q_coordinate_map(par, pts)
+    r = np.sqrt(np.sum(x * x, axis=1))
+    lhs = evaluate(pf, x)
+    rhs = evaluate(f, pts) * (r ** float(par.b))[:, None]
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -149,20 +140,3 @@ def test_q_map_is_the_pullback_under_its_coordinate_change():
     rhs = evaluate(g, q_coordinate_map(par, pts)) \
         * (r ** float(-par.a * par.b / 2))[:, None]
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-
-def test_p_jacobian_against_finite_differences():
-    par = DeformParams.commuting(Fraction(3, 2), 0)
-    pts = np.array([[0.6, 0.9], [1.3, -0.4]])
-    h = 1e-6
-    for p in pts:
-        J = np.zeros((2, 2))
-        for j in range(2):
-            dp = p.copy()
-            dm = p.copy()
-            dp[j] += h
-            dm[j] -= h
-            J[:, j] = (p_coordinate_map(par, dp[None, :])[0]
-                       - p_coordinate_map(par, dm[None, :])[0]) / (2 * h)
-        got = p_jacobian_det(par, p[None, :])[0]
-        np.testing.assert_allclose(np.linalg.det(J), got, rtol=1e-5)

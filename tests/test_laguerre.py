@@ -113,5 +113,5 @@ def test_even_rungs_are_radial_multiples_of_the_base():
     """psi_{2t} = (scalar radial polynomial) * r^beta M."""
     ctx, tower = make_tower(2, 0, 0, ell=1)
     psi2 = tower.psi(2)
-    base_blades = set(tower.psi(0).blades())
-    assert set(psi2.blades()) <= base_blades
+    base_blades = {blade for _s, _mono, blade in tower.psi(0).terms}
+    assert {blade for _s, _mono, blade in psi2.terms} <= base_blades

@@ -10,7 +10,6 @@ from dunkldirac.linalg import (
     InconsistentSystem,
     SingularSystem,
     nullspace,
-    solve,
     solve_columns,
 )
 
@@ -22,37 +21,37 @@ def matvec(A, x):
 
 def test_solve_known_system():
     A = [[2, 1], [1, 3]]
-    x = solve(A, [5, 10])
+    x = solve_columns(A, [[5, 10]])[0]
     assert x == [Fraction(1), Fraction(3)]
 
 
 def test_solve_with_fraction_entries():
     A = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]]
     b = [Fraction(7, 6), Fraction(6, 5)]
-    assert matvec(A, solve(A, b)) == b
+    assert matvec(A, solve_columns(A, [b])[0]) == b
 
 
 def test_solve_overdetermined_consistent():
     # three equations, two unknowns, rank 2, consistent
     A = [[1, 1], [1, -1], [2, 0]]
     b = [3, 1, 4]
-    assert solve(A, b) == [Fraction(2), Fraction(1)]
+    assert solve_columns(A, [b])[0] == [Fraction(2), Fraction(1)]
 
 
 def test_solve_overdetermined_inconsistent_raises():
     A = [[1, 1], [1, -1], [2, 0]]
     with pytest.raises(InconsistentSystem):
-        solve(A, [3, 1, 5])
+        solve_columns(A, [[3, 1, 5]])
 
 
 def test_solve_singular_raises():
     with pytest.raises(SingularSystem):
-        solve([[1, 2], [2, 4]], [1, 2])
+        solve_columns([[1, 2], [2, 4]], [[1, 2]])
 
 
 def test_inconsistent_square_system_raises():
     with pytest.raises(InconsistentSystem):
-        solve([[1, 2], [2, 4]], [1, 3])
+        solve_columns([[1, 2], [2, 4]], [[1, 3]])
 
 
 def test_solve_columns_batches():
@@ -96,7 +95,7 @@ def test_random_square_systems_roundtrip(data):
     x_true = [data.draw(entries) for _ in range(n)]
     b = matvec(A, x_true)
     try:
-        x = solve(A, b)
+        x = solve_columns(A, [b])[0]
     except SingularSystem:
         assert nullspace(A), "singular verdict without a kernel vector"
         return

@@ -61,8 +61,27 @@ def test_reflections_fix_the_orthogonal_complement():
 
 
 def test_each_setup_is_invariant():
+    """Construction checks that each reflection permutes the root lines with
+    their multiplicities; every built-in family passes."""
     for s in all_setups():
-        assert s.check_invariance()
+        mult = dict(zip(s.roots, s.mults))
+        for ridx in range(len(s.roots)):
+            for v, k in mult.items():
+                w = s.reflect_vector(ridx, v)
+                assert mult.get(w, mult.get(tuple(-x for x in w))) == k
+
+
+def test_root_lines_not_permuted_are_rejected():
+    with pytest.raises(ValueError, match="does not permute the root lines"):
+        ReflectionSetup("custom", 2, ((1, 0), (1, -1)), (1, 1))
+    with pytest.raises(ValueError, match="does not permute the root lines"):
+        ReflectionSetup("custom", 2, ((1, 0), (0, 1), (1, 1), (1, -1)),
+                        (1, 1, 1, 2))
+
+
+def test_rank_zero_is_rejected():
+    with pytest.raises(ValueError, match="at least 1"):
+        z2_power(0, [])
 
 
 def test_weight_numeric_homogeneity():
@@ -172,7 +191,6 @@ def test_config_roundtrip_via_from_config():
         {"family": "dihedral", "n": 4, "k": ["1", "1/2"]},
     ]:
         s = from_config(cfg)
-        assert s.check_invariance()
         assert from_config(s.to_config()) == s
 
 

@@ -139,7 +139,7 @@ def test_fraction_and_int_interoperate():
 def test_power_and_inverse():
     s = ExactScalar.power(2, Fraction(1, 3), Fraction(3, 5))
     assert s * s.inverse() == 1
-    assert s ** 3 == ExactScalar.from_rational(Fraction(27, 125) * 2)
+    assert s ** 3 == Fraction(27, 125) * 2
     assert s ** -2 == (s ** 2).inverse()
 
 
@@ -175,7 +175,5 @@ def test_as_fraction_rejects_irrational():
 def test_float_of_negative_base_with_odd_denominator():
     s = ExactScalar.power(-8, Fraction(1, 3))
     assert float(s) == pytest.approx(-2.0)
-    assert float(s.numeric()) == pytest.approx(-2.0)
     t = ExactScalar.power(-2, Fraction(2, 3))
     assert float(t) == pytest.approx(2.0 ** (2 / 3))
-    assert float(t.numeric()) == pytest.approx(float(t))
