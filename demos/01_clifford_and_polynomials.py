@@ -2,29 +2,36 @@
 Exact Clifford arithmetic on radial polynomials
 ===============================================
 
-The computational substrate: multivectors over Cl(0, m) with exact scalar
-coefficients, and polynomials whose terms carry an extra symbolic power
-of r.  Everything prints exactly; no floats appear until the very end.
+The computational substrate: polynomials over Cl(0, m) with exact scalar
+coefficients, whose terms carry an extra symbolic power of r.  A Clifford
+element is the constant case, one term per blade, so it multiplies, bars
+and prints like any other expression.  Everything prints exactly; no
+floats appear until the very end.
 """
 
 from fractions import Fraction
 
-from dunkldirac import Multivector, RadialExpr
+from dunkldirac import RadialExpr
 from dunkldirac.poly import x_vector
 from dunkldirac.scalars import ExactScalar
 
+
+def e(m, i, coeff=1):
+    """coeff * e_i in Cl(0, m): a constant expression on blade bit i - 1."""
+    return RadialExpr.monomial(m, (0,) * m, coeff, blade=1 << (i - 1))
+
+
 # Basis vectors square to -1 and anticommute.
-e1 = Multivector.basis_vector(3, 1)
-e2 = Multivector.basis_vector(3, 2)
-print("e1 e2        =", e1 * e2)
-print("e2 e1        =", e2 * e1)
-print("e1 e1        =", e1 * e1)
+e1, e2, e3 = e(3, 1), e(3, 2), e(3, 3)
+print("e1 e2        =", (e1 * e2).to_text())
+print("e2 e1        =", (e2 * e1).to_text())
+print("e1 e1        =", (e1 * e1).to_text())
 
 # The bar involution reverses products and flips signs by grade.
-w = (e1 + 2 * e2) * Multivector.basis_vector(3, 3)
-print("w            =", w)
-print("bar(w)       =", w.bar())
-print("bar(w) w     =", w.bar() * w)
+w = (e1 + e(3, 2, 2)) * e3
+print("w            =", w.to_text())
+print("bar(w)       =", w.bar().to_text())
+print("bar(w) w     =", (w.bar() * w).to_text())
 
 # Scalars can hold rational powers exactly: (2)^(1/2) stays symbolic,
 # and eighth powers of it collapse back to integers.

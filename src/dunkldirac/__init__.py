@@ -7,10 +7,12 @@ The objects most sessions start from:
 
 Everything downstream (towers, inner products, transforms) hangs off those
 two contexts; the numerical layer lives in :mod:`dunkldirac.quadrature`,
-:mod:`dunkldirac.fourier` and :mod:`dunkldirac.dunkltransform`.
+:mod:`dunkldirac.fourier` and :mod:`dunkldirac.dunkltransform`.  Values in
+the Clifford algebra Cl(0, m) are constant :class:`RadialExpr` terms, one
+per blade bitmask; :mod:`dunkldirac.clifford` holds only the blade
+arithmetic.
 """
 
-from .clifford import Multivector
 from .deformed import (DeformedContext, factorization_solutions_generic,
                        factorization_solutions_zero_k)
 from .dunkl import DunklContext
@@ -31,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeformParams", "DeformedContext", "DunklContext", "ExactScalar",
-    "LaguerreTower", "Multivector", "RadialExpr", "ReflectionSetup",
+    "LaguerreTower", "RadialExpr", "ReflectionSetup",
     "deformed_transform", "dihedral", "factorization_solutions_generic",
     "factorization_solutions_zero_k", "fourier_apply", "harmonic_basis",
     "hyperoctahedral", "inner_product_exact", "inversion", "kernel_values",

@@ -133,7 +133,8 @@ FLAG_HELP = {
     "gram": "include numeric sphere Gram matrices in the summary",
     "numeric": "also cross-check each pair by quadrature",
     "order": "kernel series order for nontrivial multiplicities; ignored "
-             "where the closed Bessel product applies (z2^m, dihedral(2))",
+             "where the closed Bessel product applies (z2^m, dihedral(1), "
+             "dihedral(2))",
 }
 
 

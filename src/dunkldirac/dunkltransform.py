@@ -4,8 +4,9 @@
     E(x, -i y) = sum_n (-i)^n K_n(x, y).
 
 :func:`kernel_matrix` is the one route to E.  When every root is a
-coordinate vector (z2^m, dihedral(2)) the kernel is Rösler's closed product
-of rank-one kernels (Dunkl operators: theory and applications, LNM 1817),
+coordinate vector (z2^m, dihedral(1), dihedral(2)) the kernel is Rösler's
+closed product of rank-one kernels (Dunkl operators: theory and
+applications, LNM 1817),
 
     E(x, -i y) = prod_j [j_{k_j - 1/2}(z_j) - i z_j/(2 k_j + 1) j_{k_j + 1/2}(z_j)],
 
@@ -39,7 +40,7 @@ from .kelvin import inversion, p_map, q_coordinate_map
 from .laguerre import laguerre_poly
 from .measure import axis_multiplicities, mehta_constant
 from .poly import RadialExpr
-from .quadrature import evaluate, paired_classes, weighted_grid
+from .quadrature import evaluate, residue_classes, weighted_grid
 from .reflection import ReflectionSetup
 from .scalars import ExactScalar
 
@@ -111,7 +112,7 @@ def transform_values(dk: DunklContext, f: RadialExpr, targets: np.ndarray,
     setup = dk.setup
     targets = np.asarray(targets, dtype=float)
     out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
-    for fold, part in paired_classes(f, 1):
+    for fold, part in residue_classes(f, 1):
         pts, wts = weighted_grid(setup, 2, 1, fold, n_r, n_ang)
         vals = evaluate(part, pts)
         M = kernel_matrix(dk, pts, targets, order)
@@ -180,7 +181,7 @@ def transform_inverted_direct(dk: DunklContext, g: RadialExpr, targets: np.ndarr
     # on the Gaussian grid, so g is split with half = -1; each class's
     # r_v^fold = r_x^{-fold} goes into the rule and its rebased part is
     # evaluated at the inverted nodes.
-    for fold, part in paired_classes(g, -1):
+    for fold, part in residue_classes(g, -1):
         pts, wts = weighted_grid(setup, 2, 1, 2 - mu - fold, n_r, n_ang)
         inv_pts = pts / np.sum(pts * pts, axis=1)[:, None]
         M = kernel_matrix(dk, pts, inv_targets, order)

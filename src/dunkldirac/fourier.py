@@ -12,9 +12,9 @@ numerically; the kernel's singular radial powers are folded into the
 quadrature weight rather than sampled, which is worth eight digits.
 
 With a nontrivial reflection weight the kernel is closed for sign-flip
-groups (z2^m, dihedral(2)) as Rösler's product of normalized Bessel
-functions, and a series otherwise; :mod:`dunkldirac.dunkltransform` takes
-both routes.
+groups (z2^m, dihedral(1), dihedral(2)) as Rösler's product of normalized
+Bessel functions, and a series otherwise; :mod:`dunkldirac.dunkltransform`
+takes both routes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .deformed import DeformedContext
 from .measure import weight_exponent
 from .params import DeformParams
 from .poly import RadialExpr
-from .quadrature import evaluate, paired_classes, weighted_grid
+from .quadrature import evaluate, residue_classes, weighted_grid
 
 
 def _require_kernel(par: DeformParams):
@@ -100,7 +100,7 @@ def fourier_apply(dctx: DeformedContext, psi: RadialExpr, targets: np.ndarray,
     eh = weight_exponent(dctx)
     r_tgt = np.sqrt(np.sum(targets * targets, axis=1))
     out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
-    for fold, part in paired_classes(psi, par.a / 2):
+    for fold, part in residue_classes(psi, par.a / 2):
         pts, wts = weighted_grid(setup, par.a, 1, eh - par.a * par.b / 2 + fold,
                                  n_r, n_ang)
         vals = evaluate(part, pts)

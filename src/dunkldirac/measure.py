@@ -227,6 +227,15 @@ class GammaComb:
 
 # -- the integrals -----------------------------------------------------------
 
+def _check_convergent(a, Q):
+    """Raise ValueError unless e^{-r^a/a} decays (a > 0) and r^{Q-1} is
+    integrable at the origin (Q > 0)."""
+    if a <= 0:
+        raise ValueError("radial damping requires a > 0")
+    if Q <= 0:
+        raise ValueError(f"divergent radial integral: exponent {Q} <= 0")
+
+
 def radial_integral(Q, a, lam=2) -> GammaComb:
     """int_0^inf r^{Q-1} e^{-lam r^a / a} dr = (1/a) (a/lam)^{Q/a} Gamma(Q/a).
 
@@ -235,10 +244,7 @@ def radial_integral(Q, a, lam=2) -> GammaComb:
     the (a/2, 2) exponent lattice.
     """
     a, Q = Fraction(a), Fraction(Q)
-    if a <= 0:
-        raise ValueError("radial damping requires a > 0")
-    if Q <= 0:
-        raise ValueError(f"divergent radial integral: exponent {Q} <= 0")
+    _check_convergent(a, Q)
     j = _two_exponent(Fraction(2, 1) / Fraction(lam))
     if j is None:
         raise ValueError("lam must be a power of two")
@@ -301,6 +307,8 @@ def inner_product_exact(dctx: DeformedContext, f: RadialExpr, g: RadialExpr,
     f and g are the polynomial parts; the damping e^{-(lam/2) r^a/a} carried
     by each factor is supplied through lam.  Exact only for sign-flip groups
     (axis-aligned roots), where every sphere moment is a Gamma quotient.
+    Raises ValueError when a <= 0 or some term, odd ones included, diverges
+    at the origin.
     """
     setup = dctx.dk.setup
     ks = axis_multiplicities(setup)
@@ -312,9 +320,10 @@ def inner_product_exact(dctx: DeformedContext, f: RadialExpr, g: RadialExpr,
     prod = f.bar().mul_expr(g)
     out: dict = {}
     for (s, mono, blade), coeff in prod.terms.items():
+        q_total = s + sum(mono) + 2 * gamma + eh + m
+        _check_convergent(dctx.par.a, q_total)
         if any(e % 2 for e in mono):
             continue
-        q_total = s + sum(mono) + 2 * gamma + eh + m
         term = radial_integral(q_total, dctx.par.a, lam) * sphere_moment(m, mono, ks)
         term = term * _rational_coeff(coeff)
         if blade in out:
@@ -346,10 +355,14 @@ def norm_constant(dctx: DeformedContext, ell: int, t: int) -> GammaComb:
     c(2t)   = (1/2) (2a)^{2t}   (1+c)^{4t}   t! Gamma(g/a + t)   (a/2)^{g/a - 1}
     c(2t+1) = (1/2) (2a)^{2t+1} (1+c)^{4t+2} t! Gamma(g/a + t+1) (a/2)^{g/a - 1}
 
-    with g = gamma_ell.
+    with g = gamma_ell.  The lowest radial exponent of |psi_t|^2 is
+    g + a (t mod 2), so the integral diverges, and this raises ValueError,
+    unless a > 0 and that exponent is positive.
     """
     p = dctx.par
-    g_over_a = dctx.gamma_ell(ell) / p.a
+    g = dctx.gamma_ell(ell)
+    _check_convergent(p.a, g + t % 2 * p.a)
+    g_over_a = g / p.a
     half = t // 2
     fact = Fraction(1)
     for j in range(2, half + 1):

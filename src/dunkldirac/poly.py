@@ -3,7 +3,9 @@
 A :class:`RadialExpr` is a finite sum of terms ``coeff * r^s * x^mono * e_B``
 with rational radial exponents ``s``, monomials ``x^mono`` in m variables, and
 blade bitmasks ``B`` (see :mod:`dunkldirac.clifford`).  Coefficients are
-``Fraction`` or :class:`~dunkldirac.scalars.ExactScalar`.
+``Fraction`` or :class:`~dunkldirac.scalars.ExactScalar`.  The constant
+expressions (every term with s = 0 and mono = 0) are the Clifford algebra
+Cl(0, m).
 
 Every stored term has ``mono[-1] <= 1``: a factor x_m^{2j+e} is rewritten as
 (r^2 - x_1^2 - ... - x_{m-1}^2)^j x_m^e the moment the term is written, by
@@ -23,7 +25,7 @@ from functools import lru_cache
 from math import comb
 from operator import add
 
-from .clifford import Multivector, blade_product, bar_sign, blade_indices
+from .clifford import blade_product, bar_sign, blade_indices
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -350,26 +352,18 @@ class RadialExpr:
         return " + ".join(bits)
 
     def to_json(self) -> list:
+        """Terms grouped by r_exp, then monomial, then blade, each sorted:
+        [{"r_exp", "poly": {"monomials": [[mono, {"m", "blades":
+        [[indices, coeff], ...]}], ...]}}, ...] with exact values as strings."""
         by_s: dict = {}
         for (s, mono, b), c in self.terms.items():
             by_s.setdefault(s, {}).setdefault(mono, {})[b] = c
         out = []
         for s in sorted(by_s):
-            monos = []
-            for mono in sorted(by_s[s]):
-                mv = Multivector(self.m, by_s[s][mono])
-                monos.append([list(mono), mv.to_json()])
+            monos = [[list(mono), {"m": self.m, "blades": [
+                [list(blade_indices(b)), str(c)] for b, c in sorted(blades.items())]}]
+                for mono, blades in sorted(by_s[s].items())]
             out.append({"r_exp": str(s), "poly": {"monomials": monos}})
-        return out
-
-    @classmethod
-    def from_json(cls, m: int, data: list):
-        out = cls(m)
-        for chunk in data:
-            s = Fraction(chunk["r_exp"])
-            for mono, mvdata in chunk["poly"]["monomials"]:
-                for blade, c in Multivector.from_json(mvdata).comps.items():
-                    _add_term(out.terms, s, tuple(mono), blade, c)
         return out
 
 

@@ -118,15 +118,18 @@ def evaluate(expr: RadialExpr, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def paired_classes(expr: RadialExpr, half) -> list:
-    """Split expr for rules whose oscillation lives in v = r^half.
+def residue_classes(expr: RadialExpr, half, by_parity: bool = True) -> list:
+    """Split expr into classes of its degree s + |mono| mod 2 half, rebased.
 
-    Against a phase factor in v summed over antipodal direction pairs, a
-    term v^n xi^mono survives with the even (cos) or odd (sin) part of the
-    phase according to |mono|'s parity, and the paired sum is analytic in
-    v^2 exactly when n + |mono| is even.  Terms are grouped by (n mod 2,
-    parity) and each group is rebased so that what remains against its
-    matched weight is analytic, restoring superalgebraic convergence.
+    Each class is rebased at its lowest degree, so what remains is a
+    polynomial in r^(2 half) against a weight with the matched endpoint
+    exponent; the damped measure (half = a/2) needs no more.  With by_parity,
+    for rules whose oscillation lives in v = r^half, the classes also split
+    by the parity of |mono|: against a phase in v summed over antipodal
+    direction pairs, a term v^n xi^mono keeps the even (cos) or odd (sin)
+    part of the phase by |mono|'s parity, and the paired sum is analytic in
+    v^2 exactly when n + |mono| is even.  Odd classes are rebased one step of
+    half further, which restores superalgebraic convergence.
 
     Returns (fold, part) pairs with expr = sum of r^fold * part.
     """
@@ -134,7 +137,7 @@ def paired_classes(expr: RadialExpr, half) -> list:
     classes: dict = {}
     for (s, mono, blade), coeff in expr.terms.items():
         n_v = (Fraction(s) + sum(mono)) / half
-        key = (n_v - 2 * (n_v // 2), sum(mono) % 2)
+        key = (n_v - 2 * (n_v // 2), sum(mono) % 2 if by_parity else 0)
         classes.setdefault(key, []).append((n_v, (s, mono, blade), coeff))
     out = []
     for (_rho, parity), group in classes.items():
@@ -149,23 +152,12 @@ def integrate_expr(setup: ReflectionSetup, expr: RadialExpr, a, lam, extra=0,
                    n_r: int = 60, n_ang: int = 80) -> np.ndarray:
     """int expr(x) r^extra w_k e^{-lam r^a/a} dx, one entry per blade.
 
-    Terms are grouped by their total radial degree mod a, each group is
-    rebased at its lowest degree (folded into the rule's weight), and what
-    remains is a polynomial in r^a against a matched weight, so each group
-    integrates exactly.  This grouping is not :func:`paired_classes` with
-    half = a/2: its parity split would leave the odd groups with odd
-    multiples of a/2, which are not polynomial in r^a.
+    Each residue class mod a (:func:`residue_classes` at half = a/2, without
+    the parity split) has its lowest degree folded into the rule's weight and
+    integrates exactly.
     """
-    a = Fraction(a)
-    classes: dict = {}
-    for (s, mono, blade), coeff in expr.terms.items():
-        total = Fraction(s) + sum(mono)
-        rho = total - a * (total // a)
-        classes.setdefault(rho, []).append((total, (s, mono, blade), coeff))
     out = np.zeros(1 << expr.m)
-    for group in classes.values():
-        base = min(total for total, _key, _c in group)
-        terms = {(s - base, mono, blade): c for _t, (s, mono, blade), c in group}
-        pts, wts = weighted_grid(setup, a, lam, Fraction(extra) + base, n_r, n_ang)
-        out += wts @ evaluate(RadialExpr(expr.m, terms), pts)
+    for fold, part in residue_classes(expr, Fraction(a) / 2, by_parity=False):
+        pts, wts = weighted_grid(setup, a, lam, Fraction(extra) + fold, n_r, n_ang)
+        out += wts @ evaluate(part, pts)
     return out

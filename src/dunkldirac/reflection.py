@@ -188,15 +188,22 @@ def hyperoctahedral(m: int, k_short, k_long) -> ReflectionSetup:
 def dihedral(n: int, k1, k2=None) -> ReflectionSetup:
     """I_2(n) in the plane, for the n with rational root coordinates.
 
-    Only n = 2 (two perpendicular mirrors) and n = 4 (the square's symmetry
-    group) have rational roots in an orthogonal embedding; other n need
-    surds, which the exact layer does not represent.
+    Only n = 1 (one mirror, built as z2^2 with multiplicity 0 on the second
+    axis), n = 2 (two perpendicular mirrors) and n = 4 (the square's
+    symmetry group) have rational roots in an orthogonal embedding; other n
+    need surds, which the exact layer does not represent.
     """
+    if n < 1:
+        raise ValueError(f"I2({n}) needs n >= 1")
+    if n == 1:
+        if k2 is not None:
+            raise ValueError("I2(1) has one mirror class; give one multiplicity")
+        return z2_power(2, [k1, 0])
     if n == 2:
         return z2_power(2, [k1, k1 if k2 is None else k2])
     if n == 4:
         return hyperoctahedral(2, k1, k1 if k2 is None else k2)
-    raise ValueError(f"I2({n}) has irrational root coordinates; only n in {{2, 4}} supported")
+    raise ValueError(f"I2({n}) has irrational root coordinates; only n in {{1, 2, 4}} supported")
 
 
 def from_config(cfg: dict) -> ReflectionSetup:

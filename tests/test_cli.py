@@ -2,9 +2,12 @@
 
 import csv
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dunkldirac.cli import main, rational
 
@@ -410,6 +413,59 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and flag in err
     assert not list(tmp_path.iterdir())
+
+
+def test_dihedral_of_order_one_runs_and_order_zero_exits_2(tmp_path, capsys):
+    assert main(["verify-basicprops", "--family", "dihedral", "--m", "1",
+                 "--k", "1/2", "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-basicprops", "--family", "dihedral", "--m", "0",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+BOUNDARY_SIZES = {
+    "verify-osp": ["--degree", "1", "--trials", "1"],
+    "fischer": ["--degree", "1", "--trials", "1", "--ell-max", "0", "--s-max", "1"],
+    "laguerre-table": ["--t-max", "1", "--ell-max", "0"],
+    "orthogonality": ["--t-max", "1", "--ell-max", "0"],
+    "orthogonality --numeric": ["--t-max", "1", "--ell-max", "0", "--numeric",
+                                "--nr", "20", "--ntheta", "16"],
+}
+boundary_rationals = st.one_of(st.sampled_from([0, -1, -2, 1, 2]).map(Fraction),
+                               st.fractions(-6, 6, max_denominator=3))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(BOUNDARY_SIZES)), m=st.sampled_from([1, 2]),
+       k=st.sampled_from(["0", "1/2"]), a=boundary_rationals,
+       b=boundary_rationals, c=boundary_rationals)
+@example(name="orthogonality", m=2, k="0", a=Fraction(-2), b=Fraction(0), c=Fraction(-2))
+@example(name="orthogonality --numeric", m=1, k="1/2", a=Fraction(1), b=Fraction(1),
+         c=Fraction(-4, 3))
+@example(name="laguerre-table", m=2, k="0", a=Fraction(-3), b=Fraction(5, 3),
+         c=Fraction(-4, 3))
+def test_boundary_inputs_never_raise(capsys, name, m, k, a, b, c):
+    """Over a <= 0, c = -1, the singular locus and rank 1, a suite finishes
+    (exit 0 or 1) or rejects its input in one line (exit 2); at a <= 0 no
+    orthogonality row passes, since no damped integral converges there."""
+    suite = name.split()[0]
+    argv = [suite, *BOUNDARY_SIZES[name], "--m", str(m), "--k", k,
+            f"--a={a}", f"--b={b}", f"--c={c}"]
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            code = main(argv + ["--out", out])
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert len(capsys.readouterr().err.strip().splitlines()) == 1
+            return
+        assert code in (0, 1)
+        if suite == "orthogonality" and a <= 0:
+            rows = read_rows(Path(out), suite)
+            assert rows and not any(row.get("pass") for row in rows)
 
 
 @pytest.mark.parametrize("argv, flag", [

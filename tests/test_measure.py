@@ -232,5 +232,23 @@ def test_inner_product_divergence_raises():
     # strongly negative b drives the radial exponent below zero
     ctx = make_ctx(2, -8, 0)
     one = RadialExpr.monomial(2, (0, 0))
+    x1 = RadialExpr.monomial(2, (1, 0))
     with pytest.raises(ValueError, match="divergent"):
         inner_product_exact(ctx, one, one)
+    # an odd integrand has zero sphere moments, but its radial part diverges
+    with pytest.raises(ValueError, match="divergent"):
+        inner_product_exact(ctx, one, x1)
+    with pytest.raises(ValueError, match="a > 0"):
+        inner_product_exact(make_ctx(-2, 0, 0), one, one)
+
+
+def test_norm_constant_raises_where_the_norm_diverges():
+    with pytest.raises(ValueError, match="a > 0"):
+        norm_constant(make_ctx(-2, 0, 0), 0, 0)
+    # gamma_0 = -3/2: |psi_0|^2 diverges at the origin, while |psi_1|^2
+    # starts at the radial exponent gamma_0 + a = 1/2 and converges
+    ctx = make_ctx(2, 0, -3)
+    assert ctx.gamma_ell(0) == Fraction(-3, 2)
+    with pytest.raises(ValueError, match="divergent"):
+        norm_constant(ctx, 0, 0)
+    assert not norm_constant(ctx, 0, 1).is_zero()

@@ -19,7 +19,7 @@ from dunkldirac.quadrature import (
     circle_rule,
     evaluate,
     integrate_expr,
-    paired_classes,
+    residue_classes,
     radial_rule,
     sphere_rule,
     weighted_grid,
@@ -123,7 +123,7 @@ def test_evaluate_matches_manual_numpy():
     assert not np.any(vals[:, 2:])
 
 
-# -- paired classes ---------------------------------------------------------------
+# -- residue classes --------------------------------------------------------------
 
 def test_paired_classes_reassemble_the_expression():
     rng = random.Random(23)
@@ -135,10 +135,11 @@ def test_paired_classes_reassemble_the_expression():
             f = f + RadialExpr.monomial(
                 m, mono, Fraction(rng.randint(-5, 5)),
                 blade=rng.randrange(1 << m), r_exp=s)
-        total = RadialExpr(m)
-        for fold, part in paired_classes(f, half):
-            total = total + part.mul_radial(fold)
-        assert total.terms == f.terms
+        for by_parity in (True, False):
+            total = RadialExpr(m)
+            for fold, part in residue_classes(f, half, by_parity):
+                total = total + part.mul_radial(fold)
+            assert total.terms == f.terms
 
 
 def test_paired_classes_fold_keeps_parts_analytic_in_v_squared():
@@ -147,7 +148,7 @@ def test_paired_classes_fold_keeps_parts_analytic_in_v_squared():
     f = (RadialExpr.monomial(2, (1, 0), r_exp=Fraction(1, 2))
          + RadialExpr.monomial(2, (0, 0), r_exp=Fraction(3, 2))
          + RadialExpr.monomial(2, (1, 1)))
-    for fold, part in paired_classes(f, Fraction(1, 2)):
+    for fold, part in residue_classes(f, Fraction(1, 2)):
         for (s, mono, _b), _c in part.terms.items():
             n_v = (Fraction(s)) / Fraction(1, 2)
             assert (n_v + sum(mono)) % 2 == 0

@@ -178,6 +178,16 @@ def test_dihedral_odd_order_is_rejected():
         dihedral(6, 1, 1)
 
 
+def test_dihedral_of_order_one_is_one_mirror():
+    setup = dihedral(1, Fraction(1, 2))
+    assert setup.roots == ((1, 0), (0, 1))
+    assert setup.mults == (Fraction(1, 2), 0)
+    with pytest.raises(ValueError, match="one multiplicity"):
+        dihedral(1, 1, 1)
+    with pytest.raises(ValueError, match="n >= 1"):
+        dihedral(0, 1)
+
+
 def test_mult_count_mismatch_rejected():
     with pytest.raises(ValueError):
         z2_power(3, [1, 1])
