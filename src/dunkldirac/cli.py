@@ -60,7 +60,7 @@ from .measure import (inner_product_exact, norm_constant, sphere_inner_exact,
                       weight_exponent)
 from .params import DeformParams
 from .poly import RadialExpr
-from .quadrature import integrate_expr
+from .quadrature import integrate_expr, rule_cache_info
 from .reflection import (ReflectionSetup, dihedral, from_config,
                          hyperoctahedral, symmetric, z2_power)
 
@@ -308,6 +308,12 @@ def _params_from(args, rng: random.Random) -> list:
     return triples
 
 
+def _rule_cache_since(before) -> dict:
+    """Hits and misses of the quadrature rule cache since `before`."""
+    now = rule_cache_info()
+    return {"hits": now.hits - before.hits, "misses": now.misses - before.misses}
+
+
 def _inversion_rows(dk: DunklContext, inputs: list):
     """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each input."""
     dctx = DeformedContext(dk, inversion_params(dk.setup.mu))
@@ -550,6 +556,7 @@ def cmd_laguerre_table(args, dk):
        a=Fraction(2), b=Fraction(0), c=Fraction(0), t_max=3, ell_max=2,
        numeric=False, nr=60, ntheta=80, tol=1e-8)
 def cmd_orthogonality(args, dk):
+    rules = rule_cache_info()
     setup = dk.setup
     par = DeformParams(args.a, args.b, args.c)
     dctx = DeformedContext(dk, par)
@@ -596,7 +603,8 @@ def cmd_orthogonality(args, dk):
                         row["numeric_err"] = err
                         row["pass"] = row["pass"] and err <= args.tol
                     yield row
-    return {"a": par.a, "b": par.b, "c": par.c, "tol": args.tol}
+    return {"a": par.a, "b": par.b, "c": par.c, "tol": args.tol,
+            "rule_cache": _rule_cache_since(rules)}
 
 
 @suite("transform-eigen", "transform eigenvalues on the damped towers",
@@ -605,6 +613,7 @@ def cmd_orthogonality(args, dk):
        a=Fraction(2), b=Fraction(0), t_max=3, l_max=2, nr=100, ntheta=120,
        order=28, points=6, tol=1e-6)
 def cmd_transform_eigen(args, dk):
+    rules = rule_cache_info()
     setup = dk.setup
     par = DeformParams.commuting(args.a, args.b)
     dctx = DeformedContext(dk, par)
@@ -635,7 +644,8 @@ def cmd_transform_eigen(args, dk):
                    "runtime_ms": round(ms, 3),
                    "pass": bool(rel <= args.tol and resid <= args.tol)}
     return {"a": par.a, "b": par.b, "c": par.c,
-            "kernel": "closed" if closed else kernel_route(setup), "tol": args.tol}
+            "kernel": "closed" if closed else kernel_route(setup), "tol": args.tol,
+            "rule_cache": _rule_cache_since(rules)}
 
 
 @suite("kernel-residual", "closed kernel satisfies its first-order system",

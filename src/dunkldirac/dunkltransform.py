@@ -40,22 +40,10 @@ from .kelvin import inversion, p_map, q_coordinate_map
 from .laguerre import laguerre_poly
 from .measure import axis_multiplicities, mehta_constant
 from .poly import RadialExpr
-from .quadrature import evaluate, residue_classes, weighted_grid
+from .quadrature import (evaluate, grid_values, power_table, residue_classes,
+                         tensor_points, tensor_rule, weighted_grid)
 from .reflection import ReflectionSetup
 from .scalars import ExactScalar
-
-
-def _mono_values(P: np.ndarray, monos: list) -> np.ndarray:
-    npts, m = P.shape
-    maxd = max((max(mo) for mo in monos), default=0)
-    pows = [np.power.outer(P[:, i], np.arange(maxd + 1)) for i in range(m)]
-    out = np.empty((npts, len(monos)))
-    for col, mo in enumerate(monos):
-        acc = pows[0][:, mo[0]].copy()
-        for i in range(1, m):
-            acc *= pows[i][:, mo[i]]
-        out[:, col] = acc
-    return out
 
 
 def kernel_route(setup: ReflectionSetup) -> str:
@@ -67,10 +55,10 @@ def _series_kernel(dk: DunklContext, X: np.ndarray, Y: np.ndarray,
                    order: int) -> np.ndarray:
     """E(x, -i y) summed through `order` from the coefficients cached on dk."""
     xmonos, C, ymonos = dk.kernel_coefficients(order)
-    right = np.ascontiguousarray(C @ _mono_values(Y, ymonos).T)
+    right = np.ascontiguousarray(C @ power_table(Y, ymonos).T)
     # the real matrix of x-monomials meets the complex right factor as its
     # interleaved float view, so it is never copied to complex
-    return (_mono_values(X, xmonos) @ right.view(float)).view(complex)
+    return (power_table(X, xmonos) @ right.view(float)).view(complex)
 
 
 def _bessel_kernel(ks: list, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -108,15 +96,19 @@ def normalization(setup: ReflectionSetup, n_r: int = 60, n_ang: int = 64) -> flo
 
 def transform_values(dk: DunklContext, f: RadialExpr, targets: np.ndarray,
                      order: int = 28, n_r: int = 60, n_ang: int = 64) -> np.ndarray:
-    """Transform of f e^{-r^2/2} at the target points, one column per blade."""
+    """Transform of f e^{-r^2/2} at the target points, one column per blade.
+
+    Each residue class of f is weighted on its cached tensor rule
+    (:func:`dunkldirac.quadrature.grid_values`) and meets the kernel at the
+    rule's nodes in one matmul.
+    """
     setup = dk.setup
     targets = np.asarray(targets, dtype=float)
     out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
     for fold, part in residue_classes(f, 1):
-        pts, wts = weighted_grid(setup, 2, 1, fold, n_r, n_ang)
-        vals = evaluate(part, pts)
-        M = kernel_matrix(dk, pts, targets, order)
-        out += np.einsum("p,pb,pt->tb", wts, vals, M)
+        r, W, dirs, ws = tensor_rule(setup, 2, 1, fold, n_r, n_ang)
+        M = kernel_matrix(dk, tensor_points(r, dirs), targets, order)
+        out += M.T @ grid_values(part, r, W, dirs, ws)
     return out / normalization(setup, n_r, n_ang)
 
 
@@ -180,12 +172,11 @@ def transform_inverted_direct(dk: DunklContext, g: RadialExpr, targets: np.ndarr
     # After the substitution a term r^s x^mono of g grows like r_x^{-(s+|mono|)}
     # on the Gaussian grid, so g is split with half = -1; each class's
     # r_v^fold = r_x^{-fold} goes into the rule and its rebased part is
-    # evaluated at the inverted nodes.
+    # evaluated at the inverted nodes xi_k / r_i, a tensor grid too.
     for fold, part in residue_classes(g, -1):
-        pts, wts = weighted_grid(setup, 2, 1, 2 - mu - fold, n_r, n_ang)
-        inv_pts = pts / np.sum(pts * pts, axis=1)[:, None]
-        M = kernel_matrix(dk, pts, inv_targets, order)
-        out += np.einsum("p,pb,pt->tb", wts, evaluate(part, inv_pts), M)
+        r, W, dirs, ws = tensor_rule(setup, 2, 1, 2 - mu - fold, n_r, n_ang)
+        M = kernel_matrix(dk, tensor_points(r, dirs), inv_targets, order)
+        out += M.T @ grid_values(part, 1 / r, W, dirs, ws)
     out /= normalization(setup, n_r, n_ang)
     return out * (r2t ** ((2 - float(mu)) / 2))[:, None]
 

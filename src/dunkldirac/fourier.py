@@ -25,7 +25,7 @@ from .deformed import DeformedContext
 from .measure import weight_exponent
 from .params import DeformParams
 from .poly import RadialExpr
-from .quadrature import evaluate, residue_classes, weighted_grid
+from .quadrature import evaluate, grid_values, residue_classes, tensor_rule
 
 
 def _require_kernel(par: DeformParams):
@@ -88,8 +88,15 @@ def fourier_apply(dctx: DeformedContext, psi: RadialExpr, targets: np.ndarray,
     """Transform of psi e^{-r^a/a} evaluated at target points, per blade.
 
     Returns a complex array of shape (len(targets), 2^m).  The kernel's
-    r_x power and psi's lowest radial exponent are folded into the grid;
+    r_x power and psi's lowest radial exponent are folded into the rule;
     the target-side power multiplies at the end.
+
+    Each residue class of psi meets the cached tensor rule of its folded
+    exponent (:func:`dunkldirac.quadrature.tensor_rule`, keyed by setup, a,
+    lam = 1, that exponent, n_r and n_ang).  At the node r_i xi_k the
+    weighted values of the class come from its radial and angular tables,
+    and the phase is exp(-(2i/a) r_i^{a/2} <xi_k, y> r_y^{a/2 - 1}), so one
+    matmul contracts the grid against the targets.
     """
     par = dctx.par
     _require_kernel(par)
@@ -99,15 +106,18 @@ def fourier_apply(dctx: DeformedContext, psi: RadialExpr, targets: np.ndarray,
     a, b = float(par.a), float(par.b)
     eh = weight_exponent(dctx)
     r_tgt = np.sqrt(np.sum(targets * targets, axis=1))
+    scaled = targets * (r_tgt ** (a / 2 - 1))[:, None]
     out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
     for fold, part in residue_classes(psi, par.a / 2):
-        pts, wts = weighted_grid(setup, par.a, 1, eh - par.a * par.b / 2 + fold,
-                                 n_r, n_ang)
-        vals = evaluate(part, pts)
-        r_pts = np.sqrt(np.sum(pts * pts, axis=1))
-        phases = np.exp(-2j / a * (pts @ targets.T)
-                        * np.outer(r_pts ** (a / 2 - 1), r_tgt ** (a / 2 - 1)))
-        out += np.einsum("p,pb,pt->tb", wts, vals, phases)
+        r, W, dirs, ws = tensor_rule(setup, par.a, 1, eh - par.a * par.b / 2 + fold,
+                                     n_r, n_ang)
+        vals = grid_values(part, r, W, dirs, ws)
+        theta = np.multiply.outer(-2 / a * r ** (a / 2), dirs @ scaled.T)
+        # cos and sin of the real angle cost half a complex exp
+        phases = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=phases.real)
+        np.sin(theta, out=phases.imag)
+        out += phases.reshape(len(vals), -1).T @ vals
     return out * (kernel_constant(par, setup.m) * r_tgt ** (-a * b / 2))[:, None]
 
 

@@ -28,10 +28,13 @@ def p_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
     """P: r^s p_d -> (a/2)^{(s+d)/a} r^{b + 2s/a + (2/a - 1) d} p_d."""
     a, b = par.a, par.b
     out = RadialExpr(f.m)
+    scale: dict = {}  # one power of a/2 per distinct degree s + d
     for (s, mono, blade), coeff in f.terms.items():
         d = sum(mono)
+        if s + d not in scale:
+            scale[s + d] = ExactScalar.power(a / 2, (s + d) / a)
         new_s = b + 2 * s / a + (Fraction(2) / a - 1) * d
-        out.terms[(new_s, mono, blade)] = coeff * ExactScalar.power(a / 2, (s + d) / a)
+        out.terms[(new_s, mono, blade)] = coeff * scale[s + d]
     return out
 
 
@@ -39,10 +42,13 @@ def q_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
     """Q: r^s p_d -> (2/a)^{(s+d)/2} r^{-ab/2 + as/2 + (a/2 - 1) d} p_d."""
     a, b = par.a, par.b
     out = RadialExpr(f.m)
+    scale: dict = {}  # one power of a/2 per distinct degree s + d
     for (s, mono, blade), coeff in f.terms.items():
         d = sum(mono)
+        if s + d not in scale:
+            scale[s + d] = ExactScalar.power(a / 2, -(s + d) / 2)
         new_s = -a * b / 2 + a * s / 2 + (a / 2 - 1) * d
-        out.terms[(new_s, mono, blade)] = coeff * ExactScalar.power(a / 2, -(s + d) / 2)
+        out.terms[(new_s, mono, blade)] = coeff * scale[s + d]
     return out
 
 

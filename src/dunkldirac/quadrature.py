@@ -6,11 +6,22 @@ Fractional powers of r are never evaluated blindly against a mismatched
 weight: known exponents get folded into the rule, and integrands mixing
 several residue classes mod a are split so each class meets a rule with the
 right endpoint exponent.  Skipping that folding costs eight digits.
+
+Every node is r_i xi_k, a radial node times a unit direction, with weight
+W_i ws_k.  A term c r^s x^mono e_B is r_i^{s + |mono|} xi_k^mono there, so
+its integral factors as c (sum_i W_i r_i^{s + |mono|}) (sum_k ws_k xi_k^mono)
+and costs O(n_r + n_ang) per term.  :func:`term_tables` builds those radial
+and angular tables for a whole expression; :func:`integrate_expr` contracts
+them, and :func:`grid_values` joins them into values on the product grid for
+integrands that do not factor (the transform kernels).  The factors of each
+rule are built once per (setup, a, lam, folded exponent, n_r, n_ang) and
+cached for the life of the process (:func:`rule_cache_info`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_jacobi
@@ -80,42 +91,122 @@ def circle_rule(k1, k2, n: int):
     return dirs.reshape(-1, 2), wts.reshape(-1).copy()
 
 
-def weighted_grid(setup: ReflectionSetup, a, lam, extra=0, n_r: int = 60,
-                  n_ang: int = 80):
-    """Points and weights with sum f(p_i) w_i ~ int f(x) r^extra w_k(x) e^{-lam r^a/a} dx.
-
-    The reflection weight, the sphere measure r^{m-1}, and the folded extra
-    exponent all live in the weights; f is evaluated bare.  On the circle
-    with sign-flip weights the angular rule is the exact Jacobi one.
-    """
+@lru_cache(maxsize=None)
+def _tensor_rule(setup: ReflectionSetup, a, lam, extra: Fraction, n_r: int,
+                 n_ang: int):
     m = setup.m
-    exponent = 2 * setup.gamma + (m - 1) + Fraction(extra)
-    r, W = radial_rule(a, lam, exponent, n_r)
+    r, W = radial_rule(a, lam, 2 * setup.gamma + (m - 1) + extra, n_r)
     ks = axis_multiplicities(setup) if m == 2 else None
     if ks is not None and any(ks):
         dirs, ws = circle_rule(ks[0], ks[1], n_ang)
     else:
         dirs, ws = sphere_rule(m, n_ang)
         ws = ws * setup.weight_numeric(dirs)
-    pts = r[:, None, None] * dirs[None, :, :]
-    wts = W[:, None] * ws[None, :]
-    return pts.reshape(-1, m), wts.ravel()
+    for arr in (r, W, dirs, ws):
+        arr.setflags(write=False)
+    return r, W, dirs, ws
+
+
+def tensor_rule(setup: ReflectionSetup, a, lam, extra=0, n_r: int = 60,
+                n_ang: int = 80):
+    """Factors (r, W, dirs, ws) of the rule on the nodes r_i xi_k with
+
+        sum_i sum_k f(r_i xi_k) W_i ws_k ~ int f(x) r^extra w_k(x) e^{-lam r^a/a} dx.
+
+    The reflection weight sits in ws, the sphere measure r^{m-1} and the
+    folded extra exponent in W.  On the circle with sign-flip weights the
+    angular rule is the exact Jacobi one.  Each rule is built once per
+    (setup, a, lam, extra, n_r, n_ang); its arrays are shared between callers
+    and reject writes.
+    """
+    # one positional call shape, so equal rules share one cache entry
+    return _tensor_rule(setup, a, lam, Fraction(extra), n_r, n_ang)
+
+
+def rule_cache_info():
+    """cache_info() of the rule cache behind :func:`tensor_rule`.
+
+    Read here, not off a public cached function, so that a wrapper around
+    tensor_rule (a profiler's, say) leaves the counters readable.
+    """
+    return _tensor_rule.cache_info()
+
+
+def tensor_points(r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The nodes r_i xi_k as rows, k running fastest."""
+    return (r[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
+
+
+def weighted_grid(setup: ReflectionSetup, a, lam, extra=0, n_r: int = 60,
+                  n_ang: int = 80):
+    """Points and weights with sum f(p_i) w_i ~ int f(x) r^extra w_k(x) e^{-lam r^a/a} dx.
+
+    The flattened product of :func:`tensor_rule`; f is evaluated bare.
+    """
+    r, W, dirs, ws = tensor_rule(setup, a, lam, extra, n_r, n_ang)
+    return tensor_points(r, dirs), np.outer(W, ws).ravel()
+
+
+def power_table(pts: np.ndarray, monos) -> np.ndarray:
+    """pts^mono for every row and monomial, shape (len(pts), len(monos)).
+
+    One table of powers per variable; each monomial multiplies one row of
+    each table into its own row of the transposed output, so no temporary
+    grows with the number of monomials.
+    """
+    exps = np.array(monos, dtype=np.intp).reshape(len(monos), pts.shape[1])
+    tables = [np.power.outer(pts[:, i], np.arange(col.max(initial=0) + 1)).T.copy()
+              for i, col in enumerate(exps.T)]
+    out = np.ones((len(exps), len(pts)))
+    for row, mono in zip(out, exps):
+        for table, e in zip(tables, mono):
+            if e:
+                row *= table[e]
+    return out.T
+
+
+def term_tables(expr: RadialExpr, r: np.ndarray, pts: np.ndarray,
+                homogeneous: bool):
+    """(R, A, C): radial powers, monomials and coefficients of expr's terms.
+
+    R[i, t] = r_i^e_t, one power per distinct exponent e, A = pts^mono by
+    :func:`power_table`, and C (terms x 2^m) holds each coefficient in its
+    blade's column.  With pts the points and r their lengths, e = s and
+    (R * A) @ C is expr at the points.  With pts unit directions and
+    homogeneous, e = s + |mono| and R[i] A[k] C is expr at r_i pts_k.
+    """
+    keys = list(expr.terms)
+    exps = [s + sum(mono) if homogeneous else s for s, mono, _b in keys]
+    col = {e: j for j, e in enumerate(dict.fromkeys(exps))}
+    powers = np.empty((len(r), len(col)))
+    for e, j in col.items():
+        powers[:, j] = r ** float(e)
+    R = powers[:, [col[e] for e in exps]]
+    A = power_table(pts, [mono for _s, mono, _b in keys])
+    C = np.zeros((len(keys), 1 << expr.m))
+    for t, key in enumerate(keys):
+        C[t, key[2]] = float(expr.terms[key])
+    return R, A, C
+
+
+def grid_values(expr: RadialExpr, r: np.ndarray, W: np.ndarray,
+                dirs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """W_i ws_k expr(r_i dirs_k) per blade, rows ordered as :func:`tensor_points`.
+
+    Shape (len(r) len(dirs), 2^m); one matmul joins the radial and angular
+    tables.
+    """
+    R, A, C = term_tables(expr, r, dirs, True)
+    n_r, blades = len(r), C.shape[1]
+    left = (W[:, None] * R)[:, None, :] * C.T[None, :, :]   # (n_r, 2^m, terms)
+    vals = left.reshape(n_r * blades, -1) @ (ws[:, None] * A).T
+    return vals.reshape(n_r, blades, -1).transpose(0, 2, 1).reshape(-1, blades)
 
 
 def evaluate(expr: RadialExpr, pts: np.ndarray) -> np.ndarray:
     """Values of expr at each point, one column per blade: shape (N, 2^m)."""
-    N = pts.shape[0]
-    out = np.zeros((N, 1 << expr.m))
-    r = np.sqrt(np.sum(pts * pts, axis=1))
-    for (s, mono, blade), coeff in expr.terms.items():
-        vals = np.full(N, float(coeff))
-        if s:
-            vals = vals * r ** float(s)
-        for i, e in enumerate(mono):
-            if e:
-                vals = vals * pts[:, i] ** e
-        out[:, blade] += vals
-    return out
+    R, A, C = term_tables(expr, np.sqrt(np.sum(pts * pts, axis=1)), pts, False)
+    return (R * A) @ C
 
 
 def residue_classes(expr: RadialExpr, half, by_parity: bool = True) -> list:
@@ -154,10 +245,11 @@ def integrate_expr(setup: ReflectionSetup, expr: RadialExpr, a, lam, extra=0,
 
     Each residue class mod a (:func:`residue_classes` at half = a/2, without
     the parity split) has its lowest degree folded into the rule's weight and
-    integrates exactly.
+    integrates exactly, as ((W @ R) * (ws @ A)) @ C over its term tables.
     """
     out = np.zeros(1 << expr.m)
     for fold, part in residue_classes(expr, Fraction(a) / 2, by_parity=False):
-        pts, wts = weighted_grid(setup, a, lam, Fraction(extra) + fold, n_r, n_ang)
-        out += wts @ evaluate(part, pts)
+        r, W, dirs, ws = tensor_rule(setup, a, lam, Fraction(extra) + fold, n_r, n_ang)
+        R, A, C = term_tables(part, r, dirs, True)
+        out += ((W @ R) * (ws @ A)) @ C
     return out

@@ -93,6 +93,14 @@ class ExactScalar:
     def power(cls, base, exp, coeff=1):
         return cls(base, {Fraction(exp): Fraction(coeff)})
 
+    @classmethod
+    def _canonical(cls, base: Fraction, terms: dict):
+        """Wrap terms already in canonical form, skipping the folding."""
+        out = object.__new__(cls)
+        out.base = base
+        out.terms = terms
+        return out
+
     # -- predicates ---------------------------------------------------
 
     def __bool__(self):
@@ -111,14 +119,19 @@ class ExactScalar:
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other):
+        # canonical terms stay canonical here: a rational scalar has only
+        # the exponent 0, which no base folds
         if isinstance(other, ExactScalar):
-            if other.base == self.base or not other.terms or other.is_rational():
-                return ExactScalar(self.base, other.terms)
+            if other.base == self.base:
+                return other
+            if not other.terms or other.is_rational():
+                return ExactScalar._canonical(self.base, other.terms)
             if not self.terms or self.is_rational():
                 return None  # caller re-dispatches on other's base
             raise ValueError(f"mixed bases {self.base} and {other.base}")
         if isinstance(other, Rational):
-            return ExactScalar(self.base, {Fraction(0): Fraction(other)})
+            return ExactScalar._canonical(
+                self.base, {Fraction(0): Fraction(other)} if other else {})
         return NotImplemented
 
     def __add__(self, other):
@@ -130,12 +143,13 @@ class ExactScalar:
         out = dict(self.terms)
         for q, c in o.terms.items():
             out[q] = out.get(q, Fraction(0)) + c
-        return ExactScalar(self.base, out)
+        # both sides are canonical in one base, so only cancelled terms go
+        return ExactScalar._canonical(self.base, {q: c for q, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactScalar(self.base, {q: -c for q, c in self.terms.items()})
+        return ExactScalar._canonical(self.base, {q: -c for q, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, ExactScalar) else -Fraction(other))
@@ -144,6 +158,11 @@ class ExactScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Rational):
+            # a nonzero rational keeps every exponent in [0, 1) and unfoldable
+            other = Fraction(other)
+            return ExactScalar._canonical(
+                self.base, {q: c * other for q, c in self.terms.items()} if other else {})
         o = self._coerce(other)
         if o is None:
             return other * self.as_fraction()

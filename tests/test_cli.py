@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from dunkldirac.cli import main, rational
+from dunkldirac.cli import SUITES, main, rational
 
 
 def read_summary(out_dir, name):
@@ -143,6 +143,16 @@ def test_orthogonality_exact(tmp_path):
                  "--t-max", "2", "--ell-max", "1", "--out", str(tmp_path)])
     assert code == 0
     assert read_summary(tmp_path, "orthogonality")["all_pass"] is True
+
+
+def test_orthogonality_numeric_reuses_cached_rules(tmp_path):
+    """Pairs whose products fall in one residue class share a quadrature rule."""
+    code = main(["orthogonality", "--m", "2", "--k", "1/2,3/2",
+                 "--a", "4/3", "--b", "1/3", "--c", "1/2", "--t-max", "2",
+                 "--ell-max", "1", "--numeric", "--nr", "20", "--ntheta", "16",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert read_summary(tmp_path, "orthogonality")["rule_cache"]["hits"] > 0
 
 
 def test_transform_eigen_closed_route(tmp_path):
@@ -432,6 +442,8 @@ BOUNDARY_SIZES = {
     "orthogonality": ["--t-max", "1", "--ell-max", "0"],
     "orthogonality --numeric": ["--t-max", "1", "--ell-max", "0", "--numeric",
                                 "--nr", "20", "--ntheta", "16"],
+    "transform-eigen": ["--t-max", "1", "--l-max", "0", "--nr", "20", "--ntheta", "16"],
+    "verify-kelvin": ["--degree", "1", "--trials", "1"],
 }
 boundary_rationals = st.one_of(st.sampled_from([0, -1, -2, 1, 2]).map(Fraction),
                                st.fractions(-6, 6, max_denominator=3))
@@ -453,7 +465,9 @@ def test_boundary_inputs_never_raise(capsys, name, m, k, a, b, c):
     orthogonality row passes, since no damped integral converges there."""
     suite = name.split()[0]
     argv = [suite, *BOUNDARY_SIZES[name], "--m", str(m), "--k", k,
-            f"--a={a}", f"--b={b}", f"--c={c}"]
+            f"--a={a}", f"--b={b}"]
+    if "c" in SUITES[suite].flags:
+        argv.append(f"--c={c}")
     capsys.readouterr()
     with tempfile.TemporaryDirectory() as out:
         try:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dunkldirac.deformed import DeformedContext
 from dunkldirac.dunkl import DunklContext
@@ -19,9 +20,11 @@ from dunkldirac.fourier import (
     spectral_eigenvalue,
 )
 from dunkldirac.laguerre import LaguerreTower
+from dunkldirac.measure import weight_exponent
 from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
-from dunkldirac.reflection import z2_power
+from dunkldirac.quadrature import residue_classes, tensor_rule
+from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
 
 
 def make_ctx(a, b):
@@ -198,6 +201,63 @@ def test_transform_intertwines_the_operator_with_multiplication():
     one_c = float(1 + ctx.par.c)
     rhs = 1j * one_c * lam * damped_values(ctx, ctx.x_a(psi), targets)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
+
+
+# the closed kernel needs the trivial weight, so each setup has k = 0
+FLAT_CONTEXTS = [DunklContext(setup) for setup in (
+    z2_power(2, Fraction(0)), hyperoctahedral(2, Fraction(0), Fraction(0)),
+    z2_power(3, Fraction(0)), symmetric(3, Fraction(0)))]
+
+
+def flat_fourier(dctx, psi, targets, n_r, n_ang):
+    """fourier_apply as a sum over the flattened product grid: every node's
+    values and phases computed pointwise, then one three-operand einsum."""
+    par, setup = dctx.par, dctx.dk.setup
+    a, b = float(par.a), float(par.b)
+    r_tgt = np.sqrt(np.sum(targets * targets, axis=1))
+    out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
+    scale = np.zeros(len(targets))
+    for fold, part in residue_classes(psi, par.a / 2):
+        r, W, dirs, ws = tensor_rule(
+            setup, par.a, 1, weight_exponent(dctx) - par.a * par.b / 2 + fold, n_r, n_ang)
+        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, setup.m)
+        wts = (W[:, None] * ws[None, :]).ravel()
+        r_pts = np.sqrt(np.sum(pts * pts, axis=1))
+        vals = np.zeros((len(pts), 1 << setup.m))
+        for (s, mono, blade), c in part.terms.items():
+            vals[:, blade] += float(c) * r_pts ** float(s) * np.prod(pts ** np.array(mono), axis=1)
+        phases = np.exp(-2j / a * (pts @ targets.T)
+                        * np.outer(r_pts ** (a / 2 - 1), r_tgt ** (a / 2 - 1)))
+        out += np.einsum("p,pb,pt->tb", wts, vals, phases)
+        scale += np.abs(wts) @ np.abs(vals).sum(axis=1)
+    post = kernel_constant(par, setup.m) * r_tgt ** (-a * b / 2)
+    return out * post[:, None], scale * post
+
+
+@st.composite
+def flat_case(draw):
+    dk = draw(st.sampled_from(FLAT_CONTEXTS))
+    keys = st.tuples(st.integers(0, 12).map(lambda n: Fraction(n, 6)),
+                     st.tuples(*[st.integers(0, 3)] * dk.m),
+                     st.integers(0, (1 << dk.m) - 1))
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    psi = RadialExpr(dk.m, draw(st.dictionaries(keys, coeffs, min_size=1, max_size=5)))
+    return dk, psi
+
+
+@given(case=flat_case(),
+       a=st.sampled_from([Fraction(2), Fraction(4, 3), Fraction(2, 3)]),
+       b=st.sampled_from([Fraction(0), Fraction(1, 4)]))
+@settings(max_examples=30, deadline=None)
+def test_fourier_apply_equals_the_flat_grid_sum(case, a, b):
+    """Radial exponents in steps of 1/6 give psi several residue classes."""
+    dk, psi = case
+    ctx = DeformedContext(dk, DeformParams.commuting(a, b))
+    targets = np.random.default_rng(47).uniform(-1.2, 1.2, size=(4, dk.m))
+    got = fourier_apply(ctx, psi, targets, 12, 10)
+    want, scale = flat_fourier(ctx, psi, targets, 12, 10)
+    # the floor covers cancellation between nodes, which no ordering avoids
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale.max())
 
 
 def test_measured_eigenvalue_recovers_planted_scalar():

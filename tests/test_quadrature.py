@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dunkldirac.deformed import DeformedContext
 from dunkldirac.dunkl import DunklContext
@@ -21,10 +22,12 @@ from dunkldirac.quadrature import (
     integrate_expr,
     residue_classes,
     radial_rule,
+    rule_cache_info,
     sphere_rule,
+    tensor_rule,
     weighted_grid,
 )
-from dunkldirac.reflection import symmetric, z2_power
+from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
 
 from conftest import random_expr
 
@@ -190,3 +193,79 @@ def test_integrate_expr_handles_m3_and_m1():
     exact1 = float((radial_integral(Fraction(4), 2, lam=1)
                     * sphere_moment(1, (0,), [Fraction(1, 2)])).numeric())
     np.testing.assert_allclose(got1[0], exact1, rtol=1e-10)
+
+
+# -- the tensor rule against the flat product grid ---------------------------------
+
+# z2^2 takes the Jacobi circle rule, B2 the weighted trapezoid, and the two
+# m = 3 setups Gauss-Legendre times the trapezoid
+RULE_SETUPS = {
+    "z2^2": z2_power(2, [Fraction(1, 2), Fraction(3, 2)]),
+    "B2": hyperoctahedral(2, Fraction(1, 2), Fraction(1, 3)),
+    "z2^3": z2_power(3, [Fraction(1, 2)] * 3),
+    "symmetric(3)": symmetric(3, Fraction(1, 3)),
+}
+
+
+def flat_values(expr, pts):
+    """expr at each point, one column per blade, one numpy power per factor."""
+    out = np.zeros((len(pts), 1 << expr.m))
+    r = np.sqrt(np.sum(pts * pts, axis=1))
+    for (s, mono, blade), c in expr.terms.items():
+        out[:, blade] += float(c) * r ** float(s) * np.prod(pts ** np.array(mono), axis=1)
+    return out
+
+
+def flat_grid(rule):
+    r, W, dirs, ws = rule
+    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
+    return pts, (W[:, None] * ws[None, :]).ravel()
+
+
+@st.composite
+def fractional_exprs(draw, m):
+    """Expressions whose radial exponents, multiples of 1/6, fall in several
+    residue classes mod every a drawn below."""
+    keys = st.tuples(st.integers(0, 15).map(lambda n: Fraction(n, 6)),
+                     st.tuples(*[st.integers(0, 3)] * m),
+                     st.integers(0, (1 << m) - 1))
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    return RadialExpr(m, draw(st.dictionaries(keys, coeffs, min_size=1, max_size=6)))
+
+
+@st.composite
+def setup_and_expr(draw):
+    name = draw(st.sampled_from(sorted(RULE_SETUPS)))
+    setup = RULE_SETUPS[name]
+    return setup, draw(fractional_exprs(setup.m))
+
+
+@given(case=setup_and_expr(),
+       a=st.sampled_from([Fraction(2), Fraction(4, 3), Fraction(2, 3)]),
+       lam=st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_separable_integral_equals_the_flat_grid_sum(case, a, lam):
+    setup, expr = case
+    got = integrate_expr(setup, expr, a, lam, n_r=12, n_ang=10)
+    want = np.zeros(1 << setup.m)
+    scale = np.zeros(1 << setup.m)
+    for fold, part in residue_classes(expr, a / 2, by_parity=False):
+        pts, wts = flat_grid(tensor_rule(setup, a, lam, fold, 12, 10))
+        vals = flat_values(part, pts)
+        want += wts @ vals
+        scale += np.abs(wts) @ np.abs(vals)
+    # the floor covers cancellation between terms, which no ordering avoids
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale.max())
+
+
+def test_rules_are_cached_and_read_only():
+    setup = RULE_SETUPS["z2^2"]
+    first = tensor_rule(setup, Fraction(4, 3), 2, Fraction(1, 3), 14, 9)
+    before = rule_cache_info()
+    again = tensor_rule(setup, Fraction(4, 3), 2, Fraction(1, 3), 14, 9)
+    after = rule_cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert all(x is y for x, y in zip(first, again))
+    for arr in first:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0

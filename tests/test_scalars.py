@@ -91,6 +91,18 @@ def test_multiplication_commutes(base, data):
     assert x * y == y * x
 
 
+@given(base=bases, data=st.data(), q=fractions)
+def test_shortcut_results_are_canonical(base, data, q):
+    """Rational scaling, sums and negation skip the folding in __init__; what
+    they return must be what __init__ builds from the same terms."""
+    x = data.draw(scalars(base))
+    y = data.draw(scalars(base))
+    for got in (x * q, q * x, x * q.numerator, x + y, x + q, -x):
+        assert got.terms == ExactScalar(base, got.terms).terms
+    assert (q * x).terms == ExactScalar(base, {e: c * q for e, c in x.terms.items()}).terms
+    assert not (x * 0).terms
+
+
 @given(base=bases, data=st.data())
 def test_multiplication_distributes(base, data):
     x = data.draw(scalars(base))
