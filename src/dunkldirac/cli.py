@@ -15,6 +15,12 @@ suites' summaries start with the setup's {family, m, k}, which --config reads
 back.  The output directory comes from --out, else the DUNKLDIRAC_OUT
 environment variable, else ./reports.
 
+The group flags and a --config file are one format, read by
+reflection.from_config: a JSON object {family, m, k} with family z2,
+symmetric, hyperoctahedral or dihedral, m the rank (for dihedral the order n
+of I2(n)) and k one rational or a list of them (symmetric takes 1,
+hyperoctahedral 2, dihedral 1 or 2, z2 1 or m).
+
 Each row holds a bool verdict under "pass" or, under "excluded", why its
 check could not run; the summary counts both.  Exit codes: 0 when every
 check ran and passed (at least one row, none failed or excluded), 1 when a
@@ -61,8 +67,7 @@ from .measure import (inner_product_exact, norm_constant, sphere_inner_exact,
 from .params import DeformParams
 from .poly import RadialExpr
 from .quadrature import integrate_expr, rule_cache_info
-from .reflection import (ReflectionSetup, dihedral, from_config,
-                         hyperoctahedral, symmetric, z2_power)
+from .reflection import ReflectionSetup, from_config, z2_power
 
 
 # -- argument parsing -------------------------------------------------------
@@ -96,20 +101,11 @@ def _build_setup(args) -> ReflectionSetup:
             return from_config(json.loads(path.read_text()))
         except (ValueError, KeyError, TypeError) as exc:
             raise BadInput(f"bad config {path}: {exc}") from None
-    ks, m = args.k, args.m
     try:
-        if args.family == "z2":
-            return z2_power(m, ks * m if len(ks) == 1 else ks)
-        if args.family == "symmetric":
-            return symmetric(m, ks[0])
-        if args.family == "hyperoctahedral":
-            if len(ks) != 2:
-                raise ValueError("hyperoctahedral needs --k k_short,k_long")
-            return hyperoctahedral(m, ks[0], ks[1])
-        return dihedral(m, *ks[:2])
+        return from_config({"family": args.family, "m": args.m, "k": args.k})
     except ValueError as exc:
-        raise BadInput(f"--family {args.family} --m {m} "
-                       f"--k {','.join(map(str, ks))}: {exc}") from None
+        raise BadInput(f"--family {args.family} --m {args.m} "
+                       f"--k {','.join(map(str, args.k))}: {exc}") from None
 
 
 def _group_flags(p: argparse.ArgumentParser):

@@ -1,8 +1,14 @@
 """Exact linear algebra over Q, used for nullspaces and small solves.
 
-Rows are cleared to integers, reduced by fraction-free (Bareiss) elimination
-so intermediate entries stay integral, and the final back-substitution
-produces exact rationals.
+Rows are cleared to primitive integer rows and brought to reduced echelon
+form by one fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+1968): each step sets row_i <- (p row_i - h row_p) / d for every row other
+than the pivot row, with p the new pivot, h the row's entry in the pivot
+column and d the previous pivot.  The division is exact because every entry
+stays a minor of the input: on a pivot row it is d times a reduced echelon
+entry, a determinant by Cramer's rule; elsewhere a bordered minor
+(Sylvester's identity).  Every pivot entry ends equal to the last pivot d,
+so both answers are integers over d.
 """
 
 from __future__ import annotations
@@ -19,81 +25,59 @@ class InconsistentSystem(ValueError):
     pass
 
 
-def _integer_rows(A):
-    rows = []
-    for row in A:
-        den = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        ints = [int(Fraction(x) * den) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        rows.append(ints)
-    return rows
+def _integer_row(row):
+    """row scaled to a primitive integer row."""
+    den = lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(Fraction(x) * den) for x in row]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
 
 
-def _bareiss(M):
-    """In-place fraction-free echelon form.  Returns (pivot list, rank).
+def _reduced_echelon(M):
+    """Reduce the integer rows M in place.  Returns (pivots, d).
 
-    pivot list holds (row, col) pairs in elimination order.
+    pivots holds (row, col) pairs in elimination order; every pivot entry
+    ends equal to d, the last pivot (1 when there is none).
     """
-    if not M:
-        return [], 0
-    nrows, ncols = len(M), len(M[0])
-    denom = 1
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        if prow >= nrows:
-            break
-        sel = None
-        for i in range(prow, nrows):
-            if M[i][col]:
-                sel = i
-                break
+    pivots, d = [], 1
+    for col in range(len(M[0]) if M else 0):
+        prow = len(pivots)
+        sel = next((i for i in range(prow, len(M)) if M[i][col]), None)
         if sel is None:
             continue
         M[prow], M[sel] = M[sel], M[prow]
-        piv = M[prow][col]
-        # every row below is rescaled, even with a zero head entry: the
-        # exact divisibility of later steps depends on it
-        for i in range(prow + 1, nrows):
-            head = M[i][col]
-            row_i, row_p = M[i], M[prow]
-            for j in range(col, ncols):
-                row_i[j] = (piv * row_i[j] - head * row_p[j]) // denom
+        row_p = M[prow]
+        piv = row_p[col]
+        # rows with a zero head entry are rescaled too: the exact divisibility
+        # of later steps, and the common pivot d, depend on it
+        for i, row in enumerate(M):
+            if i != prow:
+                head = row[col]
+                M[i] = [(piv * a - head * b) // d for a, b in zip(row, row_p)]
         pivots.append((prow, col))
-        denom = piv
-        prow += 1
-    return pivots, prow
+        d = piv
+    return pivots, d
 
 
 def nullspace(A) -> list[list[Fraction]]:
-    """Basis of the right kernel of A (rows = equations)."""
+    """Basis of the right kernel of A (rows = equations).
+
+    One primitive integer vector per free column, positive there and zero
+    at the other free columns.
+    """
     if not A:
         return []
-    ncols = len(A[0])
-    M = _integer_rows(A)
-    pivots, rank = _bareiss(M)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    M = [_integer_row(row) for row in A]
+    pivots, d = _reduced_echelon(M)
+    pivot_cols = {c for _, c in pivots}
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for (pr, pc) in reversed(pivots):
-            row = M[pr]
-            s = sum((Fraction(row[j]) * vec[j] for j in range(pc + 1, ncols)), Fraction(0))
-            vec[pc] = -s / row[pc]
-        den = lcm(*(v.denominator for v in vec))
-        ints = [int(v * den) for v in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        basis.append([Fraction(v) for v in ints])
+    for fc in (c for c in range(len(M[0])) if c not in pivot_cols):
+        vec = [0] * len(M[0])
+        vec[fc] = d
+        for pr, pc in pivots:
+            vec[pc] = -M[pr][fc]
+        g = gcd(*vec) * (1 if d > 0 else -1)
+        basis.append([Fraction(v // g) for v in vec])
     return basis
 
 
@@ -103,28 +87,13 @@ def solve_columns(A, B_cols) -> list[list[Fraction]]:
     Raises SingularSystem if the solution is not unique and
     InconsistentSystem if no solution exists.
     """
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    k = len(B_cols)
-    aug = [list(A[i]) + [col[i] for col in B_cols] for i in range(nrows)]
-    M = _integer_rows(aug)
-    pivots, rank = _bareiss(M)
-    for pr, pc in pivots:
-        if pc >= ncols:
-            raise InconsistentSystem("no solution")
-    if rank < ncols:
+    ncols = len(A[0]) if A else 0
+    M = [_integer_row(list(row) + [col[i] for col in B_cols])
+         for i, row in enumerate(A)]
+    pivots, d = _reduced_echelon(M)
+    if any(pc >= ncols for _, pc in pivots):
+        raise InconsistentSystem("no solution")
+    if len(pivots) < ncols:
         raise SingularSystem("solution not unique")
-    sols = []
-    for t in range(k):
-        vec = [Fraction(0)] * ncols
-        for (pr, pc) in reversed(pivots):
-            row = M[pr]
-            s = sum((Fraction(row[j]) * vec[j] for j in range(pc + 1, ncols)), Fraction(0))
-            vec[pc] = (Fraction(row[ncols + t]) - s) / row[pc]
-        sols.append(vec)
-    # overdetermined rows beyond the pivots must have been annihilated;
-    # a nonzero residual there means the stacked system was inconsistent
-    for i in range(rank, nrows):
-        if any(M[i][ncols:]):
-            raise InconsistentSystem("residual in dependent equations")
-    return sols
+    return [[Fraction(M[i][ncols + t], d) for i in range(ncols)]
+            for t in range(len(B_cols))]

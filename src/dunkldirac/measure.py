@@ -300,6 +300,35 @@ def _rational_coeff(c):
     return Fraction(c)
 
 
+def _blade_integrals(setup: ReflectionSetup, f: RadialExpr, g: RadialExpr,
+                     what: str, dctx: DeformedContext = None, lam=2) -> dict:
+    """Sum over the terms coeff r^s x^mono e_B of bar(f) g of coeff times the
+    sphere moment of mono, times the radial integral of the term when dctx is
+    given, collected by blade B.
+
+    The radial convergence gate runs on every term, odd ones included, before
+    odd monomials (whose sphere moments vanish) are skipped.
+    """
+    ks = axis_multiplicities(setup)
+    if ks is None:
+        raise ValueError(f"exact {what} need axis-aligned roots")
+    if dctx is not None:
+        a, q0 = dctx.par.a, 2 * setup.gamma + weight_exponent(dctx) + setup.m
+    out: dict = {}
+    for (s, mono, blade), coeff in f.bar().mul_expr(g).terms.items():
+        if dctx is not None:
+            q_total = q0 + s + sum(mono)
+            _check_convergent(a, q_total)
+        if any(e % 2 for e in mono):
+            continue
+        term = sphere_moment(setup.m, mono, ks)
+        if dctx is not None:
+            term = radial_integral(q_total, a, lam) * term
+        term = term * _rational_coeff(coeff)
+        out[blade] = out[blade] + term if blade in out else term
+    return {blade: comb for blade, comb in out.items() if not comb.is_zero()}
+
+
 def inner_product_exact(dctx: DeformedContext, f: RadialExpr, g: RadialExpr,
                         lam=2) -> dict:
     """<f, g> = int bar(f) g r^{e_h} w_k e^{-lam r^a/a} dx, blade by blade.
@@ -310,43 +339,12 @@ def inner_product_exact(dctx: DeformedContext, f: RadialExpr, g: RadialExpr,
     Raises ValueError when a <= 0 or some term, odd ones included, diverges
     at the origin.
     """
-    setup = dctx.dk.setup
-    ks = axis_multiplicities(setup)
-    if ks is None:
-        raise ValueError("exact inner products need axis-aligned roots")
-    gamma = setup.gamma
-    m = setup.m
-    eh = weight_exponent(dctx)
-    prod = f.bar().mul_expr(g)
-    out: dict = {}
-    for (s, mono, blade), coeff in prod.terms.items():
-        q_total = s + sum(mono) + 2 * gamma + eh + m
-        _check_convergent(dctx.par.a, q_total)
-        if any(e % 2 for e in mono):
-            continue
-        term = radial_integral(q_total, dctx.par.a, lam) * sphere_moment(m, mono, ks)
-        term = term * _rational_coeff(coeff)
-        if blade in out:
-            out[blade] = out[blade] + term
-        else:
-            out[blade] = term
-    return {blade: comb for blade, comb in out.items() if not comb.is_zero()}
+    return _blade_integrals(dctx.dk.setup, f, g, "inner products", dctx, lam)
 
 
 def sphere_inner_exact(setup: ReflectionSetup, f: RadialExpr, g: RadialExpr) -> dict:
     """int_S bar(f) g w_k dsigma blade by blade (r = 1 on the sphere)."""
-    ks = axis_multiplicities(setup)
-    if ks is None:
-        raise ValueError("exact sphere integrals need axis-aligned roots")
-    prod = f.bar().mul_expr(g)
-    out: dict = {}
-    for (_s, mono, blade), coeff in prod.terms.items():
-        term = sphere_moment(setup.m, mono, ks) * _rational_coeff(coeff)
-        if blade in out:
-            out[blade] = out[blade] + term
-        else:
-            out[blade] = term
-    return {blade: comb for blade, comb in out.items() if not comb.is_zero()}
+    return _blade_integrals(setup, f, g, "sphere integrals")
 
 
 def norm_constant(dctx: DeformedContext, ell: int, t: int) -> GammaComb:
@@ -378,10 +376,8 @@ def norm_constant(dctx: DeformedContext, ell: int, t: int) -> GammaComb:
 
 def mehta_constant(setup: ReflectionSetup) -> GammaComb:
     """int e^{-|x|^2/2} w_k(x) dx = 2^{mu/2 + gamma} prod Gamma(k_i + 1/2)
-    for sign-flip groups."""
+    for sign-flip groups: the radial integral at a = 2 times the sphere mass."""
     ks = axis_multiplicities(setup)
     if ks is None:
         raise ValueError("closed Macdonald-Mehta value implemented for sign-flip groups")
-    gamma = sum(ks, _ZERO)
-    return GammaComb.term(1, two_pow=Fraction(setup.mu, 2) + gamma,
-                          gnum=tuple(k + _HALF for k in ks))
+    return radial_integral(setup.mu, 2, 1) * sphere_moment(setup.m, (0,) * setup.m, ks)

@@ -206,23 +206,36 @@ def dihedral(n: int, k1, k2=None) -> ReflectionSetup:
     raise ValueError(f"I2({n}) has irrational root coordinates; only n in {{1, 2, 4}} supported")
 
 
+_ALIASES = {"z2^m": "z2", "z2m": "z2", "a": "symmetric", "b": "hyperoctahedral",
+            "i2": "dihedral"}
+
+
 def from_config(cfg: dict) -> ReflectionSetup:
-    fam = cfg["family"].lower()
-    if fam in ("z2^m", "z2", "z2m"):
-        return z2_power(int(cfg["m"]), [Fraction(k) for k in cfg["k"]]
-                        if isinstance(cfg["k"], list) else Fraction(cfg["k"]))
-    if fam in ("symmetric", "a"):
-        return symmetric(int(cfg["m"]), Fraction(cfg["k"]))
-    if fam in ("hyperoctahedral", "b"):
-        ks = cfg["k"]
-        if not isinstance(ks, list) or len(ks) != 2:
-            raise ValueError("hyperoctahedral needs k = [k_short, k_long]")
-        return hyperoctahedral(int(cfg["m"]), Fraction(ks[0]), Fraction(ks[1]))
-    if fam in ("dihedral", "i2"):
-        ks = cfg["k"]
-        ks = ks if isinstance(ks, list) else [ks]
-        return dihedral(int(cfg["n"]), *[Fraction(k) for k in ks])
-    raise ValueError(f"unknown family {cfg['family']!r}")
+    """The setup of a ``{family, m, k}`` config, the one reader of setups.
+
+    ``family`` is z2 (also z2^m), symmetric, hyperoctahedral or dihedral;
+    ``m`` is the rank, and for dihedral the order n of I2(n).  ``k`` is one
+    rational or a list of them: symmetric takes 1, hyperoctahedral 2
+    (k_short, k_long), dihedral 1 or 2, and z2 1 (for every axis) or m.
+    Raises ValueError for any other count.
+    """
+    fam = str(cfg["family"]).lower()
+    fam = _ALIASES.get(fam, fam)
+    m = int(cfg["m"])
+    ks = [Fraction(k) for k in (cfg["k"] if isinstance(cfg["k"], list) else [cfg["k"]])]
+    counts = {"z2": {1, m}, "symmetric": {1}, "hyperoctahedral": {2}, "dihedral": {1, 2}}
+    if fam not in counts:
+        raise ValueError(f"unknown family {cfg['family']!r}")
+    if len(ks) not in counts[fam]:
+        raise ValueError(f"wrong number of multiplicities ({len(ks)}); {fam} takes "
+                         f"{' or '.join(map(str, sorted(counts[fam])))}")
+    if fam == "z2":
+        return z2_power(m, ks * m if len(ks) == 1 else ks)
+    if fam == "symmetric":
+        return symmetric(m, *ks)
+    if fam == "hyperoctahedral":
+        return hyperoctahedral(m, *ks)
+    return dihedral(m, *ks)
 
 
 @lru_cache(maxsize=None)

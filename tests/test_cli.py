@@ -260,6 +260,26 @@ def test_group_summary_head_is_the_setup_config(tmp_path):
     assert from_config(head) == hyperoctahedral(2, Fraction(1, 3), Fraction(1))
 
 
+def test_dihedral_config_file_takes_its_order_from_m(tmp_path):
+    cfg = tmp_path / "i2.json"
+    cfg.write_text(json.dumps({"family": "dihedral", "m": 4, "k": ["1/2", "1/3"]}))
+    assert main(["verify-basicprops", "--config", str(cfg), "--degree", "1",
+                 "--out", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path, "verify-basicprops")
+    assert (summary["family"], summary["m"], summary["k"]) == (
+        "hyperoctahedral", 2, ["1/2", "1/3"])
+
+
+def test_config_file_with_a_non_string_family_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "family.json"
+    cfg.write_text(json.dumps({"family": 3, "m": 2, "k": "1/2"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-basicprops", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err.strip()
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "unknown family 3" in err
+
+
 def test_config_file_of_rank_zero_exits_2(tmp_path, capsys):
     cfg = tmp_path / "rank0.json"
     cfg.write_text(json.dumps({"family": "z2^m", "m": 0, "k": []}))
@@ -415,6 +435,8 @@ def test_fischer_decomposes_sampled_towers(tmp_path):
     (["transform-eigen", "--m", "4"], "--m"),
     (["a-minus2-suite", "--m", "4"], "--m"),
     (["orthogonality", "--m", "4", "--numeric"], "--m"),
+    (["verify-basicprops", "--family", "symmetric", "--m", "2", "--k", "1/2,1/3"], "--k"),
+    (["verify-basicprops", "--family", "dihedral", "--m", "4", "--k", "1/2,1/3,5"], "--k"),
 ])
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -444,6 +466,10 @@ BOUNDARY_SIZES = {
                                 "--nr", "20", "--ntheta", "16"],
     "transform-eigen": ["--t-max", "1", "--l-max", "0", "--nr", "20", "--ntheta", "16"],
     "verify-kelvin": ["--degree", "1", "--trials", "1"],
+    "a-minus2-suite": ["--degree", "1", "--j-max", "0", "--l-max", "0", "--order", "6",
+                       "--points", "1", "--nr", "20", "--ntheta", "16"],
+    "basis": ["--ell-max", "1"],
+    "kernel-residual": ["--samples", "3"],
 }
 boundary_rationals = st.one_of(st.sampled_from([0, -1, -2, 1, 2]).map(Fraction),
                                st.fractions(-6, 6, max_denominator=3))
@@ -451,23 +477,30 @@ boundary_rationals = st.one_of(st.sampled_from([0, -1, -2, 1, 2]).map(Fraction),
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(name=st.sampled_from(sorted(BOUNDARY_SIZES)), m=st.sampled_from([1, 2]),
-       k=st.sampled_from(["0", "1/2"]), a=boundary_rationals,
-       b=boundary_rationals, c=boundary_rationals)
-@example(name="orthogonality", m=2, k="0", a=Fraction(-2), b=Fraction(0), c=Fraction(-2))
-@example(name="orthogonality --numeric", m=1, k="1/2", a=Fraction(1), b=Fraction(1),
-         c=Fraction(-4, 3))
-@example(name="laguerre-table", m=2, k="0", a=Fraction(-3), b=Fraction(5, 3),
-         c=Fraction(-4, 3))
-def test_boundary_inputs_never_raise(capsys, name, m, k, a, b, c):
-    """Over a <= 0, c = -1, the singular locus and rank 1, a suite finishes
-    (exit 0 or 1) or rejects its input in one line (exit 2); at a <= 0 no
-    orthogonality row passes, since no damped integral converges there."""
+@given(name=st.sampled_from(sorted(BOUNDARY_SIZES)),
+       family=st.sampled_from(["z2", "symmetric", "hyperoctahedral", "dihedral"]),
+       m=st.sampled_from([1, 2]),
+       k=st.lists(st.sampled_from(["0", "1/2", "1/3"]), min_size=1,
+                  max_size=3).map(",".join),
+       a=boundary_rationals, b=boundary_rationals, c=boundary_rationals)
+@example(name="orthogonality", family="z2", m=2, k="0", a=Fraction(-2), b=Fraction(0),
+         c=Fraction(-2))
+@example(name="orthogonality --numeric", family="z2", m=1, k="1/2", a=Fraction(1),
+         b=Fraction(1), c=Fraction(-4, 3))
+@example(name="laguerre-table", family="z2", m=2, k="0", a=Fraction(-3),
+         b=Fraction(5, 3), c=Fraction(-4, 3))
+def test_boundary_inputs_never_raise(capsys, name, family, m, k, a, b, c):
+    """Over every family, a <= 0, c = -1, the singular locus and rank 1, a
+    suite finishes (exit 0 or 1) or rejects its input in one line (exit 2);
+    at a <= 0 no orthogonality row passes, since no damped integral converges
+    there.  Each suite gets only the flags it has."""
     suite = name.split()[0]
-    argv = [suite, *BOUNDARY_SIZES[name], "--m", str(m), "--k", k,
-            f"--a={a}", f"--b={b}"]
-    if "c" in SUITES[suite].flags:
-        argv.append(f"--c={c}")
+    spec = SUITES[suite]
+    argv = [suite, *BOUNDARY_SIZES[name], "--m", str(m)]
+    if spec.group:
+        argv += ["--family", family, "--k", k]
+    argv += [f"--{flag}={value}" for flag, value in (("a", a), ("b", b), ("c", c))
+             if flag in spec.flags]
     capsys.readouterr()
     with tempfile.TemporaryDirectory() as out:
         try:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -110,6 +111,40 @@ def test_nullspace_vectors_annihilate(data):
     for v in nullspace(A):
         assert matvec(A, v) == [Fraction(0)] * rows
         assert any(v), "kernel basis vector must be nonzero"
+
+
+def rank(A):
+    """Rank by plain Gaussian elimination over Q."""
+    M, r = [list(row) for row in A], 0
+    for c in range(len(M[0])):
+        p = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        for i in range(r + 1, len(M)):
+            f = M[i][c] / M[r][c]
+            M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        r += 1
+    return r
+
+
+@given(data=st.data())
+def test_nullspace_basis_is_primitive_and_unit_on_its_free_column(data):
+    """One primitive integer vector per free column (a column in the span of
+    the ones before it): positive there, zero at the other free columns.
+    Harmonic and monogenic bases inherit this normalization."""
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 5))
+    A = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
+    free = [j for j in range(cols)
+            if rank([row[:j + 1] for row in A]) == rank([row[:j] for row in A])]
+    basis = nullspace(A)
+    assert len(basis) == len(free)
+    for v, fc in zip(basis, free):
+        assert all(x.denominator == 1 for x in v)
+        assert gcd(*(int(x) for x in v)) == 1
+        assert v[fc] > 0
+        assert all(v[other] == 0 for other in free if other != fc)
 
 
 def test_rank_nullity_on_random_matrices():

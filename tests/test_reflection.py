@@ -198,7 +198,7 @@ def test_config_roundtrip_via_from_config():
         {"family": "z2^m", "m": 3, "k": ["1/2", "0", "2/3"]},
         {"family": "symmetric", "m": 3, "k": "1/2"},
         {"family": "hyperoctahedral", "m": 2, "k": ["1/3", "1"]},
-        {"family": "dihedral", "n": 4, "k": ["1", "1/2"]},
+        {"family": "dihedral", "m": 4, "k": ["1", "1/2"]},
     ]:
         s = from_config(cfg)
         assert from_config(s.to_config()) == s
