@@ -311,7 +311,8 @@ def _rule_cache_since(before) -> dict:
 
 
 def _inversion_rows(dk: DunklContext, inputs: list):
-    """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each input."""
+    """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each input;
+    returns the context's cache_info()."""
     dctx = DeformedContext(dk, inversion_params(dk.setup.mu))
     for f in inputs:
         yield {"relation": "I(I f) = f", "input": f.to_text(),
@@ -319,6 +320,7 @@ def _inversion_rows(dk: DunklContext, inputs: list):
         defect = dirac_via_inversion(dk, f) - dctx.dirac(f)
         yield {"relation": "I D I = D at (-2, 2 - mu, -2)",
                "input": f.to_text(), "pass": defect.is_zero()}
+    return dctx.cache_info()
 
 
 # -- the registry -------------------------------------------------------------
@@ -448,8 +450,9 @@ def cmd_verify_kelvin(args, dk):
             yield {"relation": "(a/2)^{(b-1)/2} Q T_i P = D_i",
                    "input": f.to_text(), "a": com.a, "b": com.b, "c": com.c,
                    "pass": ok}
-    yield from _inversion_rows(dk, inputs)
-    return {"degree": args.degree}
+    # the components above bypass the image caches; only I D I applies D
+    info = yield from _inversion_rows(dk, inputs)
+    return {"degree": args.degree, "image_cache": info}
 
 
 @suite("basis", "harmonic or monogenic basis dump",
@@ -516,7 +519,8 @@ def cmd_fischer(args, dk):
                    "ell": ell, "s": s,
                    "const": fischer_constant(dctx, ell, s),
                    "pass": defect.is_zero()}
-    return {"a": par.a, "b": par.b, "c": par.c}
+    return {"a": par.a, "b": par.b, "c": par.c,
+            "image_cache": dctx.cache_info()}
 
 
 @suite("laguerre-table", "psi_t coefficients with step and norm constants",
@@ -544,7 +548,8 @@ def cmd_laguerre_table(args, dk):
                 row["norm_constant"] = None
                 row["norm_note"] = str(exc)
             yield row
-    return {"a": par.a, "b": par.b, "c": par.c}
+    return {"a": par.a, "b": par.b, "c": par.c,
+            "image_cache": dctx.cache_info()}
 
 
 @suite("orthogonality", "damped towers are orthogonal with known norms",
@@ -600,7 +605,8 @@ def cmd_orthogonality(args, dk):
                         row["pass"] = row["pass"] and err <= args.tol
                     yield row
     return {"a": par.a, "b": par.b, "c": par.c, "tol": args.tol,
-            "rule_cache": _rule_cache_since(rules)}
+            "rule_cache": _rule_cache_since(rules),
+            "image_cache": dctx.cache_info()}
 
 
 @suite("transform-eigen", "transform eigenvalues on the damped towers",
@@ -641,7 +647,8 @@ def cmd_transform_eigen(args, dk):
                    "pass": bool(rel <= args.tol and resid <= args.tol)}
     return {"a": par.a, "b": par.b, "c": par.c,
             "kernel": "closed" if closed else kernel_route(setup), "tol": args.tol,
-            "rule_cache": _rule_cache_since(rules)}
+            "rule_cache": _rule_cache_since(rules),
+            "image_cache": dctx.cache_info()}
 
 
 @suite("kernel-residual", "closed kernel satisfies its first-order system",
@@ -662,7 +669,7 @@ def cmd_kernel_residual(args, _dk):
        check=_all_of(_seeds_up_to("l-max", "harmonics", 1), _sphere_rule),
        degree=3, j_max=1, l_max=1, order=28, nr=60, ntheta=64, points=5, tol=1e-6)
 def cmd_a_minus2_suite(args, dk):
-    yield from _inversion_rows(dk, _input_set(dk.m, args.degree))
+    info = yield from _inversion_rows(dk, _input_set(dk.m, args.degree))
     rng = np.random.default_rng(args.seed)
     targets = rng.uniform(0.5, 1.3, size=(args.points, dk.m))
     targets *= np.sign(rng.uniform(-1, 1, size=targets.shape))
@@ -681,7 +688,8 @@ def cmd_a_minus2_suite(args, dk):
             yield {"j": j, "l": ell, "paths_agree_err": agree,
                    "eigen_rel_err": eig,
                    "pass": agree <= args.tol and eig <= args.tol}
-    return {"kernel": kernel_route(dk.setup), "tol": args.tol}
+    return {"kernel": kernel_route(dk.setup), "tol": args.tol,
+            "image_cache": info}
 
 
 # -- the runner ---------------------------------------------------------------

@@ -14,9 +14,13 @@ D and x_a are linear, so each context applies them term by term from their
 images on unit terms: the image of r^s x^mono is built once by the
 compositional formula, the image of r^s x^mono e_B is that times e_B on the
 right (both operators multiply by Clifford elements from the left).  Each
-is stored under its term key (s, mono, B), in dicts owned by the context,
-for the context's lifetime (no eviction).  The images depend on (a, b, c)
-and on the group, so no two contexts share them.
+is stored under its term key (s, mono, B) as integer numerators over one
+denominator, in dicts owned by the context, for the context's lifetime (no
+eviction).  A call sums its input's images in integers over one common
+denominator and makes one Fraction per output term.  The terms come out in
+the order a plain Fraction sum gives them, and the float sums downstream
+add them in that order.  The images depend on (a, b, c) and on the group,
+so no two contexts share them.
 
 The components D_i stay uncached: the factorization and commutator rows of
 ``verify-factorization`` and the Kelvin rows compose them directly.  Three

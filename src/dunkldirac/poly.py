@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from operator import add
 
 from .clifford import blade_product, bar_sign, blade_indices
+from .scalars import ExactScalar
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -80,11 +81,19 @@ class _UnitImages:
     operator that multiplies by Clifford elements from the left does.  So
     the image of r^s x^mono e_blade is the image of r^s x^mono, built once
     by ``image`` and kept in ``bases``, times e_blade on the right.  It is
-    kept under its term key (s, mono, blade), as a tuple of (key id, coeff)
-    pairs with the ids indexing ``keys``.  A call sums coeff * image over
-    the terms of its input on those int ids, and maps the ids back to term
-    keys once at the end; the images are in normal form already, so nothing
-    is folded again.
+    kept under its term key (s, mono, blade) as integers over one
+    denominator, ``(den, ((id, num), ...))`` with den the lcm of the
+    image's denominators and each id indexing ``keys``.
+
+    A call puts its input coefficients and the images they meet over one
+    common denominator, sums plain ints on the ids through :func:`_acc` and
+    builds one ``Fraction(v, common)`` per output term.  The events and the
+    zero tests are those of summing coeff * image in Fractions, so the
+    output's terms come in the same order; the images are in normal form
+    already, so nothing is folded again.  An ExactScalar coefficient (one
+    base for the whole input) is split into its rational parts, one per
+    exponent q of the base, and each part sums on its own column of ids;
+    the columns are put back together as ExactScalars at the end.
     """
 
     __slots__ = ("image", "images", "bases", "ids", "keys", "lookups")
@@ -104,28 +113,58 @@ class _UnitImages:
             unit = RadialExpr(m)
             unit.terms[(s, mono, 0)] = _ONE
             base = self.bases[(s, mono)] = self.image(unit)
+        terms = base.blade_mul_right(blade).terms
+        den = lcm(*(c.denominator for c in terms.values()))
         img = []
-        for k, c in base.blade_mul_right(blade).terms.items():
+        for k, c in terms.items():
             if k not in self.ids:
                 self.ids[k] = len(self.keys)
                 self.keys.append(k)
-            img.append((self.ids[k], c))
-        self.images[key] = img = tuple(img)
+            img.append((self.ids[k], c.numerator * (den // c.denominator)))
+        self.images[key] = img = (den, tuple(img))
         return img
 
     def __call__(self, f: "RadialExpr") -> "RadialExpr":
         self.lookups += len(f.terms)
         images = self.images
-        acc: dict = {}
+        parts = []            # (image entries, numerator, denominator, column)
+        cols = {_ZERO: 0}     # exponent of the ExactScalar base -> column
+        base = None
         for key, cf in f.terms.items():
             img = images.get(key)
             if img is None:
                 img = self._build(f.m, key)
-            for i, c in img:
-                _acc(acc, i, cf * c)
+            den, entries = img
+            if isinstance(cf, ExactScalar):
+                if base is None:
+                    base = cf.base
+                elif cf.base != base:
+                    raise ValueError(f"mixed bases {base} and {cf.base}")
+                for q, c in cf.terms.items():
+                    col = cols.setdefault(q, len(cols))
+                    parts.append((entries, c.numerator, c.denominator * den, col))
+            else:
+                parts.append((entries, cf.numerator, cf.denominator * den, 0))
+        common = lcm(*(p[2] for p in parts))
+        n = len(self.keys)
+        acc: dict = {}
+        for entries, num, den, col in parts:
+            if col:
+                entries = [(col * n + i, v) for i, v in entries]
+            scale = num * (common // den)
+            for i, v in entries:
+                _acc(acc, i, scale * v)
         out = RadialExpr(f.m)
         keys = self.keys
-        out.terms = {keys[i]: c for i, c in acc.items()}
+        if base is None:
+            out.terms = {keys[i]: Fraction(v, common) for i, v in acc.items()}
+            return out
+        qs = list(cols)
+        split: dict = {}
+        for j, v in acc.items():
+            col, i = divmod(j, n)
+            split.setdefault(keys[i], {})[qs[col]] = Fraction(v, common)
+        out.terms = {k: ExactScalar._canonical(base, t) for k, t in split.items()}
         return out
 
     def info(self) -> dict:

@@ -210,6 +210,17 @@ _ALIASES = {"z2^m": "z2", "z2m": "z2", "a": "symmetric", "b": "hyperoctahedral",
             "i2": "dihedral"}
 
 
+def _exact(name: str, val) -> Fraction:
+    """val as a Fraction.  A float is refused, as an approximation, and so
+    is a bool, which Fraction would read as 0 or 1."""
+    if isinstance(val, (float, bool)):
+        raise ValueError(f"{name} = {val!r} is a {type(val).__name__}, not an exact rational")
+    try:
+        return Fraction(val)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{name} = {val!r} is not a rational") from None
+
+
 def from_config(cfg: dict) -> ReflectionSetup:
     """The setup of a ``{family, m, k}`` config, the one reader of setups.
 
@@ -217,12 +228,17 @@ def from_config(cfg: dict) -> ReflectionSetup:
     ``m`` is the rank, and for dihedral the order n of I2(n).  ``k`` is one
     rational or a list of them: symmetric takes 1, hyperoctahedral 2
     (k_short, k_long), dihedral 1 or 2, and z2 1 (for every axis) or m.
-    Raises ValueError for any other count.
+    Values are exact: ints, Fractions or strings such as "1/3".  Raises
+    ValueError for a float or bool value, a non-integer m and any other
+    count.
     """
     fam = str(cfg["family"]).lower()
     fam = _ALIASES.get(fam, fam)
-    m = int(cfg["m"])
-    ks = [Fraction(k) for k in (cfg["k"] if isinstance(cfg["k"], list) else [cfg["k"]])]
+    m = _exact("m", cfg["m"])
+    if m.denominator != 1:
+        raise ValueError(f"m = {cfg['m']!r} is not an integer")
+    m = int(m)
+    ks = [_exact("k", k) for k in (cfg["k"] if isinstance(cfg["k"], list) else [cfg["k"]])]
     counts = {"z2": {1, m}, "symmetric": {1}, "hyperoctahedral": {2}, "dihedral": {1, 2}}
     if fam not in counts:
         raise ValueError(f"unknown family {cfg['family']!r}")

@@ -72,6 +72,25 @@ def test_verify_osp_summary_records_image_cache_hits(tmp_path):
         assert counts["hits"] > 0 and counts["misses"] > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["fischer", "--ell-max", "1", "--s-max", "2", "--degree", "2", "--trials", "1"],
+    ["laguerre-table", "--t-max", "2", "--ell-max", "1"],
+    ["orthogonality", "--t-max", "1", "--ell-max", "1"],
+    ["verify-kelvin", "--degree", "1", "--trials", "1"],
+    ["transform-eigen", "--t-max", "1", "--l-max", "0", "--nr", "20",
+     "--ntheta", "16", "--tol", "1e-3"],
+    ["a-minus2-suite", "--degree", "1", "--j-max", "0", "--l-max", "0",
+     "--nr", "20", "--ntheta", "16", "--tol", "1e-3"],
+])
+def test_suites_applying_d_or_x_a_record_image_cache(tmp_path, argv):
+    """Every suite that applies D or x_a reports verify-osp's image_cache."""
+    main(argv + ["--out", str(tmp_path)])
+    cache = read_summary(tmp_path, argv[0])["image_cache"]
+    assert set(cache) == {"dirac", "x_a"}
+    assert all(set(counts) == {"hits", "misses"} for counts in cache.values())
+    assert sum(n for counts in cache.values() for n in counts.values()) > 0
+
+
 def test_verify_factorization_reports_the_commuting_line(tmp_path):
     """At the default --ms 2 3 the commutator rows cover triples on the line
     c = 2/a - 1 and, at m = 3, off it: (6, 1, 0) and (-6, 0, -2)."""
@@ -278,6 +297,37 @@ def test_config_file_with_a_non_string_family_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert exc.value.code == 2 and len(err.splitlines()) == 1
     assert "unknown family 3" in err
+
+
+@pytest.mark.parametrize("cfg, word", [
+    ({"family": "z2", "m": 2.7, "k": "1/2"}, "m = 2.7 is a float"),
+    ({"family": "z2", "m": 2, "k": 0.1}, "k = 0.1 is a float"),
+    ({"family": "z2", "m": 2, "k": [0.5, "1/3"]}, "k = 0.5 is a float"),
+    ({"family": "z2", "m": "5/2", "k": 1}, "not an integer"),
+    ({"family": "z2", "m": 2, "k": True}, "k = True is a bool"),
+    ({"family": "z2", "m": 2, "k": "1/0"}, "k = '1/0' is not a rational"),
+    ({"family": "z2", "m": 2, "k": None}, "k = None is not a rational"),
+])
+def test_config_file_with_an_inexact_value_exits_2(tmp_path, capsys, cfg, word):
+    """No float reaches the exact layer through a config file, as none does
+    through --m and --k, and a value that is no rational is named."""
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-basicprops", "--config", str(path), "--degree", "1",
+              "--out", str(tmp_path)])
+    err = capsys.readouterr().err.strip()
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert "bad config" in err and word in err
+
+
+def test_config_file_takes_ints_and_rational_strings(tmp_path):
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps({"family": "z2", "m": "2", "k": [1, "1/3"]}))
+    assert main(["verify-basicprops", "--config", str(path), "--degree", "1",
+                 "--out", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path, "verify-basicprops")
+    assert (summary["m"], summary["k"]) == (2, ["1", "1/3"])
 
 
 def test_config_file_of_rank_zero_exits_2(tmp_path, capsys):

@@ -14,8 +14,9 @@ from dunkldirac.deformed import (
 from dunkldirac.dunkl import DunklContext
 from dunkldirac.kelvin import p_map
 from dunkldirac.params import DeformParams
-from dunkldirac.poly import RadialExpr
+from dunkldirac.poly import RadialExpr, _acc
 from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
+from dunkldirac.scalars import ExactScalar
 
 from conftest import monomial_inputs, rand_fraction, random_expr
 
@@ -226,7 +227,7 @@ triples = st.tuples(fractions.filter(bool), fractions,
 
 
 @st.composite
-def group_and_expr(draw):
+def group_and_expr(draw, coeffs=fractions):
     dk = draw(st.sampled_from(GROUPS))
     m = dk.m
     keys = st.tuples(
@@ -234,7 +235,7 @@ def group_and_expr(draw):
                          Fraction(2), Fraction(5, 3)]),
         st.tuples(*[st.integers(0, 2)] * m),
         st.integers(0, (1 << m) - 1))
-    terms = draw(st.dictionaries(keys, fractions.filter(bool), min_size=1, max_size=4))
+    terms = draw(st.dictionaries(keys, coeffs.filter(bool), min_size=1, max_size=4))
     return dk, RadialExpr(m, terms)
 
 
@@ -293,3 +294,72 @@ def test_cache_info_counts_hits_and_misses_per_operator():
     ctx.x_a(f.scale(3))
     assert ctx.cache_info() == {"dirac": {"hits": 2, "misses": 2},
                                 "x_a": {"hits": 0, "misses": 2}}
+    # an ExactScalar input is split per exponent of its base, and each of
+    # its terms still counts once: two terms of two exponents each
+    two = ExactScalar(Fraction(3, 2), {0: 1, Fraction(1, 2): 1})
+    g = p_map(DeformParams(3, 0, 0), f).scale(two)
+    assert all(len(c.terms) == 2 for c in g.terms.values())
+    ctx.dirac(g)
+    ctx.dirac(g)
+    assert ctx.cache_info() == {"dirac": {"hits": 4, "misses": 4},
+                                "x_a": {"hits": 0, "misses": 2}}
+
+
+def reference_sum(ops, f) -> list:
+    """The terms of sum_t coeff_t * image_t, summed in Fractions through _acc
+    over ops' cached images in the order of f's terms."""
+    acc: dict = {}
+    for key, cf in f.terms.items():
+        den, entries = ops.images[key]
+        for i, num in entries:
+            _acc(acc, i, cf * Fraction(num, den))
+    return [(ops.keys[i], c) for i, c in acc.items()]
+
+
+over_3_5_7 = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([3, 5, 7]))
+
+
+@st.composite
+def seeded_triples(draw):
+    """(a, b, c) over the denominators 3, 5, 7, as the benchmark draws them."""
+    a = Fraction(draw(st.sampled_from([1, 2, 4, 5, 7, 8, 10, 11])), 3)
+    b = Fraction(draw(st.integers(-9, 9)), 5)
+    c = Fraction(draw(st.sampled_from([-6, -3, -1, 0, 1, 2, 5, 9, 13])), 7)
+    return DeformParams(a, b, c)
+
+
+@given(case=group_and_expr(over_3_5_7), par=seeded_triples(), scale=over_3_5_7.filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_images_sum_in_the_term_order_of_a_fraction_sum(case, par, scale):
+    """Downstream float sums (term_tables) run in term order, so D and x_a
+    must return their terms in the order of the plain Fraction sum, with no
+    coefficient stored as zero."""
+    dk, f = case
+    ctx = DeformedContext(dk, par)
+    # overlapping images with denominators 3, 5, 7 that can cancel mid-sum
+    g = f.scale(scale) + f.mul_x(1).scale(Fraction(2, 5)) - f.mul_radial(2).scale(Fraction(1, 7))
+    for ops, op in ((ctx._dirac, ctx.dirac), (ctx._x_a, ctx.x_a)):
+        for h in (f, g, op(g)):
+            got = op(h)
+            assert list(got.terms.items()) == reference_sum(ops, h)
+            assert all(got.terms.values())
+
+
+def test_exact_scalar_inputs_keep_the_term_order_of_a_plain_sum():
+    """The split per exponent of the base runs through the same loop, so
+    ExactScalar coefficients, one or two exponents each, keep the order too."""
+    par = DeformParams.commuting(Fraction(3), Fraction(1, 2))
+    ctx = DeformedContext(GROUPS[2], par)
+    for seed in range(6):
+        f = p_map(par, random_expr(random.Random(seed), 2, 2))
+        for g in (f, f + f.scale(ExactScalar.power(Fraction(3, 2), Fraction(1, 3)))):
+            for ops, op in ((ctx._dirac, ctx.dirac), (ctx._x_a, ctx.x_a)):
+                got = op(g)
+                assert list(got.terms.items()) == reference_sum(ops, g)
+                assert all(got.terms.values())
+
+
+@pytest.mark.parametrize("dk", GROUPS)
+def test_dirac_of_one_at_the_classical_triple_has_no_terms(dk):
+    ctx = DeformedContext(dk, DeformParams(2, 0, 0))
+    assert ctx.dirac(RadialExpr.scalar(dk.m, Fraction(1))).terms == {}
