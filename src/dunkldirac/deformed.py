@@ -14,13 +14,16 @@ D and x_a are linear, so each context applies them term by term from their
 images on unit terms: the image of r^s x^mono is built once by the
 compositional formula, the image of r^s x^mono e_B is that times e_B on the
 right (both operators multiply by Clifford elements from the left).  Each
-is stored under its term key (s, mono, B) as integer numerators over one
-denominator, in dicts owned by the context, for the context's lifetime (no
-eviction).  A call sums its input's images in integers over one common
-denominator and makes one Fraction per output term.  The terms come out in
-the order a plain Fraction sum gives them, and the float sums downstream
-add them in that order.  The images depend on (a, b, c) and on the group,
-so no two contexts share them.
+is stored under its int term key (n, mono, B), s = n / den on the images'
+one radial lattice, as integer numerators over one denominator, in dicts
+owned by the context, for the context's lifetime (no eviction).  That
+lattice starts at the denominator of a/2, which every shift D and x_a make
+is a multiple of, and grows with the lattices of the inputs, which are
+lifted onto it; every output sits on it.  A call sums its input's images in
+integers over one common denominator and makes one Fraction per output
+term.  The terms come out in the order a plain Fraction sum gives them, and
+the float sums downstream add them in that order.  The images depend on
+(a, b, c) and on the group, so no two contexts share them.
 
 The components D_i stay uncached: the factorization and commutator rows of
 ``verify-factorization`` and the Kelvin rows compose them directly.  Three
@@ -50,8 +53,10 @@ class DeformedContext:
         self.dk = dk
         self.par = par
         self.m = dk.m
-        self._dirac = _UnitImages(self._dirac_image)
-        self._x_a = _UnitImages(self._x_a_image)
+        # every shift either operator makes is a multiple of 1/den(a/2)
+        lattice = (par.a / 2).denominator
+        self._dirac = _UnitImages(self._dirac_image, lattice)
+        self._x_a = _UnitImages(self._x_a_image, lattice)
 
     def cache_info(self) -> dict:
         """Hits and misses of the unit-term image caches, per operator."""
@@ -152,7 +157,7 @@ class DeformedContext:
     def sum_components_squared(self, f: RadialExpr) -> RadialExpr:
         out = RadialExpr(self.m)
         for i in range(1, self.m + 1):
-            _merge(out.terms, self.dirac_component(i, self.dirac_component(i, f)).terms)
+            _merge(out, self.dirac_component(i, self.dirac_component(i, f)))
         return out
 
     def laplacian_weighted(self, f: RadialExpr) -> RadialExpr:
@@ -203,7 +208,7 @@ class DeformedContext:
                 for j in range(i + 1, self.m + 1):
                     blade = (1 << (i - 1)) | (1 << (j - 1))
                     part = tf[j - 1].mul_x(i) - tf[i - 1].mul_x(j)
-                    _merge(biv.terms, part.blade_mul_left(blade).terms)
+                    _merge(biv, part.blade_mul_left(blade))
             out = out + biv.mul_radial(2 * l - 2).scale(cx)
         return out
 

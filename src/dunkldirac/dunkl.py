@@ -17,10 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import solve_columns
-from .poly import RadialExpr, _acc, _add_term, _bump, _merge, r_squared_power
+from .poly import (RadialExpr, _acc, _add_term, _bump, _exponent, _merge, _new,
+                   r_squared_power)
 from .reflection import ReflectionSetup, reflect_monomial
-
-_ZERO = Fraction(0)
 
 
 def div_linear(poly: dict, v: tuple) -> dict:
@@ -54,13 +53,19 @@ class DunklContext:
         self.setup = setup
         self.m = setup.m
         self._t_cache: dict = {}
+        self._t_lookups = 0
         self._kernel_cache: dict = {}
+
+    def cache_info(self) -> dict:
+        """Hits and misses of :meth:`dunkl_monomial`; each miss is stored."""
+        return {"hits": self._t_lookups - len(self._t_cache), "misses": len(self._t_cache)}
 
     # -- the operators ------------------------------------------------------
 
     def dunkl_monomial(self, i: int, mono: tuple) -> dict:
         """T_i applied to the plain monomial x^mono, as a monomial->coeff map."""
         key = (i, mono)
+        self._t_lookups += 1
         cached = self._t_cache.get(key)
         if cached is not None:
             return cached
@@ -85,34 +90,35 @@ class DunklContext:
 
     def dunkl(self, i: int, f: RadialExpr) -> RadialExpr:
         """T_i f for radially shifted f (i is 1-based)."""
-        out = RadialExpr(self.m)
-        t = out.terms
-        for (s, mono, blade), c in f.terms.items():
-            if s:
-                _add_term(t, s - 2, _bump(mono, i - 1), blade, s * c)
+        den = f.den
+        t: dict = {}
+        for (n, mono, blade), c in f.terms.items():
+            if n:
+                _add_term(t, n - 2 * den, _bump(mono, i - 1), blade,
+                          _exponent(n, den) * c, den)
             for mo2, cf in self.dunkl_monomial(i, mono).items():
-                _add_term(t, s, mo2, blade, cf * c)
-        return out
+                _add_term(t, n, mo2, blade, cf * c, den)
+        return _new(self.m, den, t)
 
     def dirac(self, f: RadialExpr) -> RadialExpr:
         """sum_i e_i T_i f; squares to minus the Laplacian."""
         out = RadialExpr(self.m)
         for i in range(1, self.m + 1):
-            _merge(out.terms, self.dunkl(i, f).blade_mul_left(1 << (i - 1)).terms)
+            _merge(out, self.dunkl(i, f).blade_mul_left(1 << (i - 1)))
         return out
 
     def laplacian(self, f: RadialExpr) -> RadialExpr:
         """sum_i T_i T_i f."""
         out = RadialExpr(self.m)
         for i in range(1, self.m + 1):
-            _merge(out.terms, self.dunkl(i, self.dunkl(i, f)).terms)
+            _merge(out, self.dunkl(i, self.dunkl(i, f)))
         return out
 
     def sum_x_dunkl(self, f: RadialExpr) -> RadialExpr:
         """sum_i x_i T_i f, the radial contraction of the Dunkl gradient."""
         out = RadialExpr(self.m)
         for i in range(1, self.m + 1):
-            _merge(out.terms, self.dunkl(i, f).mul_x(i).terms)
+            _merge(out, self.dunkl(i, f).mul_x(i))
         return out
 
     def basic_props_report(self, f: RadialExpr) -> dict:
@@ -129,8 +135,8 @@ class DunklContext:
         report = {}
         total = RadialExpr(m)
         for j in range(1, m + 1):
-            _merge(total.terms, self.dunkl(j, f.mul_x(j)).terms)
-            _merge(total.terms, self.dunkl(j, f).mul_x(j).terms)
+            _merge(total, self.dunkl(j, f.mul_x(j)))
+            _merge(total, self.dunkl(j, f).mul_x(j))
         report["sum_j (x_j T_j + T_j x_j) = 2 E + mu"] = (
             total - f.euler().scale(2) - f.scale(mu))
         lap = self.laplacian(f)
@@ -166,14 +172,13 @@ class DunklContext:
         """
         setup = self.setup
         blades: dict = {}
-        for (s, mono, blade), c in f.terms.items():
+        for (s, mono, blade), c in f.rational_terms():
             if s.denominator != 1 or s < 0 or int(s) % 2:
                 raise ValueError("explicit form needs polynomial input")
             d = blades.setdefault(blade, {})
             for lift, lc in r_squared_power(self.m, int(s) // 2):
                 _acc(d, tuple(a + b for a, b in zip(mono, lift)), c * lc)
-        out = RadialExpr(self.m)
-        t = out.terms
+        t: dict = {}
         for blade, poly in blades.items():
             res: dict = {}
             for mono, c in poly.items():
@@ -201,8 +206,8 @@ class DunklContext:
                     for mono, c in quot.items():
                         _acc(res, mono, k * c)
             for mono, c in res.items():
-                _add_term(t, _ZERO, mono, blade, c)
-        return out
+                _add_term(t, 0, mono, blade, c, 1)
+        return _new(self.m, 1, t)
 
     # -- intertwining kernel ---------------------------------------------
 

@@ -58,13 +58,13 @@ def _kernel_basis(op, m: int, cols: list) -> list:
     images = [op(RadialExpr.monomial(m, mo, blade=blade)) for mo, blade in cols]
     rows: dict = {}
     for image in images:
-        for key in image.terms:
+        for key, _c in image.rational_terms():
             rows.setdefault(key, len(rows))
     if not rows:
         return [RadialExpr.monomial(m, mo, blade=blade) for mo, blade in cols]
     mat = [[Fraction(0)] * len(cols) for _ in rows]
     for j, image in enumerate(images):
-        for key, c in image.terms.items():
+        for key, c in image.rational_terms():
             mat[rows[key]][j] = c
     return [RadialExpr(m, {(0, mo, blade): c for (mo, blade), c in zip(cols, vec) if c})
             for vec in nullspace(mat)]

@@ -83,8 +83,45 @@ def spectral_eigenvalue(par: DeformParams, ell: int, t: int) -> complex:
     return (-1j) ** t * np.exp(-1j * np.pi * ell / float(par.a * (1 + par.c)))
 
 
+class PhaseTables:
+    """The phase table of the last (rule, targets) pair that
+    :func:`fourier_apply` met, and how often a lookup found it.
+
+    A table holds len(targets) * len(r) * len(dirs) complex numbers, 5.9 MB
+    for towers-closed's transforms, so one is kept and it is dropped before
+    the next is built: a second one, which would also catch transform-eigen's
+    alternation between the rules of even and odd rungs, raised that
+    workload's peak RSS by 7 %.
+    """
+
+    def __init__(self):
+        self.key = self.table = None
+        self.hits = self.misses = 0
+
+    def get(self, key, r: np.ndarray, dirs: np.ndarray, a: float,
+            scaled: np.ndarray) -> np.ndarray:
+        """The (targets x nodes) phases of the rule (r, dirs) keyed by key."""
+        if key == self.key:
+            self.hits += 1
+            return self.table
+        self.misses += 1
+        self.key = self.table = None
+        theta = np.multiply.outer(-2 / a * r ** (a / 2), dirs @ scaled.T)
+        # cos and sin of the real angle cost half a complex exp
+        phases = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=phases.real)
+        np.sin(theta, out=phases.imag)
+        phases.setflags(write=False)
+        self.key, self.table = key, phases.reshape(-1, len(scaled)).T
+        return self.table
+
+    def info(self) -> dict:
+        return {"hits": self.hits, "misses": self.misses}
+
+
 def fourier_apply(dctx: DeformedContext, psi: RadialExpr, targets: np.ndarray,
-                  n_r: int = 100, n_ang: int = 120) -> np.ndarray:
+                  n_r: int = 100, n_ang: int = 120,
+                  phases: PhaseTables = None) -> np.ndarray:
     """Transform of psi e^{-r^a/a} evaluated at target points, per blade.
 
     Returns a complex array of shape (len(targets), 2^m).  The kernel's
@@ -96,7 +133,9 @@ def fourier_apply(dctx: DeformedContext, psi: RadialExpr, targets: np.ndarray,
     lam = 1, that exponent, n_r and n_ang).  At the node r_i xi_k the
     weighted values of the class come from its radial and angular tables,
     and the phase is exp(-(2i/a) r_i^{a/2} <xi_k, y> r_y^{a/2 - 1}), so one
-    matmul contracts the grid against the targets.
+    matmul contracts the grid against the targets.  The phases depend only
+    on the rule and the targets, so calls that pass one ``phases`` share its
+    table (a fresh one by default).
     """
     par = dctx.par
     _require_kernel(par)
@@ -108,16 +147,13 @@ def fourier_apply(dctx: DeformedContext, psi: RadialExpr, targets: np.ndarray,
     r_tgt = np.sqrt(np.sum(targets * targets, axis=1))
     scaled = targets * (r_tgt ** (a / 2 - 1))[:, None]
     out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
+    phases = PhaseTables() if phases is None else phases
     for fold, part in residue_classes(psi, par.a / 2):
-        r, W, dirs, ws = tensor_rule(setup, par.a, 1, eh - par.a * par.b / 2 + fold,
-                                     n_r, n_ang)
+        extra = eh - par.a * par.b / 2 + fold
+        r, W, dirs, ws = tensor_rule(setup, par.a, 1, extra, n_r, n_ang)
         vals = grid_values(part, r, W, dirs, ws)
-        theta = np.multiply.outer(-2 / a * r ** (a / 2), dirs @ scaled.T)
-        # cos and sin of the real angle cost half a complex exp
-        phases = np.empty(theta.shape, dtype=complex)
-        np.cos(theta, out=phases.real)
-        np.sin(theta, out=phases.imag)
-        out += phases.reshape(len(vals), -1).T @ vals
+        key = (setup, par.a, extra, n_r, n_ang, scaled.tobytes())
+        out += phases.get(key, r, dirs, a, scaled) @ vals
     return out * (kernel_constant(par, setup.m) * r_tgt ** (-a * b / 2))[:, None]
 
 

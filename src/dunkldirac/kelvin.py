@@ -27,29 +27,29 @@ from .scalars import ExactScalar
 def p_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
     """P: r^s p_d -> (a/2)^{(s+d)/a} r^{b + 2s/a + (2/a - 1) d} p_d."""
     a, b = par.a, par.b
-    out = RadialExpr(f.m)
+    terms: dict = {}
     scale: dict = {}  # one power of a/2 per distinct degree s + d
-    for (s, mono, blade), coeff in f.terms.items():
+    for (s, mono, blade), coeff in f.rational_terms():
         d = sum(mono)
         if s + d not in scale:
             scale[s + d] = ExactScalar.power(a / 2, (s + d) / a)
         new_s = b + 2 * s / a + (Fraction(2) / a - 1) * d
-        out.terms[(new_s, mono, blade)] = coeff * scale[s + d]
-    return out
+        terms[(new_s, mono, blade)] = coeff * scale[s + d]
+    return RadialExpr(f.m, terms)
 
 
 def q_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
     """Q: r^s p_d -> (2/a)^{(s+d)/2} r^{-ab/2 + as/2 + (a/2 - 1) d} p_d."""
     a, b = par.a, par.b
-    out = RadialExpr(f.m)
+    terms: dict = {}
     scale: dict = {}  # one power of a/2 per distinct degree s + d
-    for (s, mono, blade), coeff in f.terms.items():
+    for (s, mono, blade), coeff in f.rational_terms():
         d = sum(mono)
         if s + d not in scale:
             scale[s + d] = ExactScalar.power(a / 2, -(s + d) / 2)
         new_s = -a * b / 2 + a * s / 2 + (a / 2 - 1) * d
-        out.terms[(new_s, mono, blade)] = coeff * scale[s + d]
-    return out
+        terms[(new_s, mono, blade)] = coeff * scale[s + d]
+    return RadialExpr(f.m, terms)
 
 
 def pq_constant(par: DeformParams) -> ExactScalar:
@@ -72,10 +72,8 @@ def intertwined_component(dctx: DeformedContext, i: int, f: RadialExpr) -> Radia
 def inversion(dk: DunklContext, f: RadialExpr) -> RadialExpr:
     """Kelvin inversion r^s p_d -> r^{2 - mu - s - 2d} p_d; an involution."""
     mu = dk.setup.mu
-    out = RadialExpr(f.m)
-    out.terms = {(2 - mu - s - 2 * sum(mono), mono, blade): coeff
-                 for (s, mono, blade), coeff in f.terms.items()}
-    return out
+    return RadialExpr(f.m, {(2 - mu - s - 2 * sum(mono), mono, blade): coeff
+                            for (s, mono, blade), coeff in f.rational_terms()})
 
 
 def inversion_params(mu) -> DeformParams:

@@ -44,7 +44,7 @@ class LaguerreTower:
     def __init__(self, dctx: DeformedContext, ell: int, monogenic: RadialExpr):
         if not dctx.dk.dirac(monogenic).is_zero():
             raise ValueError("seed is not monogenic")
-        degs = {s + sum(mono) for (s, mono, _b) in monogenic.terms}
+        degs = {s + sum(mono) for (s, mono, _b), _c in monogenic.rational_terms()}
         if degs and degs != {Fraction(ell)}:
             raise ValueError(f"seed is not homogeneous of degree {ell}")
         self.dctx = dctx

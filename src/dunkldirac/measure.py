@@ -315,7 +315,7 @@ def _blade_integrals(setup: ReflectionSetup, f: RadialExpr, g: RadialExpr,
     if dctx is not None:
         a, q0 = dctx.par.a, 2 * setup.gamma + weight_exponent(dctx) + setup.m
     out: dict = {}
-    for (s, mono, blade), coeff in f.bar().mul_expr(g).terms.items():
+    for (s, mono, blade), coeff in f.bar().mul_expr(g).rational_terms():
         if dctx is not None:
             q_total = q0 + s + sum(mono)
             _check_convergent(a, q_total)

@@ -7,12 +7,22 @@ blade bitmasks ``B`` (see :mod:`dunkldirac.clifford`).  Coefficients are
 expressions (every term with s = 0 and mono = 0) are the Clifford algebra
 Cl(0, m).
 
+The exponents live on one lattice per expression: ``den`` is a positive int
+and a term is stored under the key ``(n, mono, B)`` with s = n / den, so a
+key is a tuple of ints and every dict operation hashes it in C.  An operator
+that shifts s by a rational amount lifts the lattice to the lcm of ``den``
+and the shift's denominator, once per call (every numerator times the same
+factor, which keeps the terms in their order); operators never reduce the
+lattice.  :meth:`RadialExpr.rational_terms` hands out each exponent as a
+``Fraction`` to the readers that need the value rather than the key.
+
 Every stored term has ``mono[-1] <= 1``: a factor x_m^{2j+e} is rewritten as
 (r^2 - x_1^2 - ... - x_{m-1}^2)^j x_m^e the moment the term is written, by
 :func:`_add_term`.  This form is unique.  R[x] is free over
 R[x_1, ..., x_{m-1}, r^2] with basis {1, x_m}, and powers r^s whose exponents
 lie in different classes mod 2 are independent over the rational functions.
-So two expressions are equal exactly when their term dictionaries are, and
+On one lattice a term has one key, so two expressions are equal exactly when
+their term dictionaries are once both sit on the lcm of their lattices, and
 an expression is zero exactly when it has no terms.  Operators that change
 only ``s``, the blades or the coefficients keep the form by themselves; every
 operator that can raise the exponent of x_m writes through the helper.
@@ -67,10 +77,38 @@ def _acc(d: dict, key, val):
         del d[key]
 
 
-def _merge(d: dict, terms: dict):
-    """d += terms, entry by entry through :func:`_acc`."""
+def _lift(terms: dict, by: int) -> dict:
+    """terms with every radial numerator times by, in the same order."""
+    return {(n * by, mono, b): c for (n, mono, b), c in terms.items()}
+
+
+def _new(m: int, den: int, terms: dict) -> "RadialExpr":
+    out = RadialExpr.__new__(RadialExpr)
+    out.m, out.den, out.terms = m, den, terms
+    return out
+
+
+def _onto(out: "RadialExpr", other: "RadialExpr") -> dict:
+    """Lift out in place onto the lcm of both lattices; other's terms there."""
+    if out.den == other.den:
+        return other.terms
+    den = lcm(out.den, other.den)
+    out.terms = out._on(den)
+    out.den = den
+    return other._on(den)
+
+
+def _merge(out: "RadialExpr", other: "RadialExpr"):
+    """out += other in place, entry by entry through :func:`_acc`."""
+    terms = _onto(out, other)
+    mine = out.terms
     for key, c in terms.items():
-        _acc(d, key, c)
+        _acc(mine, key, c)
+
+
+def _exponent(n: int, den: int):
+    """n / den as an int on the unit lattice and a Fraction otherwise."""
+    return n if den == 1 else Fraction(n, den)
 
 
 class _UnitImages:
@@ -80,10 +118,16 @@ class _UnitImages:
     The operator must commute with right multiplication by blades, as every
     operator that multiplies by Clifford elements from the left does.  So
     the image of r^s x^mono e_blade is the image of r^s x^mono, built once
-    by ``image`` and kept in ``bases``, times e_blade on the right.  It is
-    kept under its term key (s, mono, blade) as integers over one
-    denominator, ``(den, ((id, num), ...))`` with den the lcm of the
-    image's denominators and each id indexing ``keys``.
+    by ``image`` and kept in ``bases``, times e_blade on the right.
+
+    Every key held here sits on one lattice ``den``: it starts as a lattice
+    that holds every shift the operator makes, so images of units on it stay
+    on it, and it grows to the lcm with each input's lattice, every stored
+    key lifted at once.  Inputs are lifted onto it, so a term has one image
+    and one id whatever lattice it arrives on, and every output sits on it.
+    An image is kept under its int term key (n, mono, blade) as integers
+    over one denominator, ``(d, ((id, num), ...))`` with d the lcm of the
+    image's coefficient denominators and each id indexing ``keys``.
 
     A call puts its input coefficients and the images they meet over one
     common denominator, sums plain ints on the ids through :func:`_acc` and
@@ -96,24 +140,34 @@ class _UnitImages:
     the columns are put back together as ExactScalars at the end.
     """
 
-    __slots__ = ("image", "images", "bases", "ids", "keys", "lookups")
+    __slots__ = ("image", "den", "images", "bases", "ids", "keys", "lookups")
 
-    def __init__(self, image):
+    def __init__(self, image, den: int = 1):
         self.image = image
+        self.den = den
         self.images: dict = {}
         self.bases: dict = {}
         self.ids: dict = {}
         self.keys: list = []
         self.lookups = 0
 
+    def _lift_to(self, den: int):
+        by = den // self.den
+        self.images = {(n * by, mono, b): img for (n, mono, b), img in self.images.items()}
+        self.bases = {(n * by, mono): base for (n, mono), base in self.bases.items()}
+        self.keys = [(n * by, mono, b) for n, mono, b in self.keys]
+        self.ids = {k: i for i, k in enumerate(self.keys)}
+        self.den = den
+
     def _build(self, m: int, key) -> tuple:
-        s, mono, blade = key
-        base = self.bases.get((s, mono))
+        n, mono, blade = key
+        base = self.bases.get((n, mono))
         if base is None:
-            unit = RadialExpr(m)
-            unit.terms[(s, mono, 0)] = _ONE
-            base = self.bases[(s, mono)] = self.image(unit)
-        terms = base.blade_mul_right(blade).terms
+            base = self.image(_new(m, self.den, {(n, mono, 0): _ONE}))
+            if self.den % base.den:
+                raise ValueError(f"image leaves the lattice 1/{self.den}")
+            base = self.bases[(n, mono)] = _new(m, self.den, base._on(self.den))
+        terms = base.blade_mul_right(blade)._on(self.den)
         den = lcm(*(c.denominator for c in terms.values()))
         img = []
         for k, c in terms.items():
@@ -126,11 +180,16 @@ class _UnitImages:
 
     def __call__(self, f: "RadialExpr") -> "RadialExpr":
         self.lookups += len(f.terms)
+        if self.den % f.den:
+            self._lift_to(lcm(self.den, f.den))
+        by = self.den // f.den
         images = self.images
         parts = []            # (image entries, numerator, denominator, column)
         cols = {_ZERO: 0}     # exponent of the ExactScalar base -> column
         base = None
         for key, cf in f.terms.items():
+            if by != 1:
+                key = (key[0] * by, key[1], key[2])
             img = images.get(key)
             if img is None:
                 img = self._build(f.m, key)
@@ -154,65 +213,76 @@ class _UnitImages:
             scale = num * (common // den)
             for i, v in entries:
                 _acc(acc, i, scale * v)
-        out = RadialExpr(f.m)
         keys = self.keys
         if base is None:
-            out.terms = {keys[i]: Fraction(v, common) for i, v in acc.items()}
-            return out
+            return _new(f.m, self.den,
+                        {keys[i]: Fraction(v, common) for i, v in acc.items()})
         qs = list(cols)
         split: dict = {}
         for j, v in acc.items():
             col, i = divmod(j, n)
             split.setdefault(keys[i], {})[qs[col]] = Fraction(v, common)
-        out.terms = {k: ExactScalar._canonical(base, t) for k, t in split.items()}
-        return out
+        return _new(f.m, self.den,
+                    {k: ExactScalar._canonical(base, t) for k, t in split.items()})
 
     def info(self) -> dict:
         """Hits and misses; nothing is evicted, so the misses are the images stored."""
         return {"hits": self.lookups - len(self.images), "misses": len(self.images)}
 
 
-def _add_term(terms: dict, s, mono: tuple, blade: int, c):
-    """Accumulate c r^s x^mono e_blade into terms in the normal form."""
+def _add_term(terms: dict, n: int, mono: tuple, blade: int, c, den: int):
+    """Accumulate c r^(n/den) x^mono e_blade into terms in the normal form."""
     e = mono[-1]
     if e < 2:
-        _acc(terms, (s, mono, blade), c)
+        _acc(terms, (n, mono, blade), c)
         return
     j, e = divmod(e, 2)
     head = mono[:-1]
     for ds, lift, lc in _fold_table(len(mono), j):
-        _acc(terms, (s + ds, (*map(add, head, lift), e), blade), c * lc)
+        _acc(terms, (n + ds * den, (*map(add, head, lift), e), blade), c * lc)
 
 
 class RadialExpr:
-    """Sparse sum of ``coeff * r^s * x^mono * e_B`` terms."""
+    """Sparse sum of ``coeff * r^s * x^mono * e_B`` terms, s = n / den."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "den", "terms")
     __hash__ = None
 
     def __init__(self, m: int, terms=None):
+        """The sum of terms {(s, mono, blade): coeff} with rational s."""
         self.m = m
+        self.den = 1
         self.terms = {}
-        for (s, mono, blade), c in (terms or {}).items():
-            _add_term(self.terms, Fraction(s), tuple(mono), blade, c)
+        if terms:
+            items = [(Fraction(s), tuple(mono), blade, c)
+                     for (s, mono, blade), c in terms.items()]
+            den = self.den = lcm(*(s.denominator for s, *_rest in items))
+            for s, mono, blade, c in items:
+                _add_term(self.terms, s.numerator * (den // s.denominator),
+                          mono, blade, c, den)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def scalar(cls, m: int, c):
-        out = cls(m)
-        if c:
-            out.terms[(_ZERO, (0,) * m, 0)] = c
-        return out
+        return _new(m, 1, {(0, (0,) * m, 0): c} if c else {})
 
     @classmethod
-    def monomial(cls, m: int, mono, coeff=Fraction(1), blade: int = 0, r_exp=_ZERO):
+    def monomial(cls, m: int, mono, coeff=Fraction(1), blade: int = 0, r_exp=0):
         return cls(m, {(r_exp, tuple(mono), blade): coeff})
 
     def copy(self):
-        out = RadialExpr(self.m)
-        out.terms = dict(self.terms)
-        return out
+        return _new(self.m, self.den, dict(self.terms))
+
+    def _on(self, den: int) -> dict:
+        """The terms on the lattice den, a multiple of self.den."""
+        return self.terms if den == self.den else _lift(self.terms, den // self.den)
+
+    def rational_terms(self):
+        """((s, mono, blade), coeff) per term in storage order, s a Fraction."""
+        den = self.den
+        for (n, mono, b), c in self.terms.items():
+            yield (Fraction(n, den), mono, b), c
 
     # -- linear structure -------------------------------------------------
 
@@ -220,27 +290,27 @@ class RadialExpr:
         if not isinstance(other, RadialExpr):
             return NotImplemented
         out = self.copy()
-        _merge(out.terms, other.terms)
+        _merge(out, other)
         return out
 
     def __sub__(self, other):
         if not isinstance(other, RadialExpr):
             return NotImplemented
         out = self.copy()
-        for key, c in other.terms.items():
-            _acc(out.terms, key, -c)
+        terms = _onto(out, other)
+        mine = out.terms
+        for key, c in terms.items():
+            _acc(mine, key, -c)
         return out
 
     def __neg__(self):
-        out = RadialExpr(self.m)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
+        return _new(self.m, self.den, {k: -c for k, c in self.terms.items()})
 
     def scale(self, factor):
-        out = RadialExpr(self.m)
-        if factor:
-            out.terms = {k: v for k, c in self.terms.items() if (v := c * factor)}
-        return out
+        if not factor:
+            return _new(self.m, self.den, {})
+        return _new(self.m, self.den,
+                    {k: v for k, c in self.terms.items() if (v := c * factor)})
 
     def __mul__(self, other):
         if isinstance(other, RadialExpr):
@@ -256,113 +326,124 @@ class RadialExpr:
         """Full product; blades multiply in Cl(0, m), left factor first."""
         if other.m != self.m:
             raise ValueError("dimension mismatch")
-        out = RadialExpr(self.m)
-        t = out.terms
-        for (s1, m1, b1), c1 in self.terms.items():
-            for (s2, m2, b2), c2 in other.terms.items():
+        den = lcm(self.den, other.den)
+        right = other._on(den).items()
+        t: dict = {}
+        for (n1, m1, b1), c1 in self._on(den).items():
+            for (n2, m2, b2), c2 in right:
                 sign, b = blade_product(b1, b2)
                 c = c1 * c2
-                _add_term(t, s1 + s2, tuple(map(add, m1, m2)), b, c if sign == 1 else -c)
-        return out
+                _add_term(t, n1 + n2, tuple(map(add, m1, m2)), b,
+                          c if sign == 1 else -c, den)
+        return _new(self.m, den, t)
+
+    def _shifted(self, ds) -> tuple:
+        """(lattice, lift factor, shift numerator) for a shift by r^ds."""
+        ds = Fraction(ds)
+        den = lcm(self.den, ds.denominator)
+        return den, den // self.den, ds.numerator * (den // ds.denominator)
 
     def mul_radial(self, ds) -> "RadialExpr":
         """Multiply by r^ds."""
-        ds = Fraction(ds)
         if not ds:
             return self
-        out = RadialExpr(self.m)
-        out.terms = {(s + ds, mono, b): c for (s, mono, b), c in self.terms.items()}
-        return out
+        den, by, sh = self._shifted(ds)
+        return _new(self.m, den,
+                    {(n * by + sh, mono, b): c for (n, mono, b), c in self.terms.items()})
 
     def mul_x(self, i: int) -> "RadialExpr":
         """Multiply by the coordinate x_i (1-based)."""
-        out = RadialExpr(self.m)
-        for (s, mono, b), c in self.terms.items():
-            _add_term(out.terms, s, _bump(mono, i - 1), b, c)
-        return out
+        den = self.den
+        t: dict = {}
+        for (n, mono, b), c in self.terms.items():
+            _add_term(t, n, _bump(mono, i - 1), b, c, den)
+        return _new(self.m, den, t)
 
-    def vector_mul_left(self, r_shift=_ZERO) -> "RadialExpr":
+    def vector_mul_left(self, r_shift=0) -> "RadialExpr":
         """Left multiplication by r^r_shift * sum_i x_i e_i."""
-        r_shift = Fraction(r_shift)
-        out = RadialExpr(self.m)
-        t = out.terms
-        for (s, mono, b), c in self.terms.items():
+        den, by, sh = self._shifted(r_shift)
+        t: dict = {}
+        for (n, mono, b), c in self.terms.items():
+            n = n * by + sh
             for i in range(self.m):
                 sign, nb = blade_product(1 << i, b)
-                _add_term(t, s + r_shift, _bump(mono, i), nb, c if sign == 1 else -c)
-        return out
+                _add_term(t, n, _bump(mono, i), nb, c if sign == 1 else -c, den)
+        return _new(self.m, den, t)
 
     def blade_mul_left(self, blade: int) -> "RadialExpr":
         """e_blade * self."""
-        out = RadialExpr(self.m)
-        for (s, mono, b), c in self.terms.items():
+        t: dict = {}
+        for (n, mono, b), c in self.terms.items():
             sign, nb = blade_product(blade, b)
-            out.terms[(s, mono, nb)] = c if sign == 1 else -c
-        return out
+            t[(n, mono, nb)] = c if sign == 1 else -c
+        return _new(self.m, self.den, t)
 
     def blade_mul_right(self, blade: int) -> "RadialExpr":
         """self * e_blade."""
-        out = RadialExpr(self.m)
-        for (s, mono, b), c in self.terms.items():
+        t: dict = {}
+        for (n, mono, b), c in self.terms.items():
             sign, nb = blade_product(b, blade)
-            out.terms[(s, mono, nb)] = c if sign == 1 else -c
-        return out
+            t[(n, mono, nb)] = c if sign == 1 else -c
+        return _new(self.m, self.den, t)
 
     def bar(self) -> "RadialExpr":
         """Main anti-involution applied to the Clifford part."""
-        out = RadialExpr(self.m)
-        out.terms = {k: (c if bar_sign(k[2]) == 1 else -c) for k, c in self.terms.items()}
-        return out
+        return _new(self.m, self.den,
+                    {k: (c if bar_sign(k[2]) == 1 else -c) for k, c in self.terms.items()})
 
     # -- differential/radial operators ----------------------------------
 
     def euler(self) -> "RadialExpr":
         """E = sum x_i d_i; each term is homogeneous of degree s + |mono|."""
-        out = RadialExpr(self.m)
-        for (s, mono, b), c in self.terms.items():
-            w = s + sum(mono)
+        den = self.den
+        t: dict = {}
+        for (n, mono, b), c in self.terms.items():
+            w = n + den * sum(mono)
             if w:
-                out.terms[(s, mono, b)] = c * w
-        return out
+                t[(n, mono, b)] = c * _exponent(w, den)
+        return _new(self.m, den, t)
 
     def partial_r(self) -> "RadialExpr":
         """Radial derivative d_r = (1/r) E per homogeneous term."""
-        out = RadialExpr(self.m)
-        for (s, mono, b), c in self.terms.items():
-            w = s + sum(mono)
+        den = self.den
+        t: dict = {}
+        for (n, mono, b), c in self.terms.items():
+            w = n + den * sum(mono)
             if w:
-                out.terms[(s - 1, mono, b)] = c * w
-        return out
+                t[(n - den, mono, b)] = c * _exponent(w, den)
+        return _new(self.m, den, t)
 
     def deriv(self, i: int) -> "RadialExpr":
         """Cartesian partial d_i, including the chain rule through r^s."""
         i -= 1
-        out = RadialExpr(self.m)
-        t = out.terms
-        for (s, mono, b), c in self.terms.items():
-            if s:
-                _add_term(t, s - 2, _bump(mono, i), b, c * s)
+        den = self.den
+        t: dict = {}
+        for (n, mono, b), c in self.terms.items():
+            if n:
+                _add_term(t, n - 2 * den, _bump(mono, i), b, c * _exponent(n, den), den)
             e = mono[i]
             if e:
-                _add_term(t, s, _bump(mono, i, -1), b, c * e)
-        return out
+                _add_term(t, n, _bump(mono, i, -1), b, c * e, den)
+        return _new(self.m, den, t)
 
     # -- structure, comparison ------------------------------------------
 
     def homogeneous_components(self) -> dict:
         """Split into Euler-homogeneous parts, keyed by degree s + |mono|."""
+        den = self.den
         parts: dict = {}
-        for (s, mono, b), c in self.terms.items():
-            h = s + sum(mono)
-            parts.setdefault(h, RadialExpr(self.m)).terms[(s, mono, b)] = c
-        return parts
+        for (n, mono, b), c in self.terms.items():
+            w = n + den * sum(mono)
+            parts.setdefault(w, {})[(n, mono, b)] = c
+        return {Fraction(w, den): _new(self.m, den, t) for w, t in parts.items()}
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
         if isinstance(other, RadialExpr):
-            return self.m == other.m and self.terms == other.terms
+            den = lcm(self.den, other.den)
+            return self.m == other.m and self._on(den) == other._on(den)
         return self.terms == RadialExpr.scalar(self.m, other).terms
 
     # -- output -----------------------------------------------------------
@@ -374,11 +455,11 @@ class RadialExpr:
         if not self.terms:
             return "0"
         bits = []
-        for (s, mono, b) in sorted(self.terms, key=lambda k: (k[0], sum(k[1]), k[1], k[2])):
-            c = self.terms[(s, mono, b)]
+        for (n, mono, b) in sorted(self.terms, key=lambda k: (k[0], sum(k[1]), k[1], k[2])):
+            c = self.terms[(n, mono, b)]
             factors = []
-            if s:
-                factors.append(f"r^({s})")
+            if n:
+                factors.append(f"r^({Fraction(n, self.den)})")
             for i, e in enumerate(mono):
                 if e == 1:
                     factors.append(f"x{i + 1}")
@@ -394,21 +475,18 @@ class RadialExpr:
         """Terms grouped by r_exp, then monomial, then blade, each sorted:
         [{"r_exp", "poly": {"monomials": [[mono, {"m", "blades":
         [[indices, coeff], ...]}], ...]}}, ...] with exact values as strings."""
-        by_s: dict = {}
-        for (s, mono, b), c in self.terms.items():
-            by_s.setdefault(s, {}).setdefault(mono, {})[b] = c
+        by_n: dict = {}
+        for (n, mono, b), c in self.terms.items():
+            by_n.setdefault(n, {}).setdefault(mono, {})[b] = c
         out = []
-        for s in sorted(by_s):
+        for n in sorted(by_n):
             monos = [[list(mono), {"m": self.m, "blades": [
                 [list(blade_indices(b)), str(c)] for b, c in sorted(blades.items())]}]
-                for mono, blades in sorted(by_s[s].items())]
-            out.append({"r_exp": str(s), "poly": {"monomials": monos}})
+                for mono, blades in sorted(by_n[n].items())]
+            out.append({"r_exp": str(Fraction(n, self.den)), "poly": {"monomials": monos}})
         return out
 
 
 def x_vector(m: int) -> RadialExpr:
     """The vector variable x = sum_i x_i e_i."""
-    out = RadialExpr(m)
-    for i in range(m):
-        out.terms[(_ZERO, _bump((0,) * m, i), 1 << i)] = Fraction(1)
-    return out
+    return _new(m, 1, {(0, _bump((0,) * m, i), 1 << i): Fraction(1) for i in range(m)})

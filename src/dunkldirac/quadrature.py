@@ -175,17 +175,17 @@ def term_tables(expr: RadialExpr, r: np.ndarray, pts: np.ndarray,
     (R * A) @ C is expr at the points.  With pts unit directions and
     homogeneous, e = s + |mono| and R[i] A[k] C is expr at r_i pts_k.
     """
-    keys = list(expr.terms)
-    exps = [s + sum(mono) if homogeneous else s for s, mono, _b in keys]
+    terms = list(expr.rational_terms())
+    exps = [s + sum(mono) if homogeneous else s for (s, mono, _b), _c in terms]
     col = {e: j for j, e in enumerate(dict.fromkeys(exps))}
     powers = np.empty((len(r), len(col)))
     for e, j in col.items():
         powers[:, j] = r ** float(e)
     R = powers[:, [col[e] for e in exps]]
-    A = power_table(pts, [mono for _s, mono, _b in keys])
-    C = np.zeros((len(keys), 1 << expr.m))
-    for t, key in enumerate(keys):
-        C[t, key[2]] = float(expr.terms[key])
+    A = power_table(pts, [mono for (_s, mono, _b), _c in terms])
+    C = np.zeros((len(terms), 1 << expr.m))
+    for t, ((_s, _mono, blade), c) in enumerate(terms):
+        C[t, blade] = float(c)
     return R, A, C
 
 
@@ -226,8 +226,8 @@ def residue_classes(expr: RadialExpr, half, by_parity: bool = True) -> list:
     """
     half = Fraction(half)
     classes: dict = {}
-    for (s, mono, blade), coeff in expr.terms.items():
-        n_v = (Fraction(s) + sum(mono)) / half
+    for (s, mono, blade), coeff in expr.rational_terms():
+        n_v = (s + sum(mono)) / half
         key = (n_v - 2 * (n_v // 2), sum(mono) % 2 if by_parity else 0)
         classes.setdefault(key, []).append((n_v, (s, mono, blade), coeff))
     out = []
@@ -240,16 +240,24 @@ def residue_classes(expr: RadialExpr, half, by_parity: bool = True) -> list:
 
 
 def integrate_expr(setup: ReflectionSetup, expr: RadialExpr, a, lam, extra=0,
-                   n_r: int = 60, n_ang: int = 80) -> np.ndarray:
-    """int expr(x) r^extra w_k e^{-lam r^a/a} dx, one entry per blade.
+                   n_r: int = 60, n_ang: int = 80) -> tuple:
+    """(int expr(x) r^extra w_k e^{-lam r^a/a} dx, its roundoff floor), each
+    with one entry per blade.
 
     Each residue class mod a (:func:`residue_classes` at half = a/2, without
     the parity split) has its lowest degree folded into the rule's weight and
-    integrates exactly, as ((W @ R) * (ws @ A)) @ C over its term tables.
+    integrates exactly, as I @ C over its term tables, with I = (W @ R) *
+    (ws @ A) the rule's integral of each unit term.  Summing n terms c_t I_t
+    in floats can be off by n eps sum_t |c_t I_t| in any order, which no
+    tolerance below it can tell from a wrong value; that floor is |I| @ |C|
+    summed over the classes, times n eps.
     """
     out = np.zeros(1 << expr.m)
+    mag = np.zeros(1 << expr.m)
     for fold, part in residue_classes(expr, Fraction(a) / 2, by_parity=False):
         r, W, dirs, ws = tensor_rule(setup, a, lam, Fraction(extra) + fold, n_r, n_ang)
         R, A, C = term_tables(part, r, dirs, True)
-        out += ((W @ R) * (ws @ A)) @ C
-    return out
+        unit = (W @ R) * (ws @ A)
+        out += unit @ C
+        mag += np.abs(unit) @ np.abs(C)
+    return out, len(expr.terms) * np.finfo(float).eps * mag

@@ -252,8 +252,8 @@ def gram_check(dctx, t_max, ell_max, tol_diag, tol_off, n_r, n_ang):
     for i, (f, ref_i) in enumerate(funcs):
         for j in range(i, len(funcs)):
             g, ref_j = funcs[j]
-            num = integrate_expr(setup, f.bar().mul_expr(g), dctx.par.a, 2,
-                                 extra=eh, n_r=n_r, n_ang=n_ang)
+            num, _floor = integrate_expr(setup, f.bar().mul_expr(g), dctx.par.a, 2,
+                                         extra=eh, n_r=n_r, n_ang=n_ang)
             if i == j:
                 err = np.abs(num - ref_i).max() / np.abs(ref_i).max()
                 assert err <= tol_diag, (dctx.par, i, err)

@@ -85,10 +85,40 @@ def test_verify_osp_summary_records_image_cache_hits(tmp_path):
 def test_suites_applying_d_or_x_a_record_image_cache(tmp_path, argv):
     """Every suite that applies D or x_a reports verify-osp's image_cache."""
     main(argv + ["--out", str(tmp_path)])
-    cache = read_summary(tmp_path, argv[0])["image_cache"]
+    summary = read_summary(tmp_path, argv[0])
+    cache = summary["image_cache"]
     assert set(cache) == {"dirac", "x_a"}
     assert all(set(counts) == {"hits", "misses"} for counts in cache.values())
     assert sum(n for counts in cache.values() for n in counts.values()) > 0
+    # and the caches of the layers below, named as the bench tracer names them
+    layers = summary["layer_caches"]
+    assert set(layers) == {"dunkl.dunkl_monomial", "reflection.reflect_monomial",
+                           "clifford.blade_product", "poly.r_squared_power"}
+    assert all(set(counts) == {"hits", "misses"} for counts in layers.values())
+    assert all(n >= 0 for counts in layers.values() for n in counts.values())
+    assert sum(layers["dunkl.dunkl_monomial"].values()) > 0
+
+
+def test_layer_caches_are_read_through_a_profiler_wrapper(tmp_path, monkeypatch):
+    """A profiler that rebinds the cached functions to plain wrappers (as
+    perfbench's tracer does) leaves the counters readable."""
+    import functools
+
+    import dunkldirac.cli as cli
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("reflect_monomial", "blade_product", "r_squared_power"):
+        monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+    assert not hasattr(cli.reflect_monomial, "cache_info")
+    assert main(["verify-osp", "--degree", "1", "--trials", "1",
+                 "--out", str(tmp_path)]) == 0
+    layers = read_summary(tmp_path, "verify-osp")["layer_caches"]
+    assert layers["clifford.blade_product"]["hits"] > 0
 
 
 def test_verify_factorization_reports_the_commuting_line(tmp_path):
@@ -172,6 +202,48 @@ def test_orthogonality_numeric_reuses_cached_rules(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     assert read_summary(tmp_path, "orthogonality")["rule_cache"]["hits"] > 0
+
+
+ORTHO_NUMERIC = ["orthogonality", "--m", "2", "--k", "1/2,3/2", "--a", "4/3",
+                 "--b", "1/3", "--c", "1/2", "--t-max", "4", "--ell-max", "2",
+                 "--numeric"]
+
+
+def test_orthogonality_numeric_rows_fail_above_their_roundoff_floor(tmp_path, monkeypatch):
+    """Off-diagonal rows pass up to max(tol, numeric_floor), and a value
+    doctored to three times that bound fails its row."""
+    assert main(ORTHO_NUMERIC + ["--out", str(tmp_path / "clean")]) == 0
+    rows = read_rows(tmp_path / "clean", "orthogonality")
+    off = [row for row in rows if (row["t"], row["ell"]) != (row["s"], row["ell2"])]
+    assert all(row["numeric_err"] <= max(1e-8, row["numeric_floor"]) for row in off)
+    assert any(row["numeric_floor"] > 1e-8 for row in off)
+
+    import dunkldirac.cli as cli
+    real = cli.integrate_expr
+
+    def doctored(*args, **kwargs):
+        num, floor = real(*args, **kwargs)
+        return num + 3 * max(1e-8, float(floor.max())), floor
+
+    monkeypatch.setattr(cli, "integrate_expr", doctored)
+    assert main(ORTHO_NUMERIC + ["--out", str(tmp_path / "bad")]) == 1
+    bad = read_rows(tmp_path / "bad", "orthogonality")
+    off = [row for row in bad if (row["t"], row["ell"]) != (row["s"], row["ell2"])]
+    assert off and all(row["pass"] is False for row in off)
+    assert all(row["numeric_err"] > max(1e-8, row["numeric_floor"]) for row in off)
+
+
+def test_transform_eigen_reuses_the_phase_table_of_a_repeated_rule(tmp_path):
+    """The closed route's 12 transforms on z2^3 meet their rules in the
+    order -2, -4/3, -2, -4/3 x 6, -2/3, -4/3, -2/3 (by folded exponent), and
+    a table is rebuilt only when the rule changes."""
+    code = main(["transform-eigen", "--family", "z2", "--m", "3", "--k", "0",
+                 "--a", "2/3", "--t-max", "3", "--l-max", "2", "--nr", "60",
+                 "--ntheta", "32", "--tol", "1e-8", "--seed", "3",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    summary = read_summary(tmp_path, "transform-eigen")
+    assert summary["phase_cache"] == {"hits": 5, "misses": 7}
 
 
 def test_transform_eigen_closed_route(tmp_path):

@@ -307,9 +307,9 @@ def test_cache_info_counts_hits_and_misses_per_operator():
 
 def reference_sum(ops, f) -> list:
     """The terms of sum_t coeff_t * image_t, summed in Fractions through _acc
-    over ops' cached images in the order of f's terms."""
+    over ops' cached images in the order of f's terms (on ops' lattice)."""
     acc: dict = {}
-    for key, cf in f.terms.items():
+    for key, cf in f._on(ops.den).items():
         den, entries = ops.images[key]
         for i, num in entries:
             _acc(acc, i, cf * Fraction(num, den))

@@ -224,7 +224,7 @@ def flat_fourier(dctx, psi, targets, n_r, n_ang):
         wts = (W[:, None] * ws[None, :]).ravel()
         r_pts = np.sqrt(np.sum(pts * pts, axis=1))
         vals = np.zeros((len(pts), 1 << setup.m))
-        for (s, mono, blade), c in part.terms.items():
+        for (s, mono, blade), c in part.rational_terms():
             vals[:, blade] += float(c) * r_pts ** float(s) * np.prod(pts ** np.array(mono), axis=1)
         phases = np.exp(-2j / a * (pts @ targets.T)
                         * np.outer(r_pts ** (a / 2 - 1), r_tgt ** (a / 2 - 1)))

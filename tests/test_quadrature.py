@@ -152,7 +152,7 @@ def test_paired_classes_fold_keeps_parts_analytic_in_v_squared():
          + RadialExpr.monomial(2, (0, 0), r_exp=Fraction(3, 2))
          + RadialExpr.monomial(2, (1, 1)))
     for fold, part in residue_classes(f, Fraction(1, 2)):
-        for (s, mono, _b), _c in part.terms.items():
+        for (s, mono, _b), _c in part.rational_terms():
             n_v = (Fraction(s)) / Fraction(1, 2)
             assert (n_v + sum(mono)) % 2 == 0
 
@@ -169,8 +169,8 @@ def test_integrate_expr_matches_exact_inner_products():
         exact = inner_product_exact(ctx, f, g)
         from dunkldirac.measure import weight_exponent
         prod = f.bar().mul_expr(g)
-        got = integrate_expr(dk.setup, prod, a, 2,
-                             extra=weight_exponent(ctx), n_r=40, n_ang=48)
+        got, _floor = integrate_expr(dk.setup, prod, a, 2,
+                                     extra=weight_exponent(ctx), n_r=40, n_ang=48)
         for blade in range(4):
             want = float(exact[blade].numeric()) if blade in exact else 0.0
             np.testing.assert_allclose(got[blade], want, rtol=1e-10,
@@ -181,7 +181,7 @@ def test_integrate_expr_handles_m3_and_m1():
     # m = 3 symmetric-group weight: pure Gaussian moment int r^2 e^{-r^2/2}
     setup = symmetric(3, Fraction(0))
     f = RadialExpr.monomial(3, (0, 0, 0), r_exp=2)
-    got = integrate_expr(setup, f, 2, 1, n_r=30, n_ang=30)
+    got, _floor = integrate_expr(setup, f, 2, 1, n_r=30, n_ang=30)
     exact = float((radial_integral(5, 2, lam=1)
                    * sphere_moment(3, (0, 0, 0))).numeric())
     np.testing.assert_allclose(got[0], exact, rtol=1e-10)
@@ -189,7 +189,7 @@ def test_integrate_expr_handles_m3_and_m1():
     # r^2, so the radial exponent is 2 + 2 gamma + (m - 1) = 3, i.e. Q = 4
     line = z2_power(1, [Fraction(1, 2)])
     f1 = RadialExpr.monomial(1, (2,))
-    got1 = integrate_expr(line, f1, 2, 1, n_r=30, n_ang=2)
+    got1, _floor = integrate_expr(line, f1, 2, 1, n_r=30, n_ang=2)
     exact1 = float((radial_integral(Fraction(4), 2, lam=1)
                     * sphere_moment(1, (0,), [Fraction(1, 2)])).numeric())
     np.testing.assert_allclose(got1[0], exact1, rtol=1e-10)
@@ -211,7 +211,7 @@ def flat_values(expr, pts):
     """expr at each point, one column per blade, one numpy power per factor."""
     out = np.zeros((len(pts), 1 << expr.m))
     r = np.sqrt(np.sum(pts * pts, axis=1))
-    for (s, mono, blade), c in expr.terms.items():
+    for (s, mono, blade), c in expr.rational_terms():
         out[:, blade] += float(c) * r ** float(s) * np.prod(pts ** np.array(mono), axis=1)
     return out
 
@@ -246,7 +246,7 @@ def setup_and_expr(draw):
 @settings(max_examples=40, deadline=None)
 def test_separable_integral_equals_the_flat_grid_sum(case, a, lam):
     setup, expr = case
-    got = integrate_expr(setup, expr, a, lam, n_r=12, n_ang=10)
+    got, _floor = integrate_expr(setup, expr, a, lam, n_r=12, n_ang=10)
     want = np.zeros(1 << setup.m)
     scale = np.zeros(1 << setup.m)
     for fold, part in residue_classes(expr, a / 2, by_parity=False):
