@@ -33,11 +33,17 @@ print("w            =", w.to_text())
 print("bar(w)       =", w.bar().to_text())
 print("bar(w) w     =", (w.bar() * w).to_text())
 
-# Scalars can hold rational powers exactly: (2)^(1/2) stays symbolic,
-# and eighth powers of it collapse back to integers.
+# One exact scalar ring holds every constant: sums of
+# c * (a/2)^q * 2^p * Gamma(n)... / Gamma(d)...  Powers of 2 stay symbolic
+# until they are whole, and so do powers of the base a/2 (here a = 4/3).
 s = ExactScalar.power(2, Fraction(1, 2))
 print("sqrt(2)^2    =", s * s)
 print("sqrt(2)^3    =", s * s * s)
+t = ExactScalar.power(Fraction(2, 3), Fraction(1, 3))   # (a/2)^(1/3)
+print("t^4          =", t * t * t * t)
+# Gamma arguments reduce to (0, 1]: Gamma(7/2) = (15/8) Gamma(1/2).
+g = ExactScalar.term(1, gnum=(Fraction(7, 2),), gden=(Fraction(1, 3),))
+print("G(7/2)/G(1/3)=", g, "~", float(g))
 
 # RadialExpr: Clifford-valued polynomials with radial shifts r^q.
 # The vector variable x = sum x_i e_i squares to -r^2.

@@ -64,8 +64,8 @@ from .fourier import (PhaseTables, damped_values, fourier_apply,
 from .kelvin import (dirac_via_inversion, intertwined_component, inversion,
                      inversion_params, p_map, pq_constant, q_map)
 from .laguerre import LaguerreTower
-from .measure import (inner_product_exact, norm_constant, sphere_inner_exact,
-                      weight_exponent)
+from .measure import (axis_multiplicities, inner_product_exact, norm_constant,
+                      sphere_inner_exact, weight_exponent)
 from .params import DeformParams
 from .poly import RadialExpr, r_squared_power
 from .quadrature import integrate_expr, rule_cache_info
@@ -177,6 +177,17 @@ def _sphere_rule(args, setup):
     if setup.m > 3 and getattr(args, "numeric", True):
         raise BadInput(f"rank m = {setup.m}: the quadrature's sphere rule "
                        "covers m <= 3 only; lower --m")
+
+
+def _exact_sphere(args, setup):
+    """Check for basis --gram: exact sphere integrals need a sign-flip group
+    whose weight is integrable on the sphere (every k_i > -1/2)."""
+    ks = axis_multiplicities(setup) if args.gram else []
+    if ks is None:
+        raise BadInput(f"--gram: exact sphere integrals need axis-aligned roots, "
+                       f"and {setup.name} has roots off the axes")
+    if any(k <= Fraction(-1, 2) for k in ks):
+        raise BadInput("--gram: the sphere weight diverges where some k <= -1/2")
 
 
 def _all_of(*checks) -> Callable:
@@ -475,7 +486,7 @@ def cmd_verify_kelvin(args, dk):
     return {"degree": args.degree, "image_cache": info}
 
 
-@suite("basis", "harmonic or monogenic basis dump",
+@suite("basis", "harmonic or monogenic basis dump", check=_exact_sphere,
        kind=("monogenic", "harmonic"), ell_max=3, gram=False)
 def cmd_basis(args, dk):
     build, op = ((monogenic_basis, dk.dirac) if args.kind == "monogenic"
@@ -614,8 +625,14 @@ def cmd_orthogonality(args, dk):
                            "pass": got == want}
                     if args.numeric:
                         prod = f.bar().mul_expr(g)
-                        num, floor = integrate_expr(setup, prod, par.a, 2, eh,
-                                                    args.nr, args.ntheta)
+                        try:
+                            num, floor = integrate_expr(setup, prod, par.a, 2, eh,
+                                                        args.nr, args.ntheta)
+                        except ValueError as exc:
+                            del row["pass"]
+                            row["excluded"] = f"numeric part: {exc}"
+                            yield row
+                            continue
                         ref = np.zeros(1 << setup.m)
                         for bl, comb in got.items():
                             ref[bl] = float(comb)
@@ -655,11 +672,15 @@ def cmd_transform_eigen(args, dk):
         for t in range(args.t_max + 1):
             start = time.perf_counter()
             psi = tower.psi(t)
-            if closed:
-                got = fourier_apply(dctx, psi, targets, args.nr, args.ntheta, phases)
-            else:
-                got = deformed_transform(dctx, psi, targets, args.order,
-                                         args.nr, args.ntheta)
+            try:
+                if closed:
+                    got = fourier_apply(dctx, psi, targets, args.nr, args.ntheta, phases)
+                else:
+                    got = deformed_transform(dctx, psi, targets, args.order,
+                                             args.nr, args.ntheta)
+            except ValueError as exc:
+                yield {"t": t, "l": ell, "excluded": f"numeric part: {exc}"}
+                continue
             ref = damped_values(dctx, psi, targets)
             lam, resid = measured_eigenvalue(ref, got)
             want = spectral_eigenvalue(par, ell, t)
@@ -702,10 +723,14 @@ def cmd_a_minus2_suite(args, dk):
         for ell in range(args.l_max + 1):
             g = inversion(dk, eigenfunction(dk, j, ell,
                                             harmonic_basis(dk, ell)[0]))
-            one = transform_inverted(dk, g, targets, args.order,
-                                     args.nr, args.ntheta)
-            two = transform_inverted_direct(dk, g, targets, args.order,
-                                            args.nr, args.ntheta)
+            try:
+                one = transform_inverted(dk, g, targets, args.order,
+                                         args.nr, args.ntheta)
+                two = transform_inverted_direct(dk, g, targets, args.order,
+                                                args.nr, args.ntheta)
+            except ValueError as exc:
+                yield {"j": j, "l": ell, "excluded": f"numeric part: {exc}"}
+                continue
             ref = inverted_damped_values(dk, g, targets)
             scale = float(np.max(np.abs(ref)))
             agree = float(np.max(np.abs(one - two))) / scale

@@ -264,7 +264,11 @@ class DunklContext:
                 cols = []
                 for ym in ymonos:
                     cols.append([rhs.get((mo, ym), Fraction(0)) for mo in orbit])
-                sols = solve_columns(mat, cols)
+                try:
+                    sols = solve_columns(mat, cols)
+                except ValueError as exc:  # a singular multiplicity
+                    raise type(exc)(f"kernel series: {exc} at order {n} with multiplicities "
+                                    f"{', '.join(map(str, dict.fromkeys(setup.mults)))}") from None
                 for ci, ym in enumerate(ymonos):
                     for t, mo in enumerate(orbit):
                         if sols[ci][t]:

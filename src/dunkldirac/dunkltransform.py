@@ -41,7 +41,7 @@ from .laguerre import laguerre_poly
 from .measure import axis_multiplicities, mehta_constant
 from .poly import RadialExpr
 from .quadrature import (evaluate, grid_values, power_table, residue_classes,
-                         tensor_points, tensor_rule, weighted_grid)
+                         tensor_points, tensor_rule)
 from .reflection import ReflectionSetup
 from .scalars import ExactScalar
 
@@ -85,13 +85,9 @@ def kernel_matrix(dk: DunklContext, X: np.ndarray, Y: np.ndarray,
     return _bessel_kernel(axis_multiplicities(dk.setup), X, Y)
 
 
-def normalization(setup: ReflectionSetup, n_r: int = 60, n_ang: int = 64) -> float:
-    """c_k = int e^{-|x|^2/2} w_k dx; closed product where known, else the grid."""
-    try:
-        return float(mehta_constant(setup).numeric())
-    except ValueError:
-        _pts, wts = weighted_grid(setup, 2, 1, 0, n_r, n_ang)
-        return float(np.sum(wts))
+def normalization(setup: ReflectionSetup) -> float:
+    """c_k = int e^{-|x|^2/2} w_k dx, closed; ValueError where it diverges."""
+    return float(mehta_constant(setup))
 
 
 def transform_values(dk: DunklContext, f: RadialExpr, targets: np.ndarray,
@@ -109,7 +105,7 @@ def transform_values(dk: DunklContext, f: RadialExpr, targets: np.ndarray,
         r, W, dirs, ws = tensor_rule(setup, 2, 1, fold, n_r, n_ang)
         M = kernel_matrix(dk, tensor_points(r, dirs), targets, order)
         out += M.T @ grid_values(part, r, W, dirs, ws)
-    return out / normalization(setup, n_r, n_ang)
+    return out / normalization(setup)
 
 
 def eigenfunction(dk: DunklContext, j: int, ell: int,
@@ -177,7 +173,7 @@ def transform_inverted_direct(dk: DunklContext, g: RadialExpr, targets: np.ndarr
         r, W, dirs, ws = tensor_rule(setup, 2, 1, 2 - mu - fold, n_r, n_ang)
         M = kernel_matrix(dk, tensor_points(r, dirs), inv_targets, order)
         out += M.T @ grid_values(part, 1 / r, W, dirs, ws)
-    out /= normalization(setup, n_r, n_ang)
+    out /= normalization(setup)
     return out * (r2t ** ((2 - float(mu)) / 2))[:, None]
 
 

@@ -93,12 +93,10 @@ def fischer_constant(dctx: DeformedContext, ell: int, s: int) -> Fraction:
     The odd constants vanish exactly on the singular locus gamma_ell/a in
     {0, -1, -2, ...}.
     """
-    p = dctx.par
     if s <= 0:
         return Fraction(0)
-    if s % 2 == 0:
-        return -(1 + p.c) * p.a * Fraction(s // 2)
-    return -(1 + p.c) * (dctx.gamma_ell(ell) + p.a * ((s - 1) // 2))
+    half, odd = divmod(s, 2)
+    return -(1 + dctx.par.c) * (dctx.gamma_ell(ell) * odd + dctx.par.a * half)
 
 
 def fischer_tower(dctx: DeformedContext, monogenic: RadialExpr, ell: int,

@@ -7,8 +7,8 @@ constant (2/a)^{b/2}, and on the commuting line c = 2/a - 1 they conjugate
 the Dunkl Dirac operator into the deformed one.  The Kelvin-type inversion
 handles a = -2, the one negative exponent the family reaches.
 
-All prefactors are powers of a/2; (2/a)^x is stored as (a/2)^{-x} so scalars
-from both maps live in one exact ring.
+All prefactors are powers of a/2, (2/a)^x stored as (a/2)^{-x}: ExactScalars
+in the base a/2, the ring the norms of :mod:`dunkldirac.measure` live in.
 """
 
 from __future__ import annotations
@@ -24,32 +24,30 @@ from .poly import RadialExpr
 from .scalars import ExactScalar
 
 
-def p_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
-    """P: r^s p_d -> (a/2)^{(s+d)/a} r^{b + 2s/a + (2/a - 1) d} p_d."""
-    a, b = par.a, par.b
+def _rescale(f: RadialExpr, a, power, new_s) -> RadialExpr:
+    """r^s p_d -> (a/2)^{power(s + d)} r^{new_s(s, d)} p_d, term by term."""
     terms: dict = {}
     scale: dict = {}  # one power of a/2 per distinct degree s + d
     for (s, mono, blade), coeff in f.rational_terms():
         d = sum(mono)
         if s + d not in scale:
-            scale[s + d] = ExactScalar.power(a / 2, (s + d) / a)
-        new_s = b + 2 * s / a + (Fraction(2) / a - 1) * d
-        terms[(new_s, mono, blade)] = coeff * scale[s + d]
+            scale[s + d] = ExactScalar.power(a / 2, power(s + d))
+        terms[(new_s(s, d), mono, blade)] = coeff * scale[s + d]
     return RadialExpr(f.m, terms)
+
+
+def p_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
+    """P: r^s p_d -> (a/2)^{(s+d)/a} r^{b + 2s/a + (2/a - 1) d} p_d."""
+    a, b = par.a, par.b
+    return _rescale(f, a, lambda w: w / a,
+                    lambda s, d: b + 2 * s / a + (Fraction(2) / a - 1) * d)
 
 
 def q_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
     """Q: r^s p_d -> (2/a)^{(s+d)/2} r^{-ab/2 + as/2 + (a/2 - 1) d} p_d."""
     a, b = par.a, par.b
-    terms: dict = {}
-    scale: dict = {}  # one power of a/2 per distinct degree s + d
-    for (s, mono, blade), coeff in f.rational_terms():
-        d = sum(mono)
-        if s + d not in scale:
-            scale[s + d] = ExactScalar.power(a / 2, -(s + d) / 2)
-        new_s = -a * b / 2 + a * s / 2 + (a / 2 - 1) * d
-        terms[(new_s, mono, blade)] = coeff * scale[s + d]
-    return RadialExpr(f.m, terms)
+    return _rescale(f, a, lambda w: -w / 2,
+                    lambda s, d: -a * b / 2 + a * s / 2 + (a / 2 - 1) * d)
 
 
 def pq_constant(par: DeformParams) -> ExactScalar:

@@ -10,9 +10,10 @@ two against each other.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .deformed import DeformedContext
-from .fischer import null_solution
+from .fischer import fischer_constant, null_solution
 from .poly import RadialExpr
 
 
@@ -24,13 +25,7 @@ def laguerre_poly(n: int, alpha) -> list:
         top = Fraction(1)
         for t in range(i + 1, n + 1):
             top *= alpha + t
-        fact_i = Fraction(1)
-        for t in range(2, i + 1):
-            fact_i *= t
-        fact_ni = Fraction(1)
-        for t in range(2, n - i + 1):
-            fact_ni *= t
-        coeffs.append((-1) ** i * top / (fact_i * fact_ni))
+        coeffs.append((-1) ** i * top / (factorial(i) * factorial(n - i)))
     return coeffs
 
 
@@ -70,20 +65,10 @@ class LaguerreTower:
         dctx = self.dctx
         p = dctx.par
         g_over_a = dctx.gamma_ell(self.ell) / p.a
-        half = t // 2
-        fact = Fraction(1)
-        for j in range(2, half + 1):
-            fact *= j
-        if t % 2 == 0:
-            alpha = g_over_a - 1
-            pref = Fraction(2) ** (2 * half) * (1 + p.c) ** (2 * half) * fact \
-                * (p.a / 2) ** half
-            core = self.base
-        else:
-            alpha = g_over_a
-            pref = -(Fraction(2) ** (2 * half + 1)) * (1 + p.c) ** (2 * half + 1) \
-                * fact * (p.a / 2) ** half
-            core = dctx.x_a(self.base)
+        half, odd = divmod(t, 2)
+        alpha = g_over_a - 1 + odd
+        pref = (-2 * (1 + p.c)) ** t * factorial(half) * (p.a / 2) ** half
+        core = dctx.x_a(self.base) if odd else self.base
         out = RadialExpr(dctx.m)
         z = Fraction(2) / p.a
         for i, coeff in enumerate(laguerre_poly(half, alpha)):
@@ -93,14 +78,11 @@ class LaguerreTower:
 
     def step_constant(self, t: int) -> Fraction:
         """D psi_t = step_constant(t) * psi_{t-1}; also the constant in the
-        second-order relation D^2 psi - 2(1+c) x_a D psi = step_constant psi."""
-        p = self.dctx.par
-        if t <= 0:
-            return Fraction(0)
-        g = self.dctx.gamma_ell(self.ell)
-        if t % 2 == 0:
-            return 2 * (1 + p.c) ** 2 * p.a * (t // 2)
-        return 2 * (1 + p.c) ** 2 * (g + p.a * ((t - 1) // 2))
+        second-order relation D^2 psi - 2(1+c) x_a D psi = step_constant psi.
+
+        It is -2(1+c) times the one-step constant of x_a^t on the same seed.
+        """
+        return -2 * (1 + self.dctx.par.c) * fischer_constant(self.dctx, self.ell, t)
 
     def oscillator_constant(self, t: int) -> Fraction:
         """(e^{u} D e^{-u})^2 - (1+c)^2 x_a^2 acts on psi_t by this scalar,

@@ -3,7 +3,8 @@
 A :class:`RadialExpr` is a finite sum of terms ``coeff * r^s * x^mono * e_B``
 with rational radial exponents ``s``, monomials ``x^mono`` in m variables, and
 blade bitmasks ``B`` (see :mod:`dunkldirac.clifford`).  Coefficients are
-``Fraction`` or :class:`~dunkldirac.scalars.ExactScalar`.  The constant
+``Fraction`` or, past the P/Q maps, :class:`~dunkldirac.scalars.ExactScalar`
+(powers of a/2), the package's one exact scalar ring.  The constant
 expressions (every term with s = 0 and mono = 0) are the Clifford algebra
 Cl(0, m).
 
@@ -36,9 +37,8 @@ from math import comb, lcm
 from operator import add
 
 from .clifford import blade_product, bar_sign, blade_indices
-from .scalars import ExactScalar
+from .scalars import RATIONAL, ExactScalar
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -134,10 +134,11 @@ class _UnitImages:
     builds one ``Fraction(v, common)`` per output term.  The events and the
     zero tests are those of summing coeff * image in Fractions, so the
     output's terms come in the same order; the images are in normal form
-    already, so nothing is folded again.  An ExactScalar coefficient (one
-    base for the whole input) is split into its rational parts, one per
-    exponent q of the base, and each part sums on its own column of ids;
-    the columns are put back together as ExactScalars at the end.
+    already, so nothing is folded again.  An ExactScalar coefficient is
+    split into its rational parts, one per term key of the scalar, and each
+    part sums on its own column of ids; the columns are put back together
+    as ExactScalars at the end, in the base of the inputs that carry a power
+    of one (two such bases raise ValueError).
     """
 
     __slots__ = ("image", "den", "images", "bases", "ids", "keys", "lookups")
@@ -185,8 +186,8 @@ class _UnitImages:
         by = self.den // f.den
         images = self.images
         parts = []            # (image entries, numerator, denominator, column)
-        cols = {_ZERO: 0}     # exponent of the ExactScalar base -> column
-        base = None
+        cols = {RATIONAL: 0}  # term key of an ExactScalar -> column
+        scalars, base = False, None
         for key, cf in f.terms.items():
             if by != 1:
                 key = (key[0] * by, key[1], key[2])
@@ -195,12 +196,13 @@ class _UnitImages:
                 img = self._build(f.m, key)
             den, entries = img
             if isinstance(cf, ExactScalar):
-                if base is None:
-                    base = cf.base
-                elif cf.base != base:
-                    raise ValueError(f"mixed bases {base} and {cf.base}")
-                for q, c in cf.terms.items():
-                    col = cols.setdefault(q, len(cols))
+                scalars = True
+                if cf.base != base and (powered := cf.powered_base()) is not None:
+                    if base is not None:
+                        raise ValueError(f"mixed bases {base} and {powered}")
+                    base = powered
+                for tk, c in cf.terms.items():
+                    col = cols.setdefault(tk, len(cols))
                     parts.append((entries, c.numerator, c.denominator * den, col))
             else:
                 parts.append((entries, cf.numerator, cf.denominator * den, 0))
@@ -214,14 +216,14 @@ class _UnitImages:
             for i, v in entries:
                 _acc(acc, i, scale * v)
         keys = self.keys
-        if base is None:
+        if not scalars:
             return _new(f.m, self.den,
                         {keys[i]: Fraction(v, common) for i, v in acc.items()})
-        qs = list(cols)
+        tks = list(cols)
         split: dict = {}
         for j, v in acc.items():
             col, i = divmod(j, n)
-            split.setdefault(keys[i], {})[qs[col]] = Fraction(v, common)
+            split.setdefault(keys[i], {})[tks[col]] = Fraction(v, common)
         return _new(f.m, self.den,
                     {k: ExactScalar._canonical(base, t) for k, t in split.items()})
 

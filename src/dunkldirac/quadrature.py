@@ -137,16 +137,6 @@ def tensor_points(r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return (r[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
 
 
-def weighted_grid(setup: ReflectionSetup, a, lam, extra=0, n_r: int = 60,
-                  n_ang: int = 80):
-    """Points and weights with sum f(p_i) w_i ~ int f(x) r^extra w_k(x) e^{-lam r^a/a} dx.
-
-    The flattened product of :func:`tensor_rule`; f is evaluated bare.
-    """
-    r, W, dirs, ws = tensor_rule(setup, a, lam, extra, n_r, n_ang)
-    return tensor_points(r, dirs), np.outer(W, ws).ravel()
-
-
 def power_table(pts: np.ndarray, monos) -> np.ndarray:
     """pts^mono for every row and monomial, shape (len(pts), len(monos)).
 

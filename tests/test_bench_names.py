@@ -1,10 +1,11 @@
 """The bench harness's named functions and caches exist in ``src``.
 
-perfbench's tracer wraps the public functions and methods of each dunkldirac
-module, then looks up every ``INCLUSIVE`` entry among the wrapped names and
-reads ``cache_info()`` of every ``CACHES`` entry.  A renamed, moved or made
-private function fails the traced run there, so these tests check both
-tables against ``src``.  They only read ``perfbench/tracer.py``.
+perfbench's tracer imports each module of its ``MODULES`` list and wraps its
+public functions and methods, then looks up every ``INCLUSIVE`` entry among
+the wrapped names and reads ``cache_info()`` of every ``CACHES`` entry.  A
+removed module or a renamed, moved or made private function fails the traced
+run there, so these tests check the list and both tables against ``src``.
+They only read ``perfbench/tracer.py``.
 """
 
 import importlib
@@ -33,6 +34,13 @@ def test_named_function_is_public_in_its_module(module, qualname):
     assert module in tracer.MODULES
     assert not any(part.startswith("_") for part in qualname.split("."))
     assert inspect.unwrap(resolve(module, qualname)).__module__ == f"dunkldirac.{module}"
+
+
+@pytest.mark.parametrize("module", tracer.MODULES)
+def test_traced_module_imports(module):
+    """A traced run imports every module the tracer lists; a removed or
+    renamed one would fail only there."""
+    assert importlib.import_module(f"dunkldirac.{module}").__name__ == f"dunkldirac.{module}"
 
 
 @pytest.mark.parametrize("key", sorted(tracer.CACHES))

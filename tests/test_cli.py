@@ -591,6 +591,7 @@ BOUNDARY_SIZES = {
     "a-minus2-suite": ["--degree", "1", "--j-max", "0", "--l-max", "0", "--order", "6",
                        "--points", "1", "--nr", "20", "--ntheta", "16"],
     "basis": ["--ell-max", "1"],
+    "basis --gram": ["--ell-max", "1", "--gram"],
     "kernel-residual": ["--samples", "3"],
 }
 boundary_rationals = st.one_of(st.sampled_from([0, -1, -2, 1, 2]).map(Fraction),
@@ -602,7 +603,7 @@ boundary_rationals = st.one_of(st.sampled_from([0, -1, -2, 1, 2]).map(Fraction),
 @given(name=st.sampled_from(sorted(BOUNDARY_SIZES)),
        family=st.sampled_from(["z2", "symmetric", "hyperoctahedral", "dihedral"]),
        m=st.sampled_from([1, 2]),
-       k=st.lists(st.sampled_from(["0", "1/2", "1/3"]), min_size=1,
+       k=st.lists(st.sampled_from(["0", "1/2", "1/3", "-1/2"]), min_size=1,
                   max_size=3).map(",".join),
        a=boundary_rationals, b=boundary_rationals, c=boundary_rationals)
 @example(name="orthogonality", family="z2", m=2, k="0", a=Fraction(-2), b=Fraction(0),
@@ -611,6 +612,19 @@ boundary_rationals = st.one_of(st.sampled_from([0, -1, -2, 1, 2]).map(Fraction),
          b=Fraction(1), c=Fraction(-4, 3))
 @example(name="laguerre-table", family="z2", m=2, k="0", a=Fraction(-3),
          b=Fraction(5, 3), c=Fraction(-4, 3))
+# singular or divergent multiplicities: the kernel series has no solution,
+# the radial rule diverges at the origin, the circle rule's Jacobi exponent
+# leaves (-1, oo); and exact sphere integrals off the axes
+@example(name="transform-eigen", family="symmetric", m=2, k="-1/2", a=Fraction(2),
+         b=Fraction(0), c=Fraction(0))
+@example(name="a-minus2-suite", family="hyperoctahedral", m=2, k="-1/2,1/3",
+         a=Fraction(2), b=Fraction(0), c=Fraction(0))
+@example(name="a-minus2-suite", family="dihedral", m=2, k="-1/2", a=Fraction(2),
+         b=Fraction(0), c=Fraction(0))
+@example(name="orthogonality --numeric", family="z2", m=2, k="-1/2,1/3",
+         a=Fraction(2), b=Fraction(0), c=Fraction(0))
+@example(name="basis --gram", family="symmetric", m=3, k="1/2", a=Fraction(2),
+         b=Fraction(0), c=Fraction(0))
 def test_boundary_inputs_never_raise(capsys, name, family, m, k, a, b, c):
     """Over every family, a <= 0, c = -1, the singular locus and rank 1, a
     suite finishes (exit 0 or 1) or rejects its input in one line (exit 2);
@@ -620,7 +634,7 @@ def test_boundary_inputs_never_raise(capsys, name, family, m, k, a, b, c):
     spec = SUITES[suite]
     argv = [suite, *BOUNDARY_SIZES[name], "--m", str(m)]
     if spec.group:
-        argv += ["--family", family, "--k", k]
+        argv += ["--family", family, f"--k={k}"]
     argv += [f"--{flag}={value}" for flag, value in (("a", a), ("b", b), ("c", c))
              if flag in spec.flags]
     capsys.readouterr()

@@ -99,11 +99,11 @@ def test_normalization_matches_the_closed_constant():
     np.testing.assert_allclose(normalization(setup), exact, rtol=1e-12)
 
 
-def test_normalization_grid_fallback_for_off_axis_groups():
+def test_normalization_is_closed_for_off_axis_groups():
     from dunkldirac.reflection import symmetric
     import mpmath
     setup = symmetric(2, Fraction(1))
-    got = normalization(setup, n_r=50, n_ang=64)
+    got = normalization(setup)
     # weight (root (1,-1), <a,a> = 2): (x1 - x2)^2
     num = mpmath.quad(
         lambda x, y: mpmath.exp(-(x * x + y * y) / 2) * (x - y) ** 2,

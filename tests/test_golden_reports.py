@@ -1,4 +1,4 @@
-"""Report bytes stay put: three small suite runs against committed references.
+"""Report bytes stay put: five small suite runs against committed references.
 
 The files under ``tests/golden`` are the rows, the summary and the console
 line of each run in ``GOLDEN_RUNS``, with the report directory written as
@@ -30,6 +30,14 @@ GOLDEN_RUNS = {
     "laguerre-table-z2-2": [
         "laguerre-table", "--family", "z2", "--m", "2", "--k", "1/2,3/2",
         "--a", "4/3", "--b", "1/3", "--c", "1/2", "--t-max", "3", "--ell-max", "1"],
+    # exact strings with powers of a/2 and 2 and a Gamma value, as printed
+    "orthogonality-z2-2": [
+        "orthogonality", "--family", "z2", "--m", "2", "--k", "1/3,1/2",
+        "--a", "4/3", "--b", "1/3", "--c", "1/2", "--t-max", "2", "--ell-max", "1"],
+    # float() of exact sphere integrals, through the Gram summary
+    "basis-gram-z2-2": [
+        "basis", "--family", "z2", "--m", "2", "--k", "1/3,1/2",
+        "--ell-max", "2", "--gram"],
 }
 
 

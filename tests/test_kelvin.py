@@ -47,6 +47,17 @@ def test_qp_and_pq_are_the_same_constant():
         assert p_map(par, q_map(par, f)) == f.scale(const)
 
 
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(8), Fraction(18), Fraction(2, 9)])
+def test_qp_is_the_constant_where_a_over_2_is_a_perfect_power(a):
+    """a/2 = 1/4, 4, 9 and 1/9: the powers of a/2 in Q P f and in the
+    constant reach the same value by different roads, and must meet in one
+    canonical form."""
+    par = DeformParams.commuting(a, Fraction(1, 2))
+    for seed in range(3):
+        f = random_expr(random.Random(seed), 2, 2)
+        assert q_map(par, p_map(par, f)) == f.scale(pq_constant(par))
+
+
 def test_pq_constant_value():
     par = DeformParams.commuting(Fraction(1, 2), 3)
     # (2/a)^{b/2} = 4^{3/2} = 8

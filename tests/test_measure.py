@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from dunkldirac.deformed import DeformedContext
@@ -10,7 +11,6 @@ from dunkldirac.dunkl import DunklContext
 from dunkldirac.fischer import monogenic_basis
 from dunkldirac.laguerre import LaguerreTower
 from dunkldirac.measure import (
-    GammaComb,
     axis_multiplicities,
     inner_product_exact,
     mehta_constant,
@@ -22,39 +22,40 @@ from dunkldirac.measure import (
 )
 from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
-from dunkldirac.reflection import dihedral, symmetric, z2_power
+from dunkldirac.reflection import dihedral, hyperoctahedral, symmetric, z2_power
+from dunkldirac.scalars import ExactScalar
 
 
-# -- GammaComb ring ------------------------------------------------------
+# -- the Gamma part of the exact scalar ring ---------------------------------
 
 def test_gamma_comb_reduces_arguments_to_the_unit_interval():
     # Gamma(7/2) = (5/2)(3/2)(1/2) Gamma(1/2)
-    g = GammaComb.term(1, gnum=(Fraction(7, 2),))
-    ((_a, _t, gnum, gden), coeff), = g.terms.items()
+    g = ExactScalar.term(1, gnum=(Fraction(7, 2),))
+    ((_q, _p, gnum, gden), coeff), = g.terms.items()
     assert gnum == (Fraction(1, 2),)
     assert coeff == Fraction(15, 8)
 
 
 def test_gamma_comb_integer_gamma_folds_to_rational():
     # Gamma(5) = 24
-    g = GammaComb.term(1, gnum=(Fraction(5),))
-    assert g == GammaComb.rational(24)
+    g = ExactScalar.term(1, gnum=(Fraction(5),))
+    assert g == ExactScalar.term(24)
 
 
 def test_gamma_comb_numerator_pole_raises():
     with pytest.raises(ValueError, match="Gamma pole"):
-        GammaComb.term(1, gnum=(Fraction(-2),))
+        ExactScalar.term(1, gnum=(Fraction(-2),))
 
 
 def test_gamma_comb_denominator_pole_vanishes():
-    g = GammaComb.term(1, gden=(Fraction(0),))
+    g = ExactScalar.term(1, gden=(Fraction(0),))
     assert g.is_zero()
 
 
 def test_gamma_comb_ring_laws():
-    x = GammaComb.term(2, gnum=(Fraction(1, 2),))
-    y = GammaComb.term(1, gnum=(Fraction(1, 3),), gden=(Fraction(1, 2),))
-    z = GammaComb.rational(Fraction(3, 4))
+    x = ExactScalar.term(2, gnum=(Fraction(1, 2),))
+    y = ExactScalar.term(1, gnum=(Fraction(1, 3),), gden=(Fraction(1, 2),))
+    z = ExactScalar.term(Fraction(3, 4))
     assert x + y == y + x
     assert x * y == y * x
     assert x * (y + z) == x * y + x * z
@@ -63,19 +64,19 @@ def test_gamma_comb_ring_laws():
 
 def test_gamma_comb_cancels_matching_quotients():
     # Gamma(1/3)/Gamma(1/3) = 1
-    g = GammaComb.term(5, gnum=(Fraction(1, 3),), gden=(Fraction(1, 3),))
-    assert g == GammaComb.rational(5)
+    g = ExactScalar.term(5, gnum=(Fraction(1, 3),), gden=(Fraction(1, 3),))
+    assert g == ExactScalar.term(5)
 
 
 def test_gamma_comb_two_power_canonicalization():
     # 2^{3/2} and 2 * 2^{1/2} must merge
-    x = GammaComb.term(1, two_pow=Fraction(3, 2))
-    y = GammaComb.term(2, two_pow=Fraction(1, 2))
+    x = ExactScalar.term(1, two_pow=Fraction(3, 2))
+    y = ExactScalar.term(2, two_pow=Fraction(1, 2))
     assert x == y
 
 
 def test_gamma_comb_numeric_value():
-    g = GammaComb.term(1, gnum=(Fraction(1, 2),))
+    g = ExactScalar.term(1, gnum=(Fraction(1, 2),))
     assert abs(float(g.numeric()) - float(mpmath.sqrt(mpmath.pi))) < 1e-12
 
 
@@ -199,8 +200,57 @@ def test_mehta_constant_z2_value():
 
 
 def test_mehta_constant_rejects_off_axis_groups():
-    with pytest.raises(ValueError):
-        mehta_constant(symmetric(3, 1))
+    """Off the axes the closed constant is known for the families the package
+    builds (A and B); a setup of any other name is refused."""
+    from dunkldirac.reflection import ReflectionSetup
+    line = ReflectionSetup("line", 2, ((Fraction(1), Fraction(-1)),), (Fraction(1),))
+    with pytest.raises(ValueError, match="no closed"):
+        mehta_constant(line)
+
+
+def gauss_hermite_mass(setup, n=24):
+    """int e^{-|x|^2/2} w_k dx on an n^m product Gauss-Hermite rule, exact
+    for the polynomial weights of integer multiplicities."""
+    x, w = np.polynomial.hermite_e.hermegauss(n)
+    grids = np.meshgrid(*([x] * setup.m), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    wts = np.prod(np.stack(np.meshgrid(*([w] * setup.m), indexing="ij")), axis=0).ravel()
+    return float(np.sum(wts * setup.weight_numeric(pts)))
+
+
+@pytest.mark.parametrize("setup", [
+    symmetric(2, 1), symmetric(2, 2), symmetric(3, 1), symmetric(3, 2),
+    hyperoctahedral(2, 1, 2), hyperoctahedral(2, 2, 1), hyperoctahedral(3, 1, 1)],
+    ids=lambda s: f"{s.name}{s.m}-{s.mults[0]}-{s.mults[-1]}")
+def test_mehta_constant_closed_forms_match_gauss_hermite(setup):
+    """The A_{m-1} and B_m products against a rule that shares nothing with
+    them; at integer k the weight is a polynomial and the rule is exact."""
+    np.testing.assert_allclose(float(mehta_constant(setup)), gauss_hermite_mass(setup),
+                               rtol=1e-12)
+
+
+def test_mehta_constant_a1_at_fractional_k():
+    """symmetric(2) factors along (1, -1)/sqrt 2 and (1, 1)/sqrt 2 into
+    int e^{-u^2/2} (2 u^2)^k du times sqrt(2 pi)."""
+    k = Fraction(1, 3)
+    num = (mpmath.quad(lambda u: mpmath.exp(-u * u / 2) * (2 * u * u) ** (mpmath.mpf(1) / 3),
+                       [-10, 0, 10]) * mpmath.sqrt(2 * mpmath.pi))
+    assert abs(float(mehta_constant(symmetric(2, k))) / float(num) - 1) < 1e-12
+
+
+def test_mehta_constant_b_without_long_roots_is_the_z2_constant():
+    for m in (1, 2, 3):
+        for k_s in (Fraction(1, 3), Fraction(3, 2), Fraction(0)):
+            assert mehta_constant(hyperoctahedral(m, k_s, 0)) == mehta_constant(z2_power(m, k_s))
+
+
+def test_mehta_constant_raises_where_the_gaussian_integral_diverges():
+    for setup in (symmetric(2, Fraction(-1, 2)), symmetric(3, Fraction(-2, 5)),
+                  hyperoctahedral(2, Fraction(-1, 2), Fraction(1, 3)),
+                  hyperoctahedral(2, Fraction(1, 4), Fraction(-4, 5)),
+                  z2_power(2, [Fraction(-3, 4), Fraction(1, 2)])):
+        with pytest.raises(ValueError, match="divergent Gaussian integral"):
+            mehta_constant(setup)
 
 
 def test_norm_constant_matches_inner_product():

@@ -226,7 +226,7 @@ def test_to_json_pins_a_literal_expression():
     })
     assert json.dumps(f.to_json()) == json.dumps([
         {"r_exp": "-1/2", "poly": {"monomials": [
-            [[1, 0], {"m": 2, "blades": [[[1], "-3/4"], [[1, 2], "(2)^(1/2)"]]}]]}},
+            [[1, 0], {"m": 2, "blades": [[[1], "-3/4"], [[1, 2], "(1)*2^(1/2)"]]}]]}},
         {"r_exp": "0", "poly": {"monomials": [
             [[0, 1], {"m": 2, "blades": [[[2], "5"]]}]]}},
     ])

@@ -25,7 +25,6 @@ from dunkldirac.quadrature import (
     rule_cache_info,
     sphere_rule,
     tensor_rule,
-    weighted_grid,
 )
 from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
 
@@ -106,11 +105,11 @@ def test_circle_rule_weighted_moments():
 def test_weighted_grid_total_mass_is_mehta_like():
     import mpmath
     setup = z2_power(2, [Fraction(1, 2), Fraction(3, 2)])
-    pts, wts = weighted_grid(setup, 2, 1, n_r=40, n_ang=40)
+    _r, W, _dirs, ws = tensor_rule(setup, 2, 1, 0, 40, 40)
     # the integrand is a product f(x) g(y), so the plane integral is a product
     num = (mpmath.quad(lambda x: mpmath.exp(-x * x / 2) * (2 * x * x) ** 0.5, [-8, 0, 8])
            * mpmath.quad(lambda y: mpmath.exp(-y * y / 2) * (2 * y * y) ** 1.5, [-8, 0, 8]))
-    np.testing.assert_allclose(np.sum(wts), float(num), rtol=1e-10)
+    np.testing.assert_allclose(W.sum() * ws.sum(), float(num), rtol=1e-10)
 
 
 def test_evaluate_matches_manual_numpy():

@@ -52,8 +52,7 @@ def test_rational_power_agrees_with_float(base, n, d):
 
 def test_rational_exponents_fold_to_constant():
     s = ExactScalar.power(4, Fraction(3, 2))
-    assert s.is_rational()
-    assert s.as_fraction() == 8
+    assert s.terms == {(0, 0, (), ()): 8}
 
 
 def test_whole_exponent_part_moves_into_coefficient():
@@ -61,7 +60,23 @@ def test_whole_exponent_part_moves_into_coefficient():
     left = ExactScalar.power(2, Fraction(-5, 4), Fraction(1, 2))
     right = ExactScalar.power(2, Fraction(-1, 4), Fraction(1, 4))
     assert left == right
-    assert set(left.terms) == {Fraction(3, 4)}
+    assert set(left.terms) == {(0, Fraction(3, 4), (), ())}
+
+
+@given(base=st.sampled_from([Fraction(9), Fraction(1, 9), Fraction(8, 27), Fraction(4),
+                             Fraction(16, 81), Fraction(-27)]),
+       q1=st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3, 5, 9])),
+       q2=st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 3, 5, 9])))
+@example(base=Fraction(9), q1=Fraction(1, 2), q2=Fraction(1, 4))
+def test_powers_of_a_perfect_power_base_have_one_form(base, q1, q2):
+    """9^(1/2) 9^(1/4) and 9^(3/4) are the same number, 3 * 9^(1/4): a power
+    of the base is written over the base's largest root, so however a value
+    was reached it has one key, and the key is the value's own exponent."""
+    x = ExactScalar.power(base, q1) * ExactScalar.power(base, q2)
+    q = q1 + q2
+    assert x.terms == ExactScalar.power(base, q).terms
+    sign = -1 if base < 0 and q.numerator % 2 else 1
+    assert float(x) == pytest.approx(sign * abs(float(base)) ** float(q))
 
 
 def test_zero_coefficients_are_dropped():
@@ -122,7 +137,7 @@ def test_associativity(base, data):
 
 def term_magnitude(s: ExactScalar) -> float:
     """Sum of |c_q base^q| over the terms of s, the scale of its float error."""
-    return sum(abs(float(c)) * float(s.base) ** float(q) for q, c in s.terms.items())
+    return sum(abs(float(ExactScalar(s.base, {key: c}))) for key, c in s.terms.items())
 
 
 @given(pair=bases.flatmap(lambda base: st.tuples(scalars(base), scalars(base))))
@@ -139,33 +154,13 @@ def test_numeric_tracks_exact_arithmetic(pair):
     assert abs(float(x + y) - (float(x) + float(y))) <= eps * (mx + my)
 
 
-# -- mixed arithmetic and division --------------------------------------
+# -- mixed arithmetic ---------------------------------------------------
 
 def test_fraction_and_int_interoperate():
     s = ExactScalar.power(2, Fraction(1, 2))
     assert s + 0 == s
     assert 3 * s == s + s + s
     assert s - Fraction(1, 2) + Fraction(1, 2) == s
-
-
-def test_power_and_inverse():
-    s = ExactScalar.power(2, Fraction(1, 3), Fraction(3, 5))
-    assert s * s.inverse() == 1
-    assert s ** 3 == Fraction(27, 125) * 2
-    assert s ** -2 == (s ** 2).inverse()
-
-
-def test_multiterm_inverse_raises():
-    s = ExactScalar.power(2, Fraction(1, 2)) + 1
-    with pytest.raises(ValueError):
-        s.inverse()
-
-
-def test_division_by_rational_and_scalar():
-    s = ExactScalar.power(3, Fraction(1, 2))
-    assert s / s == 1
-    assert (s / 3) * 3 == s
-    assert 9 / (s * s) == 3
 
 
 def test_mixed_bases_interoperate_through_rationals():
@@ -176,12 +171,7 @@ def test_mixed_bases_interoperate_through_rationals():
 
 def test_mixed_irrational_bases_raise():
     with pytest.raises(ValueError):
-        ExactScalar.power(2, Fraction(1, 2)) + ExactScalar.power(3, Fraction(1, 2))
-
-
-def test_as_fraction_rejects_irrational():
-    with pytest.raises(ValueError):
-        ExactScalar.power(2, Fraction(1, 2)).as_fraction()
+        ExactScalar.power(3, Fraction(1, 2)) + ExactScalar.power(5, Fraction(1, 2))
 
 
 def test_float_of_negative_base_with_odd_denominator():
