@@ -59,7 +59,7 @@ from .dunkltransform import (deformed_transform, eigenfunction, eigenvalue,
                              transform_inverted, transform_inverted_direct)
 from .fischer import (fischer_constant, fischer_tower, harmonic_basis,
                       monogenic_basis, monomials, tower_decompose)
-from .fourier import (PhaseTables, damped_values, fourier_apply,
+from .fourier import (damped_values, fourier_apply,
                       measured_eigenvalue, pde_residual, spectral_eigenvalue)
 from .kelvin import (dirac_via_inversion, intertwined_component, inversion,
                      inversion_params, p_map, pq_constant, q_map)
@@ -68,7 +68,7 @@ from .measure import (axis_multiplicities, inner_product_exact, norm_constant,
                       sphere_inner_exact, weight_exponent)
 from .params import DeformParams
 from .poly import RadialExpr, r_squared_power
-from .quadrature import integrate_expr, rule_cache_info
+from .quadrature import KernelTables, integrate_expr, rule_cache_info
 from .reflection import ReflectionSetup, from_config, reflect_monomial, z2_power
 
 
@@ -656,7 +656,7 @@ def cmd_orthogonality(args, dk):
        a=Fraction(2), b=Fraction(0), t_max=3, l_max=2, nr=100, ntheta=120,
        order=28, points=6, tol=1e-6)
 def cmd_transform_eigen(args, dk):
-    rules, phases = _hits_misses(rule_cache_info()), PhaseTables()
+    rules, tables = _hits_misses(rule_cache_info()), KernelTables()
     setup = dk.setup
     par = DeformParams.commuting(args.a, args.b)
     dctx = DeformedContext(dk, par)
@@ -674,10 +674,10 @@ def cmd_transform_eigen(args, dk):
             psi = tower.psi(t)
             try:
                 if closed:
-                    got = fourier_apply(dctx, psi, targets, args.nr, args.ntheta, phases)
+                    got = fourier_apply(dctx, psi, targets, args.nr, args.ntheta, tables)
                 else:
                     got = deformed_transform(dctx, psi, targets, args.order,
-                                             args.nr, args.ntheta)
+                                             args.nr, args.ntheta, tables)
             except ValueError as exc:
                 yield {"t": t, "l": ell, "excluded": f"numeric part: {exc}"}
                 continue
@@ -693,7 +693,7 @@ def cmd_transform_eigen(args, dk):
     return {"a": par.a, "b": par.b, "c": par.c,
             "kernel": "closed" if closed else kernel_route(setup), "tol": args.tol,
             "rule_cache": _since(rules, _hits_misses(rule_cache_info())),
-            "phase_cache": phases.info(),
+            "kernel_cache": _hits_misses(tables),
             "image_cache": dctx.cache_info()}
 
 
@@ -719,15 +719,17 @@ def cmd_a_minus2_suite(args, dk):
     rng = np.random.default_rng(args.seed)
     targets = rng.uniform(0.5, 1.3, size=(args.points, dk.m))
     targets *= np.sign(rng.uniform(-1, 1, size=targets.shape))
+    tables = KernelTables()
     for j in range(args.j_max + 1):
         for ell in range(args.l_max + 1):
+            start = time.perf_counter()
             g = inversion(dk, eigenfunction(dk, j, ell,
                                             harmonic_basis(dk, ell)[0]))
             try:
                 one = transform_inverted(dk, g, targets, args.order,
-                                         args.nr, args.ntheta)
+                                         args.nr, args.ntheta, tables)
                 two = transform_inverted_direct(dk, g, targets, args.order,
-                                                args.nr, args.ntheta)
+                                                args.nr, args.ntheta, tables)
             except ValueError as exc:
                 yield {"j": j, "l": ell, "excluded": f"numeric part: {exc}"}
                 continue
@@ -735,11 +737,12 @@ def cmd_a_minus2_suite(args, dk):
             scale = float(np.max(np.abs(ref)))
             agree = float(np.max(np.abs(one - two))) / scale
             eig = float(np.max(np.abs(one - eigenvalue(j, ell) * ref))) / scale
+            ms = 1000 * (time.perf_counter() - start)
             yield {"j": j, "l": ell, "paths_agree_err": agree,
-                   "eigen_rel_err": eig,
+                   "eigen_rel_err": eig, "runtime_ms": round(ms, 3),
                    "pass": agree <= args.tol and eig <= args.tol}
     return {"kernel": kernel_route(dk.setup), "tol": args.tol,
-            "image_cache": info}
+            "kernel_cache": _hits_misses(tables), "image_cache": info}
 
 
 # -- the runner ---------------------------------------------------------------

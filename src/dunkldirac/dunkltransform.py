@@ -15,7 +15,10 @@ j_nu(z) = 0F1(; nu + 1; -z^2/4).  Every other group sums the bihomogeneous
 components K_n built by :meth:`DunklContext.kernel_series`, which converge
 like an exponential's Taylor series, so truncating near order thirty is
 accurate to square-summable noise against Gaussian-damped inputs on moderate
-balls.  The natural eigenfunctions are
+balls.  The transforms read E from a
+:class:`dunkldirac.quadrature.KernelTables` memo, which calls
+:func:`kernel_matrix` once per (rule, targets, order) it holds.  The natural
+eigenfunctions are
 
     L_j^{mu/2 + ell - 1}(r^2) H_ell(x) e^{-r^2/2},
 
@@ -40,8 +43,8 @@ from .kelvin import inversion, p_map, q_coordinate_map
 from .laguerre import laguerre_poly
 from .measure import axis_multiplicities, mehta_constant
 from .poly import RadialExpr
-from .quadrature import (evaluate, grid_values, power_table, residue_classes,
-                         tensor_points, tensor_rule)
+from .quadrature import (KernelTables, evaluate, grid_values, power_table,
+                         residue_classes, tensor_points, tensor_rule)
 from .reflection import ReflectionSetup
 from .scalars import ExactScalar
 
@@ -90,22 +93,35 @@ def normalization(setup: ReflectionSetup) -> float:
     return float(mehta_constant(setup))
 
 
+def _grid_transform(dk: DunklContext, f: RadialExpr, targets: np.ndarray,
+                    order: int, n_r: int, n_ang: int, tables: KernelTables,
+                    inverted: bool = False) -> np.ndarray:
+    """c_k^{-1} sum over the Gaussian tensor grid of f E(node, -i target)
+    w_k, with f read at the nodes or (inverted) at xi_k / r_i; see
+    :func:`transform_values` and :func:`transform_inverted_direct`."""
+    tables = KernelTables() if tables is None else tables
+    out = np.zeros((len(targets), 1 << dk.setup.m), dtype=complex)
+    for fold, part in residue_classes(f, -1 if inverted else 1):
+        extra = 2 - dk.setup.mu - fold if inverted else fold
+        r, W, dirs, ws = tensor_rule(dk.setup, 2, 1, extra, n_r, n_ang)
+        key = (dk.setup, 2, 1, extra, n_r, n_ang, targets.tobytes(), "kernel", order)
+        out += tables.contract(
+            key, lambda: kernel_matrix(dk, tensor_points(r, dirs), targets, order),
+            grid_values(part, 1 / r if inverted else r, W, dirs, ws))
+    return out / normalization(dk.setup)
+
+
 def transform_values(dk: DunklContext, f: RadialExpr, targets: np.ndarray,
-                     order: int = 28, n_r: int = 60, n_ang: int = 64) -> np.ndarray:
+                     order: int = 28, n_r: int = 60, n_ang: int = 64,
+                     tables: KernelTables = None) -> np.ndarray:
     """Transform of f e^{-r^2/2} at the target points, one column per blade.
 
-    Each residue class of f is weighted on its cached tensor rule
-    (:func:`dunkldirac.quadrature.grid_values`) and meets the kernel at the
-    rule's nodes in one matmul.
+    Each residue class of f is weighted on its cached tensor rule and meets
+    the kernel table of that rule and the targets in one real matmul; calls
+    that pass one ``tables`` share its tables (a fresh memo by default).
     """
-    setup = dk.setup
-    targets = np.asarray(targets, dtype=float)
-    out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
-    for fold, part in residue_classes(f, 1):
-        r, W, dirs, ws = tensor_rule(setup, 2, 1, fold, n_r, n_ang)
-        M = kernel_matrix(dk, tensor_points(r, dirs), targets, order)
-        out += M.T @ grid_values(part, r, W, dirs, ws)
-    return out / normalization(setup)
+    return _grid_transform(dk, f, np.asarray(targets, dtype=float), order, n_r,
+                           n_ang, tables)
 
 
 def eigenfunction(dk: DunklContext, j: int, ell: int,
@@ -128,7 +144,8 @@ def eigenvalue(j: int, ell: int) -> complex:
 
 
 def transform_inverted(dk: DunklContext, g: RadialExpr, targets: np.ndarray,
-                       order: int = 28, n_r: int = 60, n_ang: int = 64) -> np.ndarray:
+                       order: int = 28, n_r: int = 60, n_ang: int = 64,
+                       tables: KernelTables = None) -> np.ndarray:
     """a = -2 transform of g e^{-1/(2 r^2)} by conjugating with the inversion.
 
     The inversion J f(x) = r^{2 - mu} f(x / r^2) swaps the a = 2 and a = -2
@@ -141,13 +158,13 @@ def transform_inverted(dk: DunklContext, g: RadialExpr, targets: np.ndarray,
     mu = float(dk.setup.mu)
     r2 = np.sum(np.asarray(targets, dtype=float) ** 2, axis=1)
     inv_targets = targets / r2[:, None]
-    vals = transform_values(dk, inversion(dk, g), inv_targets, order, n_r, n_ang)
+    vals = transform_values(dk, inversion(dk, g), inv_targets, order, n_r, n_ang, tables)
     return vals * (r2 ** ((2 - mu) / 2))[:, None]
 
 
 def transform_inverted_direct(dk: DunklContext, g: RadialExpr, targets: np.ndarray,
-                              order: int = 28, n_r: int = 60,
-                              n_ang: int = 64) -> np.ndarray:
+                              order: int = 28, n_r: int = 60, n_ang: int = 64,
+                              tables: KernelTables = None) -> np.ndarray:
     """The same a = -2 transform, integrating where g lives.
 
         F_{-2} G (y) = c_k^{-1} r_y^{2 - mu}
@@ -159,22 +176,15 @@ def transform_inverted_direct(dk: DunklContext, g: RadialExpr, targets: np.ndarr
     g is evaluated there pointwise, never rewritten algebraically.  Agreement
     with :func:`transform_inverted` checks the two routes against each other.
     """
-    setup = dk.setup
-    mu = setup.mu
     targets = np.asarray(targets, dtype=float)
     r2t = np.sum(targets * targets, axis=1)
-    inv_targets = targets / r2t[:, None]
-    out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
     # After the substitution a term r^s x^mono of g grows like r_x^{-(s+|mono|)}
     # on the Gaussian grid, so g is split with half = -1; each class's
     # r_v^fold = r_x^{-fold} goes into the rule and its rebased part is
     # evaluated at the inverted nodes xi_k / r_i, a tensor grid too.
-    for fold, part in residue_classes(g, -1):
-        r, W, dirs, ws = tensor_rule(setup, 2, 1, 2 - mu - fold, n_r, n_ang)
-        M = kernel_matrix(dk, tensor_points(r, dirs), inv_targets, order)
-        out += M.T @ grid_values(part, 1 / r, W, dirs, ws)
-    out /= normalization(setup)
-    return out * (r2t ** ((2 - float(mu)) / 2))[:, None]
+    out = _grid_transform(dk, g, targets / r2t[:, None], order, n_r, n_ang, tables,
+                          inverted=True)
+    return out * (r2t ** ((2 - float(dk.setup.mu)) / 2))[:, None]
 
 
 def inverted_damped_values(dk: DunklContext, g: RadialExpr,
@@ -186,7 +196,8 @@ def inverted_damped_values(dk: DunklContext, g: RadialExpr,
 
 
 def deformed_transform(dctx: DeformedContext, psi: RadialExpr, targets: np.ndarray,
-                       order: int = 28, n_r: int = 60, n_ang: int = 64) -> np.ndarray:
+                       order: int = 28, n_r: int = 60, n_ang: int = 64,
+                       tables: KernelTables = None) -> np.ndarray:
     """Deformed transform of psi e^{-r^a/a} with any sign-flip weight.
 
     Only on the commuting line c = 2/a - 1, where the reparametrization P
@@ -206,7 +217,7 @@ def deformed_transform(dctx: DeformedContext, psi: RadialExpr, targets: np.ndarr
     targets = np.asarray(targets, dtype=float)
     fz = p_map(par, psi)
     vals = transform_values(dctx.dk, fz, q_coordinate_map(par, targets),
-                            order, n_r, n_ang)
+                            order, n_r, n_ang, tables)
     pre = float(ExactScalar.power(par.a / 2, par.b / 2))
     r_tgt = np.sqrt(np.sum(targets * targets, axis=1))
     return vals * pre * (r_tgt ** (-a * b / 2))[:, None]

@@ -13,9 +13,9 @@ its integral factors as c (sum_i W_i r_i^{s + |mono|}) (sum_k ws_k xi_k^mono)
 and costs O(n_r + n_ang) per term.  :func:`term_tables` builds those radial
 and angular tables for a whole expression; :func:`integrate_expr` contracts
 them, and :func:`grid_values` joins them into values on the product grid for
-integrands that do not factor (the transform kernels).  The factors of each
-rule are built once per (setup, a, lam, folded exponent, n_r, n_ang) and
-cached for the life of the process (:func:`rule_cache_info`).
+integrands that do not factor (the kernels of :class:`KernelTables`).  The
+factors of each rule are built once per (setup, a, lam, folded exponent, n_r,
+n_ang) and cached for the life of the process (:func:`rule_cache_info`).
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ def _tensor_rule(setup: ReflectionSetup, a, lam, extra: Fraction, n_r: int,
     ks = axis_multiplicities(setup) if m == 2 else None
     if ks is not None and any(ks):
         dirs, ws = circle_rule(ks[0], ks[1], n_ang)
+    elif m > 1 and any(k < 0 for k in setup.mults):
+        raise ValueError("a negative multiplicity's weight is infinite on the "
+                         "mirrors, which the plain sphere rule meets")
     else:
         dirs, ws = sphere_rule(m, n_ang)
         ws = ws * setup.weight_numeric(dirs)
@@ -130,6 +133,35 @@ def rule_cache_info():
     tensor_rule (a profiler's, say) leaves the counters readable.
     """
     return _tensor_rule.cache_info()
+
+
+class KernelTables:
+    """The two most recently built kernel tables of the transforms, with hit
+    and miss counts.  A table is a kernel (E(x, -i y), or the closed route's
+    phases) at one rule's nodes against the targets: nodes x targets, complex,
+    C-contiguous and read-only, keyed by the rule's key, the targets' bytes
+    and what else the kernel reads (a route tag with a or the series order).
+    Two serve a tower whose rungs alternate between two rules.
+    """
+
+    def __init__(self):
+        self.tables: dict = {}
+        self.hits = self.misses = 0
+
+    def contract(self, key, build, vals: np.ndarray) -> np.ndarray:
+        """sum_node table[node, target] vals[node, blade], targets x blades;
+        on a miss the older of two held tables goes, then build() makes key's."""
+        table = self.tables.get(key)
+        if table is None:
+            self.misses += 1
+            if len(self.tables) == 2:
+                del self.tables[next(iter(self.tables))]
+            table = self.tables[key] = np.ascontiguousarray(build())
+            table.setflags(write=False)
+        else:
+            self.hits += 1
+        # the real vals meet the table's float view, never copied to complex
+        return (vals.T @ table.view(float)).view(complex).T
 
 
 def tensor_points(r: np.ndarray, dirs: np.ndarray) -> np.ndarray:

@@ -47,3 +47,16 @@ def test_traced_module_imports(module):
 def test_named_cache_has_cache_info(key):
     info = resolve(*tracer.CACHES[key]).cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def test_kernel_matrix_keeps_the_positional_shape_the_pair_counter_reads():
+    """The ``kernel_pairs`` counter reads X and Y as ``args[1]`` and
+    ``args[2]`` of a call to ``dunkltransform.kernel_matrix``, so its
+    signature stays (dk, X, Y, order), all positional."""
+    counter = tracer._COUNTERS[("dunkltransform", "kernel_matrix")]
+    assert counter[0] == "dunkltransform.kernel_pairs"
+    assert counter[1]((None, [0] * 3, [0] * 5, 28), None) == 15
+    params = inspect.signature(resolve("dunkltransform", "kernel_matrix")).parameters
+    assert list(params) == ["dk", "X", "Y", "order"]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD and
+               p.default is inspect.Parameter.empty for p in params.values())

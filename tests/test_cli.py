@@ -233,17 +233,36 @@ def test_orthogonality_numeric_rows_fail_above_their_roundoff_floor(tmp_path, mo
     assert all(row["numeric_err"] > max(1e-8, row["numeric_floor"]) for row in off)
 
 
-def test_transform_eigen_reuses_the_phase_table_of_a_repeated_rule(tmp_path):
+def test_transform_eigen_reuses_the_kernel_tables_of_repeated_rules(tmp_path):
     """The closed route's 12 transforms on z2^3 meet their rules in the
-    order -2, -4/3, -2, -4/3 x 6, -2/3, -4/3, -2/3 (by folded exponent), and
-    a table is rebuilt only when the rule changes."""
+    order -2, -4/3, -2, -4/3 x 6, -2/3, -4/3, -2/3 (by folded exponent); the
+    memo keeps the two most recently built tables, so each rule's table is
+    built once."""
     code = main(["transform-eigen", "--family", "z2", "--m", "3", "--k", "0",
                  "--a", "2/3", "--t-max", "3", "--l-max", "2", "--nr", "60",
                  "--ntheta", "32", "--tol", "1e-8", "--seed", "3",
                  "--out", str(tmp_path)])
     assert code == 0
     summary = read_summary(tmp_path, "transform-eigen")
-    assert summary["phase_cache"] == {"hits": 5, "misses": 7}
+    assert summary["kernel_cache"] == {"hits": 9, "misses": 3}
+
+
+TRANSFORM_SERIES_GRID = ["--nr", "60", "--ntheta", "64", "--tol", "1e-8", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["transform-eigen", "--family", "z2", "--m", "2", "--k", "1/2,3/2",
+      "--t-max", "2", "--l-max", "1"], {"hits": 4, "misses": 2}),
+    (["transform-eigen", "--family", "hyperoctahedral", "--m", "2", "--k", "1,2",
+      "--t-max", "1", "--l-max", "1"], {"hits": 2, "misses": 2}),
+    (["a-minus2-suite", "--family", "z2", "--m", "2", "--k", "1/2",
+      "--j-max", "0", "--l-max", "1"], {"hits": 2, "misses": 2}),
+])
+def test_bessel_series_and_inverted_routes_reuse_kernel_tables(tmp_path, argv, counts):
+    """The Bessel (z2), series (B2) and a = -2 runs of the transform-series
+    benchmark build each repeated (rule, targets) kernel table once."""
+    assert main(argv + TRANSFORM_SERIES_GRID + ["--out", str(tmp_path)]) == 0
+    assert read_summary(tmp_path, argv[0])["kernel_cache"] == counts
 
 
 def test_transform_eigen_closed_route(tmp_path):
@@ -266,6 +285,24 @@ def test_a_minus2_suite(tmp_path):
                  "--order", "24", "--out", str(tmp_path)])
     assert code == 0
     assert read_summary(tmp_path, "a-minus2-suite")["all_pass"] is True
+    transform_rows = [row for row in read_rows(tmp_path, "a-minus2-suite")
+                      if "paths_agree_err" in row]
+    assert transform_rows and all(row["runtime_ms"] > 0 for row in transform_rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_negative_multiplicity_off_the_axes_is_excluded_not_failed(tmp_path):
+    """The plain sphere rule cannot integrate |<alpha, x>|^{2k} at k < 0:
+    the numeric rows are excluded with the reason, not judged on a rule
+    that divides by zero on the mirrors."""
+    code = main(["transform-eigen", "--family", "symmetric", "--m", "2", "--k=-1/4",
+                 "--t-max", "1", "--l-max", "0", "--nr", "20", "--ntheta", "16",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    rows = read_rows(tmp_path, "transform-eigen")
+    assert len(rows) == 2
+    assert all(row["excluded"].startswith("numeric part: ") for row in rows)
+    assert not any(row.get("pass") is False for row in rows)
 
 
 _EIGEN_SMALL = ["--t-max", "0", "--l-max", "0", "--points", "2",

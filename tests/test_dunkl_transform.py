@@ -27,6 +27,7 @@ from dunkldirac.laguerre import LaguerreTower
 from dunkldirac.measure import mehta_constant
 from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
+from dunkldirac.quadrature import KernelTables
 from dunkldirac.reflection import hyperoctahedral, z2_power
 
 
@@ -157,6 +158,31 @@ def test_a_minus2_routes_agree():
         lam, resid = measured_eigenvalue(ref, via_inversion)
         assert resid < 1e-8
         np.testing.assert_allclose(lam, eigenvalue(j, ell), atol=1e-8)
+
+
+@pytest.mark.parametrize("setup", [
+    z2_power(2, [Fraction(1, 2), Fraction(3, 2)]),    # Bessel route
+    hyperoctahedral(2, 1, 2),                          # series route
+])
+def test_shared_kernel_tables_give_the_bits_of_a_fresh_memo(setup):
+    """A table found in a shared memo is the array a rebuild would make, so
+    a transform answers the same bits whichever memo it is handed."""
+    dk = DunklContext(setup)
+    rng = random.Random(29)
+    targets = sample_points(rng, 4)
+    f = eigenfunction(dk, 1, 1, harmonic_basis(dk, 1)[0])
+    shared = KernelTables()
+    transform_values(dk, f, targets, order=16, n_r=20, n_ang=24, tables=shared)
+    built = shared.misses
+    again = transform_values(dk, f, targets, order=16, n_r=20, n_ang=24, tables=shared)
+    assert shared.misses == built and shared.hits >= 1
+    fresh = transform_values(dk, f, targets, order=16, n_r=20, n_ang=24)
+    assert np.array_equal(again, fresh)
+    # the a = -2 routes share the tables of one memo, and stay bit for bit too
+    g = eigenfunction(dk, 0, 1, harmonic_basis(dk, 1)[0])
+    for route in (transform_inverted, transform_inverted_direct):
+        got = route(dk, g, targets, 16, 20, 24, shared)
+        assert np.array_equal(got, route(dk, g, targets, 16, 20, 24))
 
 
 def test_deformed_transform_reduces_to_fourier_apply_at_zero_k():

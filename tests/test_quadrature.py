@@ -17,6 +17,7 @@ from dunkldirac.measure import (
 from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
 from dunkldirac.quadrature import (
+    KernelTables,
     circle_rule,
     evaluate,
     integrate_expr,
@@ -268,3 +269,47 @@ def test_rules_are_cached_and_read_only():
     for arr in first:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def test_plain_sphere_rule_refuses_a_negative_multiplicity():
+    """The plain sphere rule would put an infinite weight on a direction in
+    a mirror; a negative k there is refused.  The circle's axis rule and the
+    two points of S^0 never meet a mirror, so they keep negative k."""
+    for setup in (symmetric(2, Fraction(-1, 4)), z2_power(3, [Fraction(-1, 4)] * 3)):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            tensor_rule(setup, 2, 1, 0, 10, 16)
+    for setup in (z2_power(2, [Fraction(-1, 4), Fraction(1, 2)]),
+                  z2_power(1, [Fraction(-1, 4)])):
+        assert np.all(np.isfinite(tensor_rule(setup, 2, 1, 0, 10, 16)[3]))
+
+
+def test_kernel_tables_contract_through_the_float_view():
+    """The real values meet the table's float view; that is the complex
+    matmul, to roundoff, with no complex copy of the values."""
+    rng = np.random.default_rng(31)
+    table = rng.normal(size=(300, 7)) + 1j * rng.normal(size=(300, 7))
+    vals = rng.normal(size=(300, 4))
+    got = KernelTables().contract("k", lambda: table, vals)
+    want = table.T @ vals.astype(complex)
+    assert got.shape == (7, 4)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(table).max() * np.abs(vals).sum(0).max()
+
+
+def test_kernel_tables_keep_the_two_most_recent_builds():
+    builds = []
+
+    def build(tag):
+        def make():
+            builds.append(tag)
+            return np.full((3, 2), complex(len(builds), 1))
+        return make
+
+    memo = KernelTables()
+    vals = np.ones((3, 1))
+    for key in ["a", "b", "a", "b", "c", "b", "a"]:
+        memo.contract(key, build(key), vals)
+    # "c" drops "a", the older build, although "a" was found after "b"
+    assert builds == ["a", "b", "c", "a"]
+    assert (memo.hits, memo.misses) == (3, 4)
+    for table in memo.tables.values():
+        assert table.flags.c_contiguous and not table.flags.writeable
