@@ -62,10 +62,10 @@ from .fischer import (fischer_constant, fischer_tower, harmonic_basis,
 from .fourier import (damped_values, fourier_apply,
                       measured_eigenvalue, pde_residual, spectral_eigenvalue)
 from .kelvin import (dirac_via_inversion, intertwined_component, inversion,
-                     inversion_params, p_map, pq_constant, q_map)
+                     inversion_params, p_map, power_cache_info, pq_constant, q_map)
 from .laguerre import LaguerreTower
 from .measure import (axis_multiplicities, inner_product_exact, norm_constant,
-                      sphere_inner_exact, weight_exponent)
+                      sphere_inner_exact, unit_cache_info, weight_exponent)
 from .params import DeformParams
 from .poly import RadialExpr, r_squared_power
 from .quadrature import KernelTables, integrate_expr, rule_cache_info
@@ -338,7 +338,9 @@ def _layer_caches(dk: DunklContext) -> dict:
     return {"dunkl.dunkl_monomial": dk.cache_info(),
             "reflection.reflect_monomial": _lru_counts(reflect_monomial),
             "clifford.blade_product": _lru_counts(blade_product),
-            "poly.r_squared_power": _lru_counts(r_squared_power)}
+            "poly.r_squared_power": _lru_counts(r_squared_power),
+            "measure.unit_integral": unit_cache_info(),
+            "kelvin.power": _hits_misses(power_cache_info())}
 
 
 def _inversion_rows(dk: DunklContext, inputs: list):
@@ -499,7 +501,8 @@ def cmd_basis(args, dk):
                    "text": f.to_text(), "terms": f.to_json(),
                    "pass": op(f).is_zero()}
         if args.gram and basis:
-            gram[str(ell)] = [[float(sphere_inner_exact(dk.setup, f, g).get(0) or 0.0)
+            gram[str(ell)] = [[float(sphere_inner_exact(dk.setup, f.bar().mul_expr(g))
+                                     .get(0) or 0.0)
                                for g in basis] for f in basis]
     return {"gram": gram} if gram else {}
 
@@ -605,26 +608,24 @@ def cmd_orthogonality(args, dk):
                 for s in range(args.t_max + 1):
                     if (ell2, s) < (ell, t):
                         continue
-                    f, g = tower.psi(t), tower2.psi(s)
+                    prod = tower.psi(t).bar().mul_expr(tower2.psi(s))
                     try:
-                        got = inner_product_exact(dctx, f, g)
+                        got = inner_product_exact(dctx, prod)
                     except ValueError as exc:
                         yield {"t": t, "ell": ell, "s": s, "ell2": ell2,
                                "excluded": str(exc)}
                         continue
                     diag = t == s and ell == ell2
                     if diag:
-                        nc = norm_constant(dctx, ell, t)
+                        nc, mg = norm_constant(dctx, ell, t), tower.monogenic
                         want = {bl: nc * comb for bl, comb in
-                                sphere_inner_exact(setup, tower.monogenic,
-                                                   tower.monogenic).items()}
+                                sphere_inner_exact(setup, mg.bar().mul_expr(mg)).items()}
                     else:
                         want = {}
                     row = {"t": t, "ell": ell, "s": s, "ell2": ell2,
                            "exact": {bl: str(comb) for bl, comb in got.items()},
                            "pass": got == want}
                     if args.numeric:
-                        prod = f.bar().mul_expr(g)
                         try:
                             num, floor = integrate_expr(setup, prod, par.a, 2, eh,
                                                         args.nr, args.ntheta)

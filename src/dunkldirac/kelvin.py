@@ -9,31 +9,49 @@ handles a = -2, the one negative exponent the family reaches.
 
 All prefactors are powers of a/2, (2/a)^x stored as (a/2)^{-x}: ExactScalars
 in the base a/2, the ring the norms of :mod:`dunkldirac.measure` live in.
+Each power is built once per process, in a memo keyed by (a/2, exponent) and
+counted by :func:`power_cache_info`; its entries are shared and must not be
+mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
 from .deformed import DeformedContext
 from .dunkl import DunklContext
 from .params import DeformParams
-from .poly import RadialExpr
+from .poly import RadialExpr, _new
 from .scalars import ExactScalar
 
 
+_power = lru_cache(maxsize=None)(ExactScalar.power)
+
+
+def power_cache_info():
+    """cache_info() of the memo of powers of a/2 behind P, Q and their constants."""
+    return _power.cache_info()
+
+
 def _rescale(f: RadialExpr, a, power, new_s) -> RadialExpr:
-    """r^s p_d -> (a/2)^{power(s + d)} r^{new_s(s, d)} p_d, term by term."""
+    """r^s p_d -> (a/2)^{power(s + d)} r^{new_s(s, d)} p_d, term by term, both
+    made once per distinct (s, d).  The monomials do not change, so the
+    output is written onto the int lattice in normal form as it stands."""
+    per: dict = {}
+    for n, mono, _blade in f.terms:
+        if (n, d := sum(mono)) not in per:
+            s = Fraction(n, f.den)
+            per[(n, d)] = (new_s(s, d), _power(a / 2, power(s + d)))
+    den = lcm(*(s.denominator for s, _scale in per.values()))
     terms: dict = {}
-    scale: dict = {}  # one power of a/2 per distinct degree s + d
-    for (s, mono, blade), coeff in f.rational_terms():
-        d = sum(mono)
-        if s + d not in scale:
-            scale[s + d] = ExactScalar.power(a / 2, power(s + d))
-        terms[(new_s(s, d), mono, blade)] = coeff * scale[s + d]
-    return RadialExpr(f.m, terms)
+    for (n, mono, blade), coeff in f.terms.items():
+        s, scale = per[(n, sum(mono))]
+        terms[(s.numerator * (den // s.denominator), mono, blade)] = coeff * scale
+    return _new(f.m, den, terms)
 
 
 def p_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
@@ -52,7 +70,7 @@ def q_map(par: DeformParams, f: RadialExpr) -> RadialExpr:
 
 def pq_constant(par: DeformParams) -> ExactScalar:
     """QP = PQ = (2/a)^{b/2} times the identity."""
-    return ExactScalar.power(par.a / 2, -par.b / 2)
+    return _power(par.a / 2, -par.b / 2)
 
 
 def intertwined_component(dctx: DeformedContext, i: int, f: RadialExpr) -> RadialExpr:
@@ -63,7 +81,7 @@ def intertwined_component(dctx: DeformedContext, i: int, f: RadialExpr) -> Radia
     par = dctx.par
     if not par.is_commuting_choice():
         raise ValueError("intertwining needs c = 2/a - 1")
-    pre = ExactScalar.power(par.a / 2, (par.b - 1) / 2)
+    pre = _power(par.a / 2, (par.b - 1) / 2)
     return q_map(par, dctx.dk.dunkl(i, p_map(par, f))).scale(pre)
 
 

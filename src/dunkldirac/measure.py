@@ -11,12 +11,17 @@ builds.  Convergence gates stay explicit: radial integrals require a > 0
 and a positive total exponent, a Gaussian mass every Gamma argument of its
 product positive; the a = -2 family is reached through the inversion in
 :mod:`dunkldirac.kelvin`, never by direct damped integration.
+
+The exact integrals take the product bar(f) g.  Each unit integral (radial
+integral times sphere moment) is built once per process, in a memo keyed by
+(m, axis multiplicities, a, total exponent, monomial) and counted by
+:func:`unit_cache_info`; its entries are shared and must not be mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .deformed import DeformedContext
 from .poly import RadialExpr
@@ -94,11 +99,21 @@ def weight_exponent(dctx: DeformedContext) -> Fraction:
     return p.a / 2 + (2 * p.b - 1 - p.c * dctx.mu) / (1 + p.c)
 
 
-def _blade_integrals(setup: ReflectionSetup, f: RadialExpr, g: RadialExpr,
-                     what: str, dctx: DeformedContext = None) -> dict:
-    """Sum over the terms coeff r^s x^mono e_B of bar(f) g of coeff times the
-    sphere moment of mono, times the radial integral of the term when dctx is
-    given, collected by blade B.
+_UNITS: dict = {}      # (m, ks, a) -> {(q num, q den, mono) or mono: unit integral}
+_UNIT_COUNTS = [0, 0]  # misses, hits
+
+
+def unit_cache_info() -> dict:
+    """Hits and misses of the unit-integral memo behind the exact integrals."""
+    return {"hits": _UNIT_COUNTS[1], "misses": _UNIT_COUNTS[0]}
+
+
+def _blade_integrals(setup: ReflectionSetup, prod: RadialExpr, what: str,
+                     dctx: DeformedContext = None) -> dict:
+    """Sum over the terms coeff r^s x^mono e_B of prod of coeff times the
+    memo's unit integral (the sphere moment of mono, times the radial integral
+    of the term when dctx is given), by blade B: rational coefficients on the
+    unit's term keys, ExactScalar ones by the generic product.
 
     The radial convergence gate runs on every term, odd ones included, before
     odd monomials (whose sphere moments vanish) are skipped.
@@ -106,37 +121,53 @@ def _blade_integrals(setup: ReflectionSetup, f: RadialExpr, g: RadialExpr,
     ks = axis_multiplicities(setup)
     if ks is None:
         raise ValueError(f"exact {what} need axis-aligned roots")
+    a = base = None
     if dctx is not None:
         a, q0 = dctx.par.a, 2 * setup.gamma + weight_exponent(dctx) + setup.m
-    out: dict = {}
-    for (s, mono, blade), coeff in f.bar().mul_expr(g).rational_terms():
-        if dctx is not None:
-            q_total = q0 + s + sum(mono)
-            _check_convergent(a, q_total)
+        base, top, bot, den = a / 2, q0.numerator, q0.denominator, prod.den
+    units = _UNITS.setdefault((setup.m, tuple(ks), a), {})
+    sums, mixed = {}, {}  # blade -> {scalar term key: rational}, ExactScalar
+    for (n, mono, blade), coeff in prod.terms.items():
+        key = mono
+        if dctx is not None:  # the total exponent q0 + n / den + |mono| as qn / qd
+            qn, qd = top * den + bot * (n + den * sum(mono)), bot * den
+            if a <= 0 or qn <= 0:
+                _check_convergent(a, Fraction(qn, qd))
+            key = (qn // (g := gcd(qn, qd)), qd // g, mono)
         if any(e % 2 for e in mono):
             continue
-        term = sphere_moment(setup.m, mono, ks)
-        if dctx is not None:
-            term = radial_integral(q_total, a) * term
-        term = term * coeff
-        out[blade] = out[blade] + term if blade in out else term
-    return {blade: comb for blade, comb in out.items() if not comb.is_zero()}
+        unit = units.get(key)
+        _UNIT_COUNTS[unit is not None] += 1
+        if unit is None:
+            unit = sphere_moment(setup.m, mono, ks)
+            if a is not None:
+                unit = radial_integral(Fraction(qn, qd), a) * unit
+            units[key] = unit
+        acc = sums.setdefault(blade, {})
+        if isinstance(coeff, ExactScalar):
+            mixed[blade] = unit * coeff + mixed.get(blade, 0)
+            continue
+        for tk, c in unit.terms.items():
+            acc[tk] = acc.get(tk, _ZERO) + c * coeff
+    combs = {blade: ExactScalar._canonical(base, {k: c for k, c in acc.items() if c})
+             + mixed.get(blade, 0) for blade, acc in sums.items()}
+    return {blade: comb for blade, comb in combs.items() if comb}
 
 
-def inner_product_exact(dctx: DeformedContext, f: RadialExpr, g: RadialExpr) -> dict:
-    """<f, g> = int bar(f) g r^{e_h} w_k e^{-2 r^a/a} dx, blade by blade.
+def inner_product_exact(dctx: DeformedContext, prod: RadialExpr) -> dict:
+    """<f, g> = int prod r^{e_h} w_k e^{-2 r^a/a} dx, blade by blade, with prod =
+    bar(f) g of the polynomial parts f and g, each carrying e^{-r^a/a}.
 
-    f and g are the polynomial parts, each carrying the damping e^{-r^a/a}.
     Exact only for sign-flip groups (axis-aligned roots), where every sphere
     moment is a Gamma quotient.  Raises ValueError when a <= 0 or some term,
     odd ones included, diverges at the origin.
     """
-    return _blade_integrals(dctx.dk.setup, f, g, "inner products", dctx)
+    return _blade_integrals(dctx.dk.setup, prod, "inner products", dctx)
 
 
-def sphere_inner_exact(setup: ReflectionSetup, f: RadialExpr, g: RadialExpr) -> dict:
-    """int_S bar(f) g w_k dsigma blade by blade (r = 1 on the sphere)."""
-    return _blade_integrals(setup, f, g, "sphere integrals")
+def sphere_inner_exact(setup: ReflectionSetup, prod: RadialExpr) -> dict:
+    """int_S prod w_k dsigma, prod = bar(f) g, blade by blade (r = 1 on the sphere)."""
+    return _blade_integrals(setup, prod, "sphere integrals")
 
 
 def norm_constant(dctx: DeformedContext, ell: int, t: int) -> ExactScalar:

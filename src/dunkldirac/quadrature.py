@@ -6,6 +6,9 @@ Fractional powers of r are never evaluated blindly against a mismatched
 weight: known exponents get folded into the rule, and integrands mixing
 several residue classes mod a are split so each class meets a rule with the
 right endpoint exponent.  Skipping that folding costs eight digits.
+The Gauss rules come from one Golub-Welsch routine that follows
+scipy.special's roots_genlaguerre and roots_jacobi with numpy's eigvalsh in
+place of scipy.linalg's banded solver, so no rule imports scipy.linalg.
 
 Every node is r_i xi_k, a radial node times a unit direction, with weight
 W_i ws_k.  A term c r^s x^mono e_B is r_i^{s + |mono|} xi_k^mono there, so
@@ -24,18 +27,80 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_jacobi
+from scipy.special import (beta, eval_gegenbauer, eval_genlaguerre, eval_jacobi,
+                           eval_legendre, gamma)
 
 from .measure import axis_multiplicities
 from .poly import RadialExpr
 from .reflection import ReflectionSetup
 
 
+def _golub_welsch(n: int, mu0, diag, off, p, dp, symmetric=False):
+    """Gauss nodes and weights of the orthogonal polynomials p(j, x) with
+    recurrence coefficients diag(k), off(k), as scipy.special's roots_* build
+    them (Jacobi-matrix eigenvalues, one Newton step, log-normalised weights
+    scaled to the mass mu0), with numpy's eigvalsh for scipy.linalg's."""
+    k = np.arange(n, dtype=float)
+    x = np.linalg.eigvalsh(np.diag(diag(k)) + np.diag(off(k[1:]), -1))
+    dy = dp(n, x)
+    x -= p(n, x) / dy
+    w = 1.0
+    for v in (p(n - 1, x), dy):
+        logs = np.log(np.abs(v))
+        w = w * (v / np.exp((logs.max() + logs.min()) / 2.))
+    w = 1.0 / w
+    if symmetric:
+        w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
+    return x, w * (mu0 / w.sum())
+
+
+def _genlaguerre_rule(n: int, alpha: float):
+    """Gauss rule for x^alpha e^{-x} on (0, inf), as scipy's roots_genlaguerre."""
+    if n < 1:
+        raise ValueError("n must be a positive integer.")
+    mu0 = gamma(alpha + 1)
+    if n == 1:
+        return np.array([alpha + 1.0]), np.array([mu0])
+    L = lambda j, x: eval_genlaguerre(j, alpha, x)
+    return _golub_welsch(n, mu0, lambda k: 2 * k + alpha + 1,
+                         lambda k: -np.sqrt(k * (k + alpha)), L,
+                         lambda j, x: (j * L(j, x) - (j + alpha) * L(j - 1, x)) / x)
+
+
+def _jacobi_rule(n: int, a: float, b: float):
+    """Gauss rule for (1 - x)^a (1 + x)^b on [-1, 1], as scipy's roots_jacobi
+    with its Chebyshev (a = b = -1/2), Legendre (a = b = 0) and Gegenbauer
+    (a = b) cases."""
+    if n < 1:
+        raise ValueError("n must be a positive integer.")
+    if a <= -1 or b <= -1:
+        raise ValueError("alpha and beta must be greater than -1.")
+    if a == b == -0.5:
+        return np.sin(np.pi * np.arange(1 - n, n, 2) / (2 * n)), np.full(n, np.pi / n)
+    if a == b:
+        g = a + 0.5
+        p = eval_legendre if a == 0 else lambda j, x: eval_gegenbauer(j, g, x)
+        mu0 = 2.0 if a == 0 else np.sqrt(np.pi) * gamma(g + 0.5) / gamma(g + 1)
+        off = ((lambda k: k * np.sqrt(1.0 / (4 * k * k - 1))) if a == 0 else
+               lambda k: np.sqrt(k * (k + 2 * g - 1) / (4 * (k + g) * (k + g - 1))))
+        return _golub_welsch(n, mu0, lambda k: 0.0 * k, off, p, lambda j, x: (
+            -j * x * p(j, x) + (j + 2 * g - 1) * p(j - 1, x)) / (1 - x ** 2), True)
+    s = lambda k: 2.0 * k + a + b
+    # the diagonal's k = 0 entry apart, as its general form is 0 / 0 at a + b = 0
+    diag = lambda k: np.r_[(b - a) / (2 + a + b), (b * b - a * a) / (s(k[1:]) * (s(k[1:]) + 2))]
+    off = lambda k: (2.0 / s(k) * np.sqrt((k + a) * (k + b) / (s(k) + 1))
+                     * np.where(k == 1, 1.0, np.sqrt(k * (k + a + b) / (s(k) - 1))))
+    return _golub_welsch(n, 2.0 ** (a + b + 1) * beta(a + 1, b + 1), diag, off,
+                         lambda j, x: eval_jacobi(j, a, b, x),
+                         lambda j, x: 0.5 * (j + a + b + 1) * eval_jacobi(j - 1, a + 1, b + 1, x))
+
+
 def radial_rule(a, lam, exponent, n: int):
     """Nodes and weights with sum f(r_i) W_i ~ int_0^inf f(r) r^exponent e^{-lam r^a/a} dr.
 
     Exact (up to roundoff) whenever f is a polynomial in r^a of degree
-    below 2n.  Requires a > 0 and exponent > -1.
+    below 2n: the Golub-Welsch generalized Laguerre rule in u = lam r^a / a.
+    Requires a > 0 and exponent > -1.
     """
     a, lam, exponent = float(a), float(lam), float(exponent)
     if a <= 0:
@@ -43,7 +108,7 @@ def radial_rule(a, lam, exponent, n: int):
     alpha = (exponent + 1) / a - 1
     if alpha <= -1:
         raise ValueError(f"divergent at origin: exponent {exponent} <= -1")
-    u, w = roots_genlaguerre(n, alpha)
+    u, w = _genlaguerre_rule(n, alpha)
     r = (a * u / lam) ** (1 / a)
     W = (1 / a) * (a / lam) ** ((exponent + 1) / a) * w
     return r, W
@@ -78,11 +143,12 @@ def sphere_rule(m: int, n_ang: int):
 def circle_rule(k1, k2, n: int):
     """Directions and weights for int_{S^1} f(xi) (2 xi_1^2)^{k1} (2 xi_2^2)^{k2} dsigma.
 
-    Gauss-Jacobi in t = xi_1^2 on one quadrant, mirrored over all four sign
-    choices, so the weight's kinks on the axes never meet the rule.  Exact
-    for f polynomial of degree below about 4n; odd parts vanish by symmetry.
+    Gauss-Jacobi (the Golub-Welsch rule) in t = xi_1^2 on one quadrant,
+    mirrored over all four sign choices, so the weight's kinks on the axes
+    never meet the rule.  Exact for f polynomial of degree below about 4n;
+    odd parts vanish by symmetry.
     """
-    u, w = roots_jacobi(n, float(k2) - 0.5, float(k1) - 0.5)
+    u, w = _jacobi_rule(n, float(k2) - 0.5, float(k1) - 0.5)
     t = (1 + u) / 2
     x1, x2 = np.sqrt(t), np.sqrt(1 - t)
     signs = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]], dtype=float)

@@ -46,3 +46,16 @@ def random_expr(rng: random.Random, m: int, degree: int,
 @pytest.fixture
 def rng():
     return random.Random(20260816)
+
+
+def lattice_expr(rng: random.Random, m: int, den: int, terms: int = 5) -> RadialExpr:
+    """Random polynomial-with-blades input whose radial exponents sit on the
+    lattice 1/den (the first term at r^{1/den} makes den the lattice)."""
+    pool = [mono for d in range(3) for mono in monomials(m, d)]
+    out = RadialExpr(m)
+    for i in range(terms):
+        out = out + RadialExpr.monomial(
+            m, rng.choice(pool), rand_fraction(rng, -3, 3) or Fraction(1),
+            blade=rng.randrange(1 << m),
+            r_exp=Fraction(1 if i == 0 else rng.randint(0, 2 * den), den))
+    return out

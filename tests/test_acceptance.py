@@ -243,7 +243,7 @@ def gram_check(dctx, t_max, ell_max, tol_diag, tol_off, n_r, n_ang):
     for ell in range(ell_max + 1):
         mono = monogenic_basis(dctx.dk, ell)[0]
         tower = LaguerreTower(dctx, ell, mono)
-        sphere = sphere_inner_exact(setup, mono, mono)
+        sphere = sphere_inner_exact(setup, mono.bar().mul_expr(mono))
         for t in range(t_max + 1):
             ref = np.zeros(1 << setup.m)
             for blade, comb in sphere.items():

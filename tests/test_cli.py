@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -93,10 +96,15 @@ def test_suites_applying_d_or_x_a_record_image_cache(tmp_path, argv):
     # and the caches of the layers below, named as the bench tracer names them
     layers = summary["layer_caches"]
     assert set(layers) == {"dunkl.dunkl_monomial", "reflection.reflect_monomial",
-                           "clifford.blade_product", "poly.r_squared_power"}
+                           "clifford.blade_product", "poly.r_squared_power",
+                           "measure.unit_integral", "kelvin.power"}
     assert all(set(counts) == {"hits", "misses"} for counts in layers.values())
     assert all(n >= 0 for counts in layers.values() for n in counts.values())
     assert sum(layers["dunkl.dunkl_monomial"].values()) > 0
+    # the exact integrals reuse their unit integrals, P and Q their powers of a/2
+    memo = {"orthogonality": "measure.unit_integral", "verify-kelvin": "kelvin.power"}
+    if argv[0] in memo:
+        assert layers[memo[argv[0]]]["hits"] > 0
 
 
 def test_layer_caches_are_read_through_a_profiler_wrapper(tmp_path, monkeypatch):
@@ -734,3 +742,38 @@ def test_registered_suite_runs_green(tmp_path, name):
     summary = read_summary(tmp_path, name)
     assert summary["checks"] == len(read_rows(tmp_path, name)) > 0
     assert summary["excluded"] == 0 and summary["all_pass"] is True
+
+
+# -- what a suite run imports ---------------------------------------------------
+
+QUADRATURE_RUNS = [
+    # circle rules: Jacobi (1/2, 3/2), Legendre (1/2, 1/2), Gegenbauer (1/3, 1/3)
+    ["orthogonality", "--k", "1/2,3/2", "--t-max", "1", "--ell-max", "1", "--numeric",
+     "--nr", "20", "--ntheta", "16"],
+    ["transform-eigen", "--k", "1/3,1/3", "--t-max", "1", "--l-max", "0", "--nr", "20",
+     "--ntheta", "16", "--tol", "1e-3"],
+    ["a-minus2-suite", "--k", "1/2", "--degree", "1", "--j-max", "0", "--l-max", "0",
+     "--nr", "20", "--ntheta", "16", "--tol", "1e-3"],
+]
+
+
+def test_quadrature_suites_never_import_scipy_linalg(tmp_path):
+    """The Gauss rules are built without scipy.linalg, whose import would be
+    paid inside every run that builds a rule, and without a RuntimeWarning."""
+    script = f"""
+import json, sys, warnings
+from dunkldirac.cli import main
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    codes = [main(argv + ["--out", {str(tmp_path)!r} + "/" + argv[0]])
+             for argv in {QUADRATURE_RUNS!r}]
+print(json.dumps({{"codes": codes, "linalg": "scipy.linalg" in sys.modules,
+                  "warnings": [str(w.message) for w in caught
+                               if issubclass(w.category, RuntimeWarning)]}}))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"codes": [0, 0, 0], "linalg": False, "warnings": []}

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dunkldirac import kelvin
+from dunkldirac.cli import main
 from dunkldirac.deformed import DeformedContext
 from dunkldirac.dunkl import DunklContext
 from dunkldirac.kelvin import (
@@ -22,8 +24,9 @@ from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
 from dunkldirac.quadrature import evaluate
 from dunkldirac.reflection import z2_power
+from dunkldirac.scalars import ExactScalar
 
-from conftest import rand_fraction, random_expr
+from conftest import lattice_expr, rand_fraction, random_expr
 
 
 def make_ctx(a, b, ks=(Fraction(1, 2), Fraction(3, 2))):
@@ -151,3 +154,72 @@ def test_q_map_is_the_pullback_under_its_coordinate_change():
     rhs = evaluate(g, q_coordinate_map(par, pts)) \
         * (r ** float(-par.a * par.b / 2))[:, None]
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+# -- P and Q on the int lattice against the constructor route ----------------------
+
+def constructor_rescale(f, a, power, new_s):
+    """r^s p_d -> (a/2)^{power(s + d)} r^{new_s(s, d)} p_d through the
+    RadialExpr constructor, one fresh power of a/2 per distinct degree."""
+    terms, scale = {}, {}
+    for (s, mono, blade), coeff in f.rational_terms():
+        d = sum(mono)
+        if s + d not in scale:
+            scale[s + d] = ExactScalar.power(a / 2, power(s + d))
+        terms[(new_s(s, d), mono, blade)] = coeff * scale[s + d]
+    return RadialExpr(f.m, terms)
+
+
+def constructor_p(par, f):
+    a, b = par.a, par.b
+    return constructor_rescale(f, a, lambda w: w / a,
+                               lambda s, d: b + 2 * s / a + (Fraction(2) / a - 1) * d)
+
+
+def constructor_q(par, f):
+    a, b = par.a, par.b
+    return constructor_rescale(f, a, lambda w: -w / 2,
+                               lambda s, d: -a * b / 2 + a * s / 2 + (a / 2 - 1) * d)
+
+
+def assert_same_expr(got, want):
+    """Equal, on the same lattice, with the terms in the same order."""
+    assert got == want
+    assert got.den == want.den
+    assert list(got.terms) == list(want.terms)
+    assert got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["z2^2", "z2^3"])
+@pytest.mark.parametrize("ab", [(Fraction(4, 3), Fraction(1, 3)),
+                                (Fraction(5, 2), Fraction(-1, 5))],
+                         ids=["4/3,1/3", "5/2,-1/5"])
+@pytest.mark.parametrize("den", [1, 3, 7])
+def test_p_and_q_match_the_constructor_route(m, ab, den):
+    """Rational inputs on the lattices 1/1, 1/3 and 1/7, and ExactScalar
+    inputs (their images under the other map)."""
+    par = DeformParams.commuting(*ab)
+    rng = random.Random(10 * den + m)
+    for _ in range(3):
+        f = lattice_expr(rng, m, den)
+        assert f.den == den
+        for mine, ref, other in ((p_map, constructor_p, q_map), (q_map, constructor_q, p_map)):
+            assert_same_expr(mine(par, f), ref(par, f))
+            scalars = other(par, f)
+            assert_same_expr(mine(par, scalars), ref(par, scalars))
+
+
+def test_memoized_powers_keep_their_terms_through_a_suite_run(tmp_path):
+    """Memo entries are shared: the power behind pq_constant at the golden
+    verify-kelvin triple is the same object, with the same terms, after
+    that suite has scaled by it and by its neighbours."""
+    par = DeformParams(Fraction(2, 3), Fraction(1, 5), Fraction(1, 7))
+    const = pq_constant(par)
+    terms = dict(const.terms)
+    hits = kelvin.power_cache_info().hits
+    assert main(["verify-kelvin", "--family", "z2", "--m", "2", "--k", "1/2,3/2",
+                 "--degree", "2", "--a", "2/3", "--b", "1/5", "--c", "1/7",
+                 "--out", str(tmp_path)]) == 0
+    assert kelvin.power_cache_info().hits > hits
+    assert pq_constant(par) is const
+    assert const.terms == terms

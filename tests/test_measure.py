@@ -1,14 +1,18 @@
 """Weighted integrals in closed Gamma form, plus the numeric cross-checks."""
 
+import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from dunkldirac import measure
+from dunkldirac.cli import main
 from dunkldirac.deformed import DeformedContext
 from dunkldirac.dunkl import DunklContext
 from dunkldirac.fischer import monogenic_basis
+from dunkldirac.kelvin import p_map
 from dunkldirac.laguerre import LaguerreTower
 from dunkldirac.measure import (
     axis_multiplicities,
@@ -24,6 +28,8 @@ from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
 from dunkldirac.reflection import dihedral, hyperoctahedral, symmetric, z2_power
 from dunkldirac.scalars import ExactScalar
+
+from conftest import lattice_expr
 
 
 # -- the Gamma part of the exact scalar ring ---------------------------------
@@ -169,9 +175,9 @@ def test_inner_product_requires_axis_aligned_roots():
     ctx = DeformedContext(dk, DeformParams(2, 0, 0))
     f = RadialExpr.monomial(3, (0, 0, 0))
     with pytest.raises(ValueError, match="axis-aligned"):
-        inner_product_exact(ctx, f, f)
+        inner_product_exact(ctx, f.bar().mul_expr(f))
     with pytest.raises(ValueError, match="axis-aligned"):
-        sphere_inner_exact(dk.setup, f, f)
+        sphere_inner_exact(dk.setup, f.bar().mul_expr(f))
 
 
 def test_gaussian_mass_matches_mehta():
@@ -182,7 +188,7 @@ def test_gaussian_mass_matches_mehta():
     """
     ctx = make_ctx(2, 0, 0)
     one = RadialExpr.monomial(2, (0, 0))
-    got = inner_product_exact(ctx, one, one)
+    got = inner_product_exact(ctx, one.bar().mul_expr(one))
     # the integrand is a product f(x) g(y), so the plane integral is a product
     num = (mpmath.quad(lambda x: mpmath.exp(-x * x) * (2 * x * x) ** 0.5, [-6, 0, 6])
            * mpmath.quad(lambda y: mpmath.exp(-y * y) * (2 * y * y) ** 1.5, [-6, 0, 6]))
@@ -259,10 +265,10 @@ def test_norm_constant_matches_inner_product():
     ell = 1
     mg = monogenic_basis(ctx.dk, ell)[0]
     tower = LaguerreTower(ctx, ell, mg)
-    sphere = sphere_inner_exact(ctx.dk.setup, mg, mg)
+    sphere = sphere_inner_exact(ctx.dk.setup, mg.bar().mul_expr(mg))
     for t in range(4):
         psi = tower.psi(t)
-        got = inner_product_exact(ctx, psi, psi)
+        got = inner_product_exact(ctx, psi.bar().mul_expr(psi))
         nc = norm_constant(ctx, ell, t)
         for blade, comb in got.items():
             assert (comb - nc * sphere[blade]).is_zero()
@@ -274,7 +280,7 @@ def test_inner_product_of_distinct_rungs_vanishes():
     ctx = make_ctx(2, Fraction(1, 3), Fraction(1, 2))
     mg = monogenic_basis(ctx.dk, 1)[0]
     tower = LaguerreTower(ctx, 1, mg)
-    got = inner_product_exact(ctx, tower.psi(0), tower.psi(2))
+    got = inner_product_exact(ctx, tower.psi(0).bar().mul_expr(tower.psi(2)))
     assert not got  # all blades cancel
 
 
@@ -284,12 +290,12 @@ def test_inner_product_divergence_raises():
     one = RadialExpr.monomial(2, (0, 0))
     x1 = RadialExpr.monomial(2, (1, 0))
     with pytest.raises(ValueError, match="divergent"):
-        inner_product_exact(ctx, one, one)
+        inner_product_exact(ctx, one.bar().mul_expr(one))
     # an odd integrand has zero sphere moments, but its radial part diverges
     with pytest.raises(ValueError, match="divergent"):
-        inner_product_exact(ctx, one, x1)
+        inner_product_exact(ctx, one.bar().mul_expr(x1))
     with pytest.raises(ValueError, match="a > 0"):
-        inner_product_exact(make_ctx(-2, 0, 0), one, one)
+        inner_product_exact(make_ctx(-2, 0, 0), one.bar().mul_expr(one))
 
 
 def test_norm_constant_raises_where_the_norm_diverges():
@@ -302,3 +308,73 @@ def test_norm_constant_raises_where_the_norm_diverges():
     with pytest.raises(ValueError, match="divergent"):
         norm_constant(ctx, 0, 0)
     assert not norm_constant(ctx, 0, 1).is_zero()
+
+
+# -- the unit-integral memo against the per-term sum ----------------------------
+
+def per_term_integrals(setup, prod, dctx=None):
+    """The exact integrals as one ExactScalar product and sum per term, with
+    no memo: the sphere moment, times the radial integral when dctx is given,
+    times the coefficient, summed blade by blade."""
+    ks = axis_multiplicities(setup)
+    out = {}
+    for (s, mono, blade), coeff in prod.rational_terms():
+        if any(e % 2 for e in mono):
+            continue
+        term = sphere_moment(setup.m, mono, ks)
+        if dctx is not None:
+            q = 2 * setup.gamma + weight_exponent(dctx) + setup.m + s + sum(mono)
+            term = radial_integral(q, dctx.par.a) * term
+        term = term * coeff
+        out[blade] = out[blade] + term if blade in out else term
+    return {blade: comb for blade, comb in out.items() if not comb.is_zero()}
+
+
+def assert_same_integrals(got, want):
+    """Equal values, in the same blade order and with the same printed terms."""
+    assert got == want
+    assert list(got) == list(want)
+    assert [str(c) for c in got.values()] == [str(c) for c in want.values()]
+
+
+@pytest.mark.parametrize("ks", [(Fraction(1, 2), Fraction(3, 2)),
+                                (Fraction(1, 3), Fraction(1, 2), Fraction(3, 2))],
+                         ids=["z2^2", "z2^3"])
+@pytest.mark.parametrize("abc", [(Fraction(4, 3), Fraction(1, 3), Fraction(1, 2)),
+                                 (Fraction(5, 2), Fraction(-1, 5), Fraction(3, 7))],
+                         ids=["4/3,1/3,1/2", "5/2,-1/5,3/7"])
+@pytest.mark.parametrize("den", [1, 3, 7])
+def test_exact_integrals_match_the_per_term_sum(ks, abc, den):
+    """Rational coefficients, and ExactScalar ones (powers of a/2 from P),
+    on inputs whose radial exponents sit on the lattices 1/1, 1/3 and 1/7."""
+    dk = DunklContext(z2_power(len(ks), list(ks)))
+    dctx = DeformedContext(dk, DeformParams(*abc))
+    rng = random.Random(100 * den + len(ks))
+    for _ in range(2):
+        f, g = lattice_expr(rng, dk.m, den), lattice_expr(rng, dk.m, den)
+        assert f.den == den
+        for left in (f, p_map(dctx.par, f)):
+            prod = left.bar().mul_expr(g)
+            assert_same_integrals(inner_product_exact(dctx, prod),
+                                  per_term_integrals(dk.setup, prod, dctx))
+            assert_same_integrals(sphere_inner_exact(dk.setup, prod),
+                                  per_term_integrals(dk.setup, prod))
+
+
+def test_memoized_unit_integrals_keep_their_terms_through_a_suite_run(tmp_path):
+    """Memo entries are shared: after a second run of the suite that filled
+    them (every lookup a hit), each holds exactly the terms it held before."""
+    argv = ["orthogonality", "--family", "z2", "--m", "2", "--k", "1/3,1/2",
+            "--a", "4/3", "--b", "1/3", "--c", "1/2", "--t-max", "2", "--ell-max", "1"]
+    assert main(argv + ["--out", str(tmp_path / "first")]) == 0
+    held = {(outer, key): (unit, dict(unit.terms))
+            for outer, units in measure._UNITS.items() for key, unit in units.items()}
+    assert held
+    misses = measure.unit_cache_info()["misses"]
+    assert main(argv + ["--out", str(tmp_path / "second")]) == 0
+    assert measure.unit_cache_info()["misses"] == misses
+    for (outer, key), (unit, terms) in held.items():
+        assert measure._UNITS[outer][key] is unit
+        assert unit.terms == terms
+    assert ((tmp_path / "first" / "orthogonality.jsonl").read_text()
+            == (tmp_path / "second" / "orthogonality.jsonl").read_text())

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_genlaguerre, roots_jacobi
 
 from dunkldirac.deformed import DeformedContext
 from dunkldirac.dunkl import DunklContext
@@ -18,6 +19,8 @@ from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
 from dunkldirac.quadrature import (
     KernelTables,
+    _genlaguerre_rule,
+    _jacobi_rule,
     circle_rule,
     evaluate,
     integrate_expr,
@@ -166,7 +169,7 @@ def test_integrate_expr_matches_exact_inner_products():
         ctx = DeformedContext(dk, DeformParams(a, b, c))
         f = random_expr(rng, 2, 2)
         g = random_expr(rng, 2, 2)
-        exact = inner_product_exact(ctx, f, g)
+        exact = inner_product_exact(ctx, f.bar().mul_expr(g))
         from dunkldirac.measure import weight_exponent
         prod = f.bar().mul_expr(g)
         got, _floor = integrate_expr(dk.setup, prod, a, 2,
@@ -313,3 +316,61 @@ def test_kernel_tables_keep_the_two_most_recent_builds():
     assert (memo.hits, memo.misses) == (3, 4)
     for table in memo.tables.values():
         assert table.flags.c_contiguous and not table.flags.writeable
+
+
+# -- the Golub-Welsch rules against scipy.special ---------------------------------
+
+GW_ORDERS = (1, 2, 20, 60, 120)
+GW_ALPHAS = (-0.5, 0.0, 1 / 3, 3.5)
+# equal pairs (Chebyshev at -1/2, Gegenbauer), both zero (Legendre), unequal
+JACOBI_PAIRS = [(al, al) for al in GW_ALPHAS] + [
+    (al, be) for al in GW_ALPHAS for be in GW_ALPHAS if al != be]
+
+
+@pytest.mark.parametrize("n", GW_ORDERS)
+def test_genlaguerre_rule_is_scipys(n):
+    for alpha in GW_ALPHAS:
+        x, w = _genlaguerre_rule(n, alpha)
+        want_x, want_w = roots_genlaguerre(n, alpha)
+        np.testing.assert_allclose(x, want_x, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(w, want_w, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", GW_ORDERS)
+def test_jacobi_rule_is_scipys(n):
+    for a, b in JACOBI_PAIRS:
+        x, w = _jacobi_rule(n, a, b)
+        want_x, want_w = roots_jacobi(n, a, b)
+        np.testing.assert_allclose(x, want_x, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(w, want_w, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", GW_ORDERS)
+def test_golub_welsch_rules_are_exact_through_degree_2n_minus_1(n):
+    """(x / 4n)^{2n-1} against x^alpha e^{-x}, and ((1 + x) / 2)^{2n-1}
+    against (1 - x)^a (1 + x)^b: positive integrands of degree 2n - 1, scaled
+    so that no power overflows, against their closed moments in mpmath.  The
+    outer nodes sit about 1/n^2 apart, so the moments carry n^2 eps."""
+    import mpmath
+    rtol = 8 * n * n * np.finfo(float).eps
+    with mpmath.workdps(30):
+        for alpha in GW_ALPHAS:
+            x, w = _genlaguerre_rule(n, alpha)
+            want = mpmath.gamma(2 * n + mpmath.mpf(alpha)) / mpmath.mpf(4 * n) ** (2 * n - 1)
+            np.testing.assert_allclose(np.sum(w * (x / (4 * n)) ** (2 * n - 1)),
+                                       float(want), rtol=rtol)
+        for a, b in JACOBI_PAIRS:
+            x, w = _jacobi_rule(n, a, b)
+            want = 2 ** (mpmath.mpf(a) + b + 1) * mpmath.beta(mpmath.mpf(a) + 1, b + 2 * n)
+            np.testing.assert_allclose(np.sum(w * ((1 + x) / 2) ** (2 * n - 1)),
+                                       float(want), rtol=rtol)
+
+
+def test_golub_welsch_rules_reject_what_scipy_rejects():
+    """The messages are scipy's, since suites write them into excluded rows."""
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        _genlaguerre_rule(0, 0.5)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        _jacobi_rule(0, 0.5, 0.5)
+    with pytest.raises(ValueError, match="alpha and beta must be greater than -1"):
+        _jacobi_rule(4, -1.0, 0.5)
