@@ -344,15 +344,15 @@ def _layer_caches(dk: DunklContext) -> dict:
 
 
 def _inversion_rows(dk: DunklContext, inputs: list):
-    """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each input;
-    returns the context's cache_info()."""
+    """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each
+    (input, text) pair; returns the context's cache_info()."""
     dctx = DeformedContext(dk, inversion_params(dk.setup.mu))
-    for f in inputs:
-        yield {"relation": "I(I f) = f", "input": f.to_text(),
+    for f, text in inputs:
+        yield {"relation": "I(I f) = f", "input": text,
                "pass": (inversion(dk, inversion(dk, f)) - f).is_zero()}
         defect = dirac_via_inversion(dk, f) - dctx.dirac(f)
         yield {"relation": "I D I = D at (-2, 2 - mu, -2)",
-               "input": f.to_text(), "pass": defect.is_zero()}
+               "input": text, "pass": defect.is_zero()}
     return dctx.cache_info()
 
 
@@ -386,13 +386,13 @@ def suite(name: str, help: str, *, group: bool = True,
        a=None, b=None, c=None, degree=3, trials=3)
 def cmd_verify_osp(args, dk):
     rng = random.Random(args.seed)
-    inputs = _input_set(dk.m, args.degree)
+    inputs = [(f, f.to_text()) for f in _input_set(dk.m, args.degree)]
     image_cache = {op: {"hits": 0, "misses": 0} for op in ("dirac", "x_a")}
     for par in _params_from(args, rng):
         dctx = DeformedContext(dk, par)
-        for f in inputs:
+        for f, text in inputs:
             for name, defect in dctx.osp_relations_report(f).items():
-                yield {"relation": name, "input": f.to_text(),
+                yield {"relation": name, "input": text,
                        "a": par.a, "b": par.b, "c": par.c,
                        "group": dk.setup.name, "pass": defect.is_zero()}
         for op, counts in dctx.cache_info().items():
@@ -465,23 +465,23 @@ def cmd_verify_basicprops(args, dk):
        check=_positive_a, a=None, b=None, c=None, degree=3, trials=3)
 def cmd_verify_kelvin(args, dk):
     rng = random.Random(args.seed)
-    inputs = _input_set(dk.m, args.degree)
+    inputs = [(f, f.to_text()) for f in _input_set(dk.m, args.degree)]
     for par in _params_from(args, rng):
         const = pq_constant(par)
-        for f in inputs:
+        for f, text in inputs:
             qp = q_map(par, p_map(par, f)) - f.scale(const)
             pq = p_map(par, q_map(par, f)) - f.scale(const)
-            yield {"relation": "Q P = P Q = (2/a)^{b/2}", "input": f.to_text(),
+            yield {"relation": "Q P = P Q = (2/a)^{b/2}", "input": text,
                    "a": par.a, "b": par.b, "c": par.c,
                    "pass": qp.is_zero() and pq.is_zero()}
         com = DeformParams.commuting(par.a, par.b)
         dctx = DeformedContext(dk, com)
-        for f in inputs:
+        for f, text in inputs:
             ok = all((intertwined_component(dctx, i, f)
                       - dctx.dirac_component(i, f)).is_zero()
                      for i in range(1, dk.m + 1))
             yield {"relation": "(a/2)^{(b-1)/2} Q T_i P = D_i",
-                   "input": f.to_text(), "a": com.a, "b": com.b, "c": com.c,
+                   "input": text, "a": com.a, "b": com.b, "c": com.c,
                    "pass": ok}
     # the components above bypass the image caches; only I D I applies D
     info = yield from _inversion_rows(dk, inputs)
@@ -716,7 +716,8 @@ def cmd_kernel_residual(args, _dk):
        check=_all_of(_seeds_up_to("l-max", "harmonics", 1), _sphere_rule),
        degree=3, j_max=1, l_max=1, order=28, nr=60, ntheta=64, points=5, tol=1e-6)
 def cmd_a_minus2_suite(args, dk):
-    info = yield from _inversion_rows(dk, _input_set(dk.m, args.degree))
+    inputs = [(f, f.to_text()) for f in _input_set(dk.m, args.degree)]
+    info = yield from _inversion_rows(dk, inputs)
     rng = np.random.default_rng(args.seed)
     targets = rng.uniform(0.5, 1.3, size=(args.points, dk.m))
     targets *= np.sign(rng.uniform(-1, 1, size=targets.shape))

@@ -13,6 +13,7 @@ order for the numerical transform.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -228,51 +229,58 @@ class DunklContext:
         the solved series is held against.  Each reflection is a signed
         permutation (enforced by :class:`ReflectionSetup`), so each orbit is
         walked once, one :func:`reflect_monomial` lookup per root and
-        monomial, and its block is filled during that walk.
+        monomial, and its block is filled during that walk.  The solve runs in
+        integers: a level is kept as int numerators over its lowest common
+        denominator and grouped by x-monomial into the next right-hand side,
+        and each block times L, the lcm of the multiplicity denominators, is
+        the integer matrix L (n + gamma) I - L sum_v k_v r_v^x.
         """
         setup = self.setup
         m = setup.m
-        gamma = setup.gamma
-        series = [{((0,) * m, (0,) * m): Fraction(1)}]
+        kden = lcm(*(Fraction(k).denominator for k in setup.mults))
+        knum = [int(k * kden) for k in setup.mults]
+        zero = (0,) * m
+        nums, den = {(zero, zero): 1}, 1
+        series = [{(zero, zero): Fraction(1)}]
         for n in range(1, order + 1):
-            rhs: dict = {}
-            for (xm, ym), c in series[-1].items():
+            rhs: dict = {}  # x_mono -> {y_mono: numerator over den}
+            for (xm, ym), c in nums.items():
                 for i in range(m):
-                    _acc(rhs, (_bump(xm, i), _bump(ym, i)), c)
-            level: dict = {}
-            seen: set = set()
-            for xm in sorted({key[0] for key in rhs}):
+                    _acc(rhs.setdefault(_bump(xm, i), {}), _bump(ym, i), c)
+            level, seen = {}, set()
+            for xm in sorted(xm for xm, row in rhs.items() if row):
                 if xm in seen:
                     continue
                 orbit, idx, entries = [xm], {xm: 0}, []
                 for col, mo in enumerate(orbit):  # grows while it is walked
-                    for ridx, k in enumerate(setup.mults):
+                    for ridx, kn in enumerate(knum):
                         mo2, sign = reflect_monomial(setup, ridx, mo)
                         if mo2 not in idx:
                             idx[mo2] = len(orbit)
                             orbit.append(mo2)
-                        if k:
-                            entries.append((idx[mo2], col, k * sign))
+                        if kn:
+                            entries.append((idx[mo2], col, kn * sign))
                 seen.update(orbit)
                 size = len(orbit)
-                mat = [[Fraction(0)] * size for _ in range(size)]
+                mat = [[0] * size for _ in range(size)]
                 for t in range(size):
-                    mat[t][t] = n + gamma
+                    mat[t][t] = kden * n + sum(knum)
                 for row, col, v in entries:
                     mat[row][col] -= v
-                ymonos = sorted({ym for (xm2, ym) in rhs if xm2 in idx})
-                cols = []
-                for ym in ymonos:
-                    cols.append([rhs.get((mo, ym), Fraction(0)) for mo in orbit])
+                rows = [rhs.get(mo, {}) for mo in orbit]
+                ymonos = sorted({ym for row in rows for ym in row})
                 try:
-                    sols = solve_columns(mat, cols)
+                    sols, d = solve_columns(mat, [[row.get(ym, 0) for row in rows]
+                                                  for ym in ymonos])
                 except ValueError as exc:  # a singular multiplicity
                     raise type(exc)(f"kernel series: {exc} at order {n} with multiplicities "
                                     f"{', '.join(map(str, dict.fromkeys(setup.mults)))}") from None
-                for ci, ym in enumerate(ymonos):
-                    for t, mo in enumerate(orbit):
-                        if sols[ci][t]:
-                            level[(mo, ym)] = sols[ci][t]
+                for ym, sol in zip(ymonos, sols):
+                    for mo, v in zip(orbit, sol):
+                        if v:
+                            level[(mo, ym)] = Fraction(v * kden, d * den)
+            den = lcm(*(c.denominator for c in level.values()))
+            nums = {key: c.numerator * (den // c.denominator) for key, c in level.items()}
             series.append(level)
         return series
 

@@ -65,13 +65,24 @@ def _series_kernel(dk: DunklContext, X: np.ndarray, Y: np.ndarray,
 
 
 def _bessel_kernel(ks: list, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """E(x, -i y) as the product over coordinates of rank-one Bessel kernels."""
+    """E(x, -i y) as the product over coordinates of rank-one Bessel kernels.
+
+    Each factor is evaluated once per distinct |x_j| and gathered back to the
+    rows.  Its real part is even in x_j and its imaginary part odd, and both
+    z^2 and (-x) y = -(x y) are exact, so conjugating it where x_j < 0 gives
+    the table evaluated row by row, bit for bit (its imaginary part vanishes
+    where z = 0, and there its real part is 1, so the sign of that zero does
+    not reach the product).
+    """
     out = np.ones((len(X), len(Y)), dtype=complex)
     for j, k in enumerate(ks):
         k = float(k)
-        z = np.multiply.outer(X[:, j], Y[:, j])
+        absx, rows = np.unique(np.abs(X[:, j]), return_inverse=True)
+        z = np.multiply.outer(absx, Y[:, j])
         w = -0.25 * z * z
-        out *= hyp0f1(k + 0.5, w) - 1j * z / (2 * k + 1) * hyp0f1(k + 1.5, w)
+        factor = (hyp0f1(k + 0.5, w) - 1j * z / (2 * k + 1) * hyp0f1(k + 1.5, w))[rows]
+        factor.imag[X[:, j] < 0] *= -1
+        out *= factor
     return out
 
 

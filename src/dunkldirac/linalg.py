@@ -1,6 +1,7 @@
 """Exact linear algebra over Q, used for nullspaces and small solves.
 
-Rows are cleared to primitive integer rows and brought to reduced echelon
+:func:`nullspace` clears its rows to primitive integer rows and
+:func:`solve_columns` takes integer rows; both bring them to reduced echelon
 form by one fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
 1968): each step sets row_i <- (p row_i - h row_p) / d for every row other
 than the pivot row, with p the new pivot, h the row's entry in the pivot
@@ -81,19 +82,19 @@ def nullspace(A) -> list[list[Fraction]]:
     return basis
 
 
-def solve_columns(A, B_cols) -> list[list[Fraction]]:
+def solve_columns(A, B_cols) -> tuple[list[list[int]], int]:
     """Solve A x = b exactly for each column b; A may be overdetermined.
 
-    Raises SingularSystem if the solution is not unique and
+    A and the columns hold ints.  Returns (X, d): solution t is
+    X[t][i] / d, int numerators over the common pivot d (nonzero, either
+    sign).  Raises SingularSystem if the solution is not unique and
     InconsistentSystem if no solution exists.
     """
     ncols = len(A[0]) if A else 0
-    M = [_integer_row(list(row) + [col[i] for col in B_cols])
-         for i, row in enumerate(A)]
+    M = [list(row) + [col[i] for col in B_cols] for i, row in enumerate(A)]
     pivots, d = _reduced_echelon(M)
     if any(pc >= ncols for _, pc in pivots):
         raise InconsistentSystem("no solution")
     if len(pivots) < ncols:
         raise SingularSystem("solution not unique")
-    return [[Fraction(M[i][ncols + t], d) for i in range(ncols)]
-            for t in range(len(B_cols))]
+    return [[M[i][ncols + t] for i in range(ncols)] for t in range(len(B_cols))], d

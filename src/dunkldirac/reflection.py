@@ -45,7 +45,8 @@ class ReflectionSetup:
     """A root system fragment: positive root lines plus multiplicities.
 
     ``perms[ridx]`` is the reflection in root ``ridx`` as the (perm, signs)
-    of :meth:`signed_permutation`, fixed at construction.
+    of :meth:`signed_permutation`, fixed at construction; so is the hash,
+    since setups key caches and hashing their Fractions is not cheap.
     """
 
     name: str
@@ -53,6 +54,7 @@ class ReflectionSetup:
     roots: tuple
     mults: tuple
     perms: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -74,6 +76,10 @@ class ReflectionSetup:
                 continue
             raise ValueError(f"the reflection in root ({', '.join(map(str, v))}) {fault}")
         object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "_hash", hash((self.name, self.m, self.roots, self.mults)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def gamma(self) -> Fraction:

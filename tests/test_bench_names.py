@@ -60,3 +60,29 @@ def test_kernel_matrix_keeps_the_positional_shape_the_pair_counter_reads():
     assert list(params) == ["dk", "X", "Y", "order"]
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD and
                p.default is inspect.Parameter.empty for p in params.values())
+
+
+def test_kernel_coefficients_reaches_the_traced_series(monkeypatch):
+    """The ``dunkl.kernel_series_s`` span and the ``kernel_series_terms``
+    count wrap the public ``DunklContext.kernel_series``, so
+    ``kernel_coefficients`` reaches it through the class, and its return
+    stays a list of per-level dicts for the count to read."""
+    assert tracer.INCLUSIVE["dunkl.kernel_series_s"] == ("dunkl", "DunklContext.kernel_series")
+    name, count = tracer._COUNTERS[("dunkl", "DunklContext.kernel_series")]
+    assert name == "dunkl.kernel_series_terms"
+    cls = resolve("dunkl", "DunklContext")
+    calls, original = [], cls.kernel_series
+
+    def wrapped(self, order):
+        calls.append(original(self, order))
+        return calls[-1]
+
+    monkeypatch.setattr(cls, "kernel_series", wrapped)
+    reflection = importlib.import_module("dunkldirac.reflection")
+    dk = cls(reflection.hyperoctahedral(2, 1, 2))
+    dk.kernel_coefficients(4)
+    assert len(calls) == 1
+    series = calls[0]
+    assert isinstance(series, list) and len(series) == 5
+    assert all(isinstance(level, dict) for level in series)
+    assert count((dk, 4), series) == sum(len(level) for level in series) > 0

@@ -8,6 +8,7 @@ from operator import add
 import pytest
 
 from dunkldirac.dunkl import DunklContext
+from dunkldirac.linalg import InconsistentSystem, SingularSystem
 from dunkldirac.poly import RadialExpr, x_vector
 from dunkldirac.reflection import hyperoctahedral, reflect_monomial, symmetric, z2_power
 
@@ -133,6 +134,30 @@ def test_reflect_is_algebra_map():
 def test_kernel_series_passes_its_own_verifier(dk):
     series = dk.kernel_series(6)
     assert dk.verify_kernel_series(series)
+
+
+@pytest.mark.parametrize("setup, order", [
+    (hyperoctahedral(2, Fraction(1, 2), Fraction(1, 3)), 12),
+    (hyperoctahedral(3, Fraction(1), Fraction(1, 3)), 6),
+], ids=["B2", "hyperoctahedral3"])
+def test_kernel_series_passes_its_verifier_off_the_axes(setup, order):
+    """Orbits of several sizes and levels whose denominators grow and shrink."""
+    dk = DunklContext(setup)
+    assert dk.verify_kernel_series(dk.kernel_series(order))
+
+
+@pytest.mark.parametrize("setup, error, message", [
+    (symmetric(2, Fraction(-1, 2)), InconsistentSystem,
+     "kernel series: no solution at order 1 with multiplicities -1/2"),
+    (symmetric(3, Fraction(-1, 2)), InconsistentSystem,
+     "kernel series: no solution at order 3 with multiplicities -1/2"),
+    (hyperoctahedral(2, Fraction(-3, 2), Fraction(1, 2)), SingularSystem,
+     "kernel series: solution not unique at order 4 with multiplicities -3/2, 1/2"),
+], ids=["symmetric2", "symmetric3", "B2"])
+def test_kernel_series_names_a_singular_multiplicity(setup, error, message):
+    with pytest.raises(error) as exc:
+        DunklContext(setup).kernel_series(8)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_kernel_series_at_zero_multiplicity_is_exp_taylor():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import hyp0f1
 
 from dunkldirac.deformed import DeformedContext
 from dunkldirac.dunkl import DunklContext
@@ -79,6 +80,62 @@ def test_series_route_matches_the_bessel_product(ks):
     Y[0] = 0
     series = _series_kernel(dk, X, Y, 20)
     np.testing.assert_allclose(series, kernel_matrix(dk, X, Y, 20), rtol=1e-12)
+
+
+def bessel_points(m):
+    """Rows sharing |x_j| with opposite signs, repeated rows, axis points,
+    the origin and -0.0 entries, plus random rows; and targets with a zero."""
+    rng = np.random.default_rng(20)
+    base = rng.uniform(-1, 1, size=(4, m))
+    X = np.vstack([base, -base, base * [1, -1, 1][:m], base[:2], np.zeros((1, m)),
+                   rng.uniform(-1, 1, size=(3, m))])
+    X[-1, 1:] = 0
+    X[-2, 0] = -0.0
+    X[-3] = -0.0
+    Y = rng.uniform(-2, 2, size=(5, m))
+    Y[0] = 0
+    return X, Y
+
+
+bessel_setups = pytest.mark.parametrize("ks", [
+    (Fraction(1, 2), Fraction(3, 2)),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(2)),
+], ids=["z2^2", "z2^3"])
+
+
+@bessel_setups
+def test_bessel_kernel_at_minus_x_is_the_conjugate(ks):
+    """E(-x, -i y) = conj E(x, -i y) exactly: each factor's even part depends
+    on (x_j y_j)^2 alone and its odd part changes sign with x_j."""
+    dk = DunklContext(z2_power(len(ks), list(ks)))
+    X, Y = bessel_points(len(ks))
+    assert np.array_equal(kernel_matrix(dk, -X, Y, 28),
+                          np.conj(kernel_matrix(dk, X, Y, 28)))
+
+
+@bessel_setups
+def test_bessel_kernel_is_bitwise_the_product_evaluated_at_every_row(ks):
+    """Factors shared between rows of equal |x_j| give the bytes of the
+    product evaluated at every row, signed zeros included."""
+    dk = DunklContext(z2_power(len(ks), list(ks)))
+    X, Y = bessel_points(len(ks))
+    direct = np.ones((len(X), len(Y)), dtype=complex)
+    for j, k in enumerate(map(float, ks)):
+        z = np.multiply.outer(X[:, j], Y[:, j])
+        w = -0.25 * z * z
+        direct *= hyp0f1(k + 0.5, w) - 1j * z / (2 * k + 1) * hyp0f1(k + 1.5, w)
+    assert kernel_matrix(dk, X, Y, 28).tobytes() == direct.tobytes()
+
+
+@bessel_setups
+def test_bessel_kernel_rows_alone_equal_the_batched_table(ks):
+    """The factors are shared between rows of equal |x_j|; a row evaluated by
+    itself gets the same bits."""
+    dk = DunklContext(z2_power(len(ks), list(ks)))
+    X, Y = bessel_points(len(ks))
+    table = kernel_matrix(dk, X, Y, 28)
+    for x, row in zip(X, table):
+        assert np.array_equal(kernel_matrix(dk, x[None, :], Y, 28)[0], row)
 
 
 def test_b2_kernel_is_symmetric_and_converges():

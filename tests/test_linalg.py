@@ -1,5 +1,6 @@
 """Fraction-free linear solving: exact kernels and unique solutions."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -20,23 +21,48 @@ def matvec(A, x):
             for i in range(len(A))]
 
 
+def solve(A, cols):
+    """solve_columns' int numerators over its pivot d, as Fractions."""
+    X, d = solve_columns(A, cols)
+    return [[Fraction(v, d) for v in x] for x in X]
+
+
+def cleared(A, b):
+    """The integer rows of A x = b: each equation times its lcm denominator."""
+    rows = []
+    for row, bi in zip(A, b):
+        den = math.lcm(*(Fraction(v).denominator for v in [*row, bi]))
+        rows.append([int(Fraction(v) * den) for v in [*row, bi]])
+    return [r[:-1] for r in rows], [r[-1] for r in rows]
+
+
 def test_solve_known_system():
     A = [[2, 1], [1, 3]]
-    x = solve_columns(A, [[5, 10]])[0]
+    x = solve(A, [[5, 10]])[0]
     assert x == [Fraction(1), Fraction(3)]
 
 
+def test_solve_returns_int_numerators_over_one_pivot():
+    X, d = solve_columns([[2, 1], [1, 3]], [[5, 10], [1, 0]])
+    assert isinstance(d, int) and d != 0
+    assert all(isinstance(v, int) for x in X for v in x)
+    assert [[Fraction(v, d) for v in x] for x in X] == [
+        [Fraction(1), Fraction(3)], [Fraction(3, 5), Fraction(-1, 5)]]
+
+
 def test_solve_with_fraction_entries():
+    """Fraction entries are cleared row by row before the integer solve."""
     A = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]]
     b = [Fraction(7, 6), Fraction(6, 5)]
-    assert matvec(A, solve_columns(A, [b])[0]) == b
+    rows, rhs = cleared(A, b)
+    assert matvec(A, solve(rows, [rhs])[0]) == b
 
 
 def test_solve_overdetermined_consistent():
     # three equations, two unknowns, rank 2, consistent
     A = [[1, 1], [1, -1], [2, 0]]
     b = [3, 1, 4]
-    assert solve_columns(A, [b])[0] == [Fraction(2), Fraction(1)]
+    assert solve(A, [b])[0] == [Fraction(2), Fraction(1)]
 
 
 def test_solve_overdetermined_inconsistent_raises():
@@ -58,7 +84,7 @@ def test_inconsistent_square_system_raises():
 def test_solve_columns_batches():
     A = [[1, 2], [3, 4]]
     cols = [[1, 0], [0, 1], [5, 6]]
-    sols = solve_columns(A, cols)
+    sols = solve(A, cols)
     for x, b in zip(sols, cols):
         assert matvec(A, x) == [Fraction(v) for v in b]
 
@@ -95,8 +121,9 @@ def test_random_square_systems_roundtrip(data):
     A = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
     x_true = [data.draw(entries) for _ in range(n)]
     b = matvec(A, x_true)
+    rows, rhs = cleared(A, b)
     try:
-        x = solve_columns(A, [b])[0]
+        x = solve(rows, [rhs])[0]
     except SingularSystem:
         assert nullspace(A), "singular verdict without a kernel vector"
         return
