@@ -211,6 +211,10 @@ def _seeds_up_to(flag: str, kind: str, top: int) -> Callable:
 # -- report plumbing --------------------------------------------------------
 
 def _jsonable(val):
+    if type(val) in (str, bool, int, float) or val is None:
+        return val
+    if isinstance(val, dict):
+        return {str(k): _jsonable(v) for k, v in val.items()}
     if isinstance(val, Fraction):
         return str(val)
     if isinstance(val, complex):
@@ -221,10 +225,6 @@ def _jsonable(val):
         return [_jsonable(v) for v in val.tolist()]
     if isinstance(val, (list, tuple)):
         return [_jsonable(v) for v in val]
-    if isinstance(val, dict):
-        return {str(k): _jsonable(v) for k, v in val.items()}
-    if isinstance(val, (bool, int, float, str)) or val is None:
-        return val
     return str(val)
 
 
@@ -390,11 +390,12 @@ def cmd_verify_osp(args, dk):
     image_cache = {op: {"hits": 0, "misses": 0} for op in ("dirac", "x_a")}
     for par in _params_from(args, rng):
         dctx = DeformedContext(dk, par)
+        triple = {"a": str(par.a), "b": str(par.b), "c": str(par.c),
+                  "group": dk.setup.name}
         for f, text in inputs:
             for name, defect in dctx.osp_relations_report(f).items():
-                yield {"relation": name, "input": text,
-                       "a": par.a, "b": par.b, "c": par.c,
-                       "group": dk.setup.name, "pass": defect.is_zero()}
+                yield {"relation": name, "input": text, **triple,
+                       "pass": defect.is_zero()}
         for op, counts in dctx.cache_info().items():
             for kind, n in counts.items():
                 image_cache[op][kind] += n

@@ -21,9 +21,12 @@ lattice starts at the denominator of a/2, which every shift D and x_a make
 is a multiple of, and grows with the lattices of the inputs, which are
 lifted onto it; every output sits on it.  A call sums its input's images in
 integers over one common denominator and makes one Fraction per output
-term.  The terms come out in the order a plain Fraction sum gives them, and
-the float sums downstream add them in that order.  The images depend on
-(a, b, c) and on the group, so no two contexts share them.
+term, in the order a plain Fraction sum gives them, which the float sums
+downstream add in.  The osp report chains its seventeen applications, and
+E and the scalar factors between them, on integer numerators over one
+denominator from its input to its eight defects, and makes a Fraction only
+for a nonzero defect term.  The images depend on (a, b, c) and on the
+group, so no two contexts share them.
 
 The components D_i stay uncached: the factorization and commutator rows of
 ``verify-factorization`` and the Kelvin rows compose them directly.  Three
@@ -38,12 +41,13 @@ on f e^{-r^a/a} by the chain rule) and dirac_from_commutator
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 from .dunkl import DunklContext
 from .params import DeformParams
-from .poly import RadialExpr, _UnitImages, _merge
-
-_ZERO = Fraction(0)
+from .poly import RadialExpr, _UnitImages, _combine, _int_euler, _merge, _new
+from .scalars import ExactScalar
 
 
 class DeformedContext:
@@ -53,6 +57,9 @@ class DeformedContext:
         self.dk = dk
         self.par = par
         self.m = dk.m
+        self.mu = Fraction(dk.setup.mu)
+        # the effective dimension of the deformed family
+        self.delta = par.a / 2 + (2 * par.b + self.mu - 1) / (1 + par.c)
         # every shift either operator makes is a multiple of 1/den(a/2)
         lattice = (par.a / 2).denominator
         self._dirac = _UnitImages(self._dirac_image, lattice)
@@ -63,16 +70,6 @@ class DeformedContext:
         return {"dirac": self._dirac.info(), "x_a": self._x_a.info()}
 
     # -- derived scalars ----------------------------------------------------
-
-    @property
-    def mu(self) -> Fraction:
-        return Fraction(self.dk.setup.mu)
-
-    @property
-    def delta(self) -> Fraction:
-        """Effective dimension a/2 + (2b + mu - 1)/(1 + c) of the deformed family."""
-        p = self.par
-        return p.a / 2 + (2 * p.b + self.mu - 1) / (1 + p.c)
 
     def beta(self, ell: int) -> Fraction:
         return self.par.beta(ell)
@@ -99,10 +96,6 @@ class DeformedContext:
 
     def _x_a_image(self, f: RadialExpr) -> RadialExpr:
         return f.vector_mul_left(self.par.a / 2 - 1)
-
-    def euler_half_delta(self, f: RadialExpr) -> RadialExpr:
-        """(E + delta/2) f."""
-        return f.euler() + f.scale(self.delta / 2)
 
     def dirac(self, f: RadialExpr) -> RadialExpr:
         """D f = r^{1-a/2} D_k f + b r^{-a/2-1} x f + c r^{-a/2-1} x E f."""
@@ -238,46 +231,48 @@ class DeformedContext:
 
         All eight defects are zero for every parameter triple; the report
         returns the actual residuals so a caller can display or test them.
+        D and x_a are applied seventeen times on integer numerators over one
+        denominator (:meth:`~dunkldirac.poly._UnitImages.apply`); a Fraction is
+        made only for a nonzero defect term.  f must have rational coefficients.
         """
-        p = self.par
-        a, c = p.a, p.c
-        one_c = 1 + c
-
-        df = self.dirac(f)
-        ddf = self.dirac(df)
-        xf = self.x_a(f)
-        xxf = self.x_a(xf)
-        dxf = self.dirac(xf)
-        ddxf = self.dirac(dxf)
-        dxxf = self.dirac(xxf)
-        ddxxf = self.dirac(dxxf)
-        xdf = self.x_a(df)
-        xxdf = self.x_a(xdf)
-        xddf = self.x_a(ddf)
-        xxddf = self.x_a(xddf)
-        def_ = self.dirac(f.euler())
-        ddef = self.dirac(def_)
-
-        ehd = self.euler_half_delta
+        if any(isinstance(c, ExactScalar) for c in f.terms.values()):
+            raise ValueError("the osp report takes rational coefficients only")
+        a, one_c, delta, m = self.par.a, 1 + self.par.c, self.delta, self.m
+        den = lcm(self._dirac.den, self._x_a.den, f.den)
+        self._dirac.lift(den)
+        self._x_a.lift(den)
+        terms = f._on(den)
+        common = lcm(*(c.denominator for c in terms.values()))
+        fi = (common, {k: c.numerator * (common // c.denominator) for k, c in terms.items()})
+        d, x = partial(self._dirac.apply, m), partial(self._x_a.apply, m)
+        e = partial(_int_euler, den)
+        ef = e(fi)
+        df, xf = d(fi), x(fi)
+        ddf, xxf, dxf, xdf = d(df), x(xf), d(xf), x(df)
+        ddxf, dxxf, xxdf, xddf = d(dxf), d(xxf), x(xdf), x(ddf)
+        ddxxf, xxddf, def_ = d(dxxf), x(xddf), d(ef)
+        ddef, xef, xxef = d(def_), x(ef), x(x(ef))
         report = {
             "{x_a, D} = -2(1+c)(E + delta/2)":
-                (xdf + dxf) + ehd(f).scale(2 * one_c),
+                _combine((1, xdf), (1, dxf), (2 * one_c, ef), (one_c * delta, fi)),
             "[x_a^2, D] = a(1+c) x_a":
-                (xxdf - dxxf) - xf.scale(a * one_c),
+                _combine((1, xxdf), (-1, dxxf), (-a * one_c, xf)),
             "[D^2, x_a] = -a(1+c) D":
-                (ddxf - xddf) + df.scale(a * one_c),
+                _combine((1, ddxf), (-1, xddf), (a * one_c, df)),
             "[D^2, x_a^2] = 2a(1+c)^2 (E + delta/2)":
-                (ddxxf - xxddf) - ehd(f).scale(2 * a * one_c * one_c),
+                _combine((1, ddxxf), (-1, xxddf), (-2 * a * one_c ** 2, ef),
+                         (-a * one_c ** 2 * delta, fi)),
             "[E + delta/2, D] = -(a/2) D":
-                (df.euler() - def_) + df.scale(a / 2),
+                _combine((1, e(df)), (-1, def_), (a / 2, df)),
             "[E + delta/2, x_a] = (a/2) x_a":
-                (xf.euler() - self.x_a(f.euler())) - xf.scale(a / 2),
+                _combine((1, e(xf)), (-1, xef), (-a / 2, xf)),
             "[E + delta/2, D^2] = -a D^2":
-                (ddf.euler() - ddef) + ddf.scale(a),
+                _combine((1, e(ddf)), (-1, ddef), (a, ddf)),
             "[E + delta/2, x_a^2] = a x_a^2":
-                (xxf.euler() - self.x_a(self.x_a(f.euler()))) - xxf.scale(a),
+                _combine((1, e(xxf)), (-1, xxef), (-a, xxf)),
         }
-        return report
+        return {name: _new(m, den, {k: Fraction(v, c) for k, v in t.items()})
+                for name, (c, t) in report.items()}
 
 
 # -- classification of the scalar factorizations ---------------------------

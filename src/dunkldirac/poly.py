@@ -77,6 +77,24 @@ def _acc(d: dict, key, val):
         del d[key]
 
 
+def _combine(*parts) -> tuple:
+    """sum of w * pair over the (w rational, (common, {key: int})) parts, as one pair."""
+    common = lcm(*(w.denominator * d for w, (d, _t) in parts))
+    out: dict = {}
+    for w, (d, terms) in parts:
+        s = w.numerator * (common // (w.denominator * d))
+        for key, v in terms.items():
+            _acc(out, key, s * v)
+    return common, out
+
+
+def _int_euler(den: int, pair: tuple) -> tuple:
+    """:meth:`RadialExpr.euler` on a (common, {key: int}) pair on the lattice den."""
+    common, terms = pair
+    return common * den, {k: v * w for k, v in terms.items()
+                           if (w := k[0] + den * sum(k[1]))}
+
+
 def _lift(terms: dict, by: int) -> dict:
     """terms with every radial numerator times by, in the same order."""
     return {(n * by, mono, b): c for (n, mono, b), c in terms.items()}
@@ -118,7 +136,8 @@ class _UnitImages:
     The operator must commute with right multiplication by blades, as every
     operator that multiplies by Clifford elements from the left does.  So
     the image of r^s x^mono e_blade is the image of r^s x^mono, built once
-    by ``image`` and kept in ``bases``, times e_blade on the right.
+    by ``image`` and kept in ``bases`` as integers over one denominator,
+    times e_blade on the right.
 
     Every key held here sits on one lattice ``den``: it starts as a lattice
     that holds every shift the operator makes, so images of units on it stay
@@ -129,16 +148,17 @@ class _UnitImages:
     over one denominator, ``(d, ((id, num), ...))`` with d the lcm of the
     image's coefficient denominators and each id indexing ``keys``.
 
-    A call puts its input coefficients and the images they meet over one
-    common denominator, sums plain ints on the ids through :func:`_acc` and
-    builds one ``Fraction(v, common)`` per output term.  The events and the
-    zero tests are those of summing coeff * image in Fractions, so the
-    output's terms come in the same order; the images are in normal form
-    already, so nothing is folded again.  An ExactScalar coefficient is
-    split into its rational parts, one per term key of the scalar, and each
-    part sums on its own column of ids; the columns are put back together
-    as ExactScalars at the end, in the base of the inputs that carry a power
-    of one (two such bases raise ValueError).
+    One loop, :meth:`_sum`, puts the input coefficients and the images they
+    meet over one common denominator and sums plain ints on the ids through
+    :func:`_acc`, with the events and zero tests of a Fraction sum, so the
+    terms come in the same order; the images are in normal form already, so
+    nothing is folded again.  :meth:`apply`, the integer step, maps
+    ``(common, {key: int})`` on the lattice to the same pair; a call on a
+    RadialExpr makes one ``Fraction(v, common)`` per output term.  An
+    ExactScalar coefficient is split into its rational parts, one per term
+    key of the scalar, each summed on its own column of ids and put back
+    together as ExactScalars at the end, in the base of the inputs that
+    carry a power of one (two such bases raise ValueError).
     """
 
     __slots__ = ("image", "den", "images", "bases", "ids", "keys", "lookups")
@@ -152,49 +172,49 @@ class _UnitImages:
         self.keys: list = []
         self.lookups = 0
 
-    def _lift_to(self, den: int):
-        by = den // self.den
+    def lift(self, den: int):
+        """Grow the lattice to lcm(self.den, den), every stored key lifted at once."""
+        if self.den % den == 0:
+            return
+        by = lcm(self.den, den) // self.den
         self.images = {(n * by, mono, b): img for (n, mono, b), img in self.images.items()}
         self.bases = {(n * by, mono): base for (n, mono), base in self.bases.items()}
         self.keys = [(n * by, mono, b) for n, mono, b in self.keys]
         self.ids = {k: i for i, k in enumerate(self.keys)}
-        self.den = den
+        self.den *= by
 
     def _build(self, m: int, key) -> tuple:
         n, mono, blade = key
         base = self.bases.get((n, mono))
         if base is None:
-            base = self.image(_new(m, self.den, {(n, mono, 0): _ONE}))
-            if self.den % base.den:
+            img = self.image(_new(m, self.den, {(n, mono, 0): _ONE}))
+            if self.den % img.den:
                 raise ValueError(f"image leaves the lattice 1/{self.den}")
-            base = self.bases[(n, mono)] = _new(m, self.den, base._on(self.den))
-        terms = base.blade_mul_right(blade)._on(self.den)
-        den = lcm(*(c.denominator for c in terms.values()))
+            terms = img._on(self.den)
+            den = lcm(*(c.denominator for c in terms.values()))
+            base = self.bases[(n, mono)] = (den, _new(m, self.den, {
+                k: c.numerator * (den // c.denominator) for k, c in terms.items()}))
+        den, base = base
         img = []
-        for k, c in terms.items():
+        for k, v in base.blade_mul_right(blade)._on(self.den).items():
             if k not in self.ids:
                 self.ids[k] = len(self.keys)
                 self.keys.append(k)
-            img.append((self.ids[k], c.numerator * (den // c.denominator)))
+            img.append((self.ids[k], v))
         self.images[key] = img = (den, tuple(img))
         return img
 
-    def __call__(self, f: "RadialExpr") -> "RadialExpr":
-        self.lookups += len(f.terms)
-        if self.den % f.den:
-            self._lift_to(lcm(self.den, f.den))
-        by = self.den // f.den
-        images = self.images
+    def _sum(self, m: int, terms: dict, by: int = 1) -> tuple:
+        """(common, {id: int}, columns): the image of terms, n on den / by;
+        columns is (term keys, base) if a coefficient is an ExactScalar."""
+        self.lookups += len(terms)
         parts = []            # (image entries, numerator, denominator, column)
         cols = {RATIONAL: 0}  # term key of an ExactScalar -> column
         scalars, base = False, None
-        for key, cf in f.terms.items():
+        for key, cf in terms.items():
             if by != 1:
                 key = (key[0] * by, key[1], key[2])
-            img = images.get(key)
-            if img is None:
-                img = self._build(f.m, key)
-            den, entries = img
+            den, entries = self.images.get(key) or self._build(m, key)
             if isinstance(cf, ExactScalar):
                 scalars = True
                 if cf.base != base and (powered := cf.powered_base()) is not None:
@@ -215,11 +235,24 @@ class _UnitImages:
             scale = num * (common // den)
             for i, v in entries:
                 _acc(acc, i, scale * v)
+        return common, acc, (list(cols), base) if scalars else None
+
+    def apply(self, m: int, pair: tuple) -> tuple:
+        """The integer step: the image of (common, {key: int}), keys on the
+        lattice den, as the same pair on it."""
+        d, acc, _ = self._sum(m, pair[1])
         keys = self.keys
-        if not scalars:
+        return pair[0] * d, {keys[i]: v for i, v in acc.items()}
+
+    def __call__(self, f: "RadialExpr") -> "RadialExpr":
+        self.lift(f.den)
+        common, acc, scalars = self._sum(f.m, f.terms, self.den // f.den)
+        keys = self.keys
+        if scalars is None:
             return _new(f.m, self.den,
                         {keys[i]: Fraction(v, common) for i, v in acc.items()})
-        tks = list(cols)
+        tks, base = scalars
+        n = len(keys)
         split: dict = {}
         for j, v in acc.items():
             col, i = divmod(j, n)

@@ -75,6 +75,15 @@ def test_verify_osp_summary_records_image_cache_hits(tmp_path):
         assert counts["hits"] > 0 and counts["misses"] > 0
 
 
+def test_verify_osp_image_cache_counts_are_pinned(tmp_path):
+    """Seventeen applications of D and x_a per input, none merged away: the
+    counts of a degree-2 run on z2^3 at the three seeded triples."""
+    assert main(["verify-osp", "--family", "z2", "--m", "3", "--k", "1/2",
+                 "--degree", "2", "--out", str(tmp_path)]) == 0
+    assert read_summary(tmp_path, "verify-osp")["image_cache"] == {
+        "dirac": {"hits": 4896, "misses": 1368}, "x_a": {"hits": 5704, "misses": 1360}}
+
+
 @pytest.mark.parametrize("argv", [
     ["fischer", "--ell-max", "1", "--s-max", "2", "--degree", "2", "--trials", "1"],
     ["laguerre-table", "--t-max", "2", "--ell-max", "1"],

@@ -363,3 +363,91 @@ def test_exact_scalar_inputs_keep_the_term_order_of_a_plain_sum():
 def test_dirac_of_one_at_the_classical_triple_has_no_terms(dk):
     ctx = DeformedContext(dk, DeformParams(2, 0, 0))
     assert ctx.dirac(RadialExpr.scalar(dk.m, Fraction(1))).terms == {}
+
+
+# -- the osp report in integers ------------------------------------------------
+
+def osp_by_composition(ctx, f) -> dict:
+    """The eight osp defects composed in Fractions through the RadialExpr
+    operators, relation by relation as the report names them."""
+    a, one_c = ctx.par.a, 1 + ctx.par.c
+    df, xf = ctx.dirac(f), ctx.x_a(f)
+    ddf, xxf = ctx.dirac(df), ctx.x_a(xf)
+    ehd = f.euler() + f.scale(ctx.delta / 2)
+    ef = f.euler()
+    return {
+        "{x_a, D} = -2(1+c)(E + delta/2)":
+            (ctx.x_a(df) + ctx.dirac(xf)) + ehd.scale(2 * one_c),
+        "[x_a^2, D] = a(1+c) x_a":
+            (ctx.x_a(ctx.x_a(df)) - ctx.dirac(xxf)) - xf.scale(a * one_c),
+        "[D^2, x_a] = -a(1+c) D":
+            (ctx.dirac(ctx.dirac(xf)) - ctx.x_a(ddf)) + df.scale(a * one_c),
+        "[D^2, x_a^2] = 2a(1+c)^2 (E + delta/2)":
+            (ctx.dirac(ctx.dirac(xxf)) - ctx.x_a(ctx.x_a(ddf)))
+            - ehd.scale(2 * a * one_c * one_c),
+        "[E + delta/2, D] = -(a/2) D":
+            (df.euler() - ctx.dirac(ef)) + df.scale(a / 2),
+        "[E + delta/2, x_a] = (a/2) x_a":
+            (xf.euler() - ctx.x_a(ef)) - xf.scale(a / 2),
+        "[E + delta/2, D^2] = -a D^2":
+            (ddf.euler() - ctx.dirac(ctx.dirac(ef))) + ddf.scale(a),
+        "[E + delta/2, x_a^2] = a x_a^2":
+            (xxf.euler() - ctx.x_a(ctx.x_a(ef))) - xxf.scale(a),
+    }
+
+
+def osp_input(m: int) -> RadialExpr:
+    """Three terms on the lattice 1/35, which den(a/2) = 3 or 1 does not divide."""
+    return RadialExpr(m, {
+        (Fraction(1, 5), (1,) + (0,) * (m - 1), 1): Fraction(2, 3),
+        (Fraction(-3, 7), (0, 1) + (0,) * (m - 2), 0): Fraction(-5, 4),
+        (Fraction(0), (1, 1) + (0,) * (m - 2), (1 << m) - 1): Fraction(1, 7),
+    })
+
+
+OSP_TRIPLES = [
+    DeformParams.commuting(Fraction(4, 3), Fraction(-2, 5)),
+    DeformParams(Fraction(4, 3), Fraction(-2, 5), Fraction(-3, 7)),
+    DeformParams(Fraction(11, 3), Fraction(-9, 5), Fraction(8, 7)),
+    DeformParams.commuting(Fraction(2), Fraction(1, 3)),
+]
+
+
+@pytest.mark.parametrize("par", OSP_TRIPLES, ids=lambda p: f"{p.a},{p.b},{p.c}")
+@pytest.mark.parametrize("dk", GROUPS, ids=lambda dk: dk.setup.name)
+def test_integer_osp_report_equals_the_fraction_composition(dk, par):
+    f = osp_input(dk.m)
+    for doctored in (0, 1):
+        ctx = DeformedContext(dk, par)
+        ctx.delta += doctored
+        for g in (f, ctx.dirac(f) + f.mul_radial(Fraction(2, 9))):
+            got = ctx.osp_relations_report(g)
+            want = osp_by_composition(ctx, g)
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name] == want[name], name
+                assert got[name].den == ctx._dirac.den
+            assert any(not d.is_zero() for d in got.values()) == bool(doctored)
+
+
+DELTA_RELATIONS = {"{x_a, D} = -2(1+c)(E + delta/2)",
+                   "[D^2, x_a^2] = 2a(1+c)^2 (E + delta/2)"}
+
+
+@pytest.mark.parametrize("dk", GROUPS, ids=lambda dk: dk.setup.name)
+def test_a_doctored_delta_fails_exactly_the_relations_that_use_it(dk):
+    """The zero test is not vacuous: delta + 1 leaves a residue on the two
+    relations with a delta/2 term, and on no other."""
+    ctx = DeformedContext(dk, OSP_TRIPLES[1])
+    ctx.delta += 1
+    for f in monomial_inputs(dk.m, 1):
+        report = ctx.osp_relations_report(f)
+        assert {name for name, d in report.items() if not d.is_zero()} == DELTA_RELATIONS
+
+
+def test_osp_report_rejects_exact_scalar_coefficients():
+    par = DeformParams.commuting(Fraction(3), Fraction(1, 2))
+    f = p_map(par, RadialExpr.monomial(2, (1, 0)))
+    assert any(isinstance(c, ExactScalar) for c in f.terms.values())
+    with pytest.raises(ValueError, match="rational coefficients only"):
+        DeformedContext(GROUPS[2], par).osp_relations_report(f)
