@@ -22,7 +22,7 @@ is a multiple of, and grows with the lattices of the inputs, which are
 lifted onto it; every output sits on it.  A call sums its input's images in
 integers over one common denominator and makes one Fraction per output
 term, in the order a plain Fraction sum gives them, which the float sums
-downstream add in.  The osp report chains its seventeen applications, and
+downstream add in.  The osp report chains its sixteen applications, and
 E and the scalar factors between them, on integer numerators over one
 denominator from its input to its eight defects, and makes a Fraction only
 for a nonzero defect term.  The images depend on (a, b, c) and on the
@@ -231,7 +231,7 @@ class DeformedContext:
 
         All eight defects are zero for every parameter triple; the report
         returns the actual residuals so a caller can display or test them.
-        D and x_a are applied seventeen times on integer numerators over one
+        D and x_a are applied sixteen times on integer numerators over one
         denominator (:meth:`~dunkldirac.poly._UnitImages.apply`); a Fraction is
         made only for a nonzero defect term.  f must have rational coefficients.
         """
@@ -251,7 +251,8 @@ class DeformedContext:
         ddf, xxf, dxf, xdf = d(df), x(xf), d(xf), x(df)
         ddxf, dxxf, xxdf, xddf = d(dxf), d(xxf), x(xdf), x(ddf)
         ddxxf, xxddf, def_ = d(dxxf), x(xddf), d(ef)
-        ddef, xef, xxef = d(def_), x(ef), x(x(ef))
+        ddef, xef = d(def_), x(ef)
+        xxef = x(xef)
         report = {
             "{x_a, D} = -2(1+c)(E + delta/2)":
                 _combine((1, xdf), (1, dxf), (2 * one_c, ef), (one_c * delta, fi)),

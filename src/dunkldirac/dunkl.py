@@ -6,8 +6,8 @@ failure of divisibility raises instead of silently truncating.  Per-monomial
 actions are cached on the context: T_i is linear and commutes with the radial
 shift rule T_i(r^s p) = s r^{s-2} x_i p + r^s T_i(p), which holds because r
 is invariant under every reflection of the group.  The one float object is
-the kernel's coefficient matrix, converted from the exact series once per
-order for the numerical transform.
+the kernel's coefficients, one block per degree, converted from the exact
+series once per order for the numerical transform.
 """
 
 from __future__ import annotations
@@ -284,27 +284,28 @@ class DunklContext:
             series.append(level)
         return series
 
-    def kernel_coefficients(self, order: int) -> tuple:
-        """(xmonos, C, ymonos) with E(x, -i y) = sum C[s, t] x^xmonos[s] y^ymonos[t]
-        through the given order, built once per order.
+    def kernel_coefficients(self, order: int) -> list:
+        """Blocks (xmonos_n, C_n, ymonos_n), n = 0 .. order, built once per order,
+        with E(x, -i y) = sum_n sum C_n[s, t] x^xmonos_n[s] y^ymonos_n[t].
 
-        C is the float image of :meth:`kernel_series` with the (-i)^n weights
-        folded in.
+        C_n is the float image of level n of :meth:`kernel_series`, of
+        bidegree (n, n), with its weight (-i)^n folded in.
         """
         cached = self._kernel_cache.get(order)
         if cached is not None:
             return cached
-        series = self.kernel_series(order)
-        xmonos = sorted({xm for level in series for (xm, _ym) in level})
-        ymonos = sorted({ym for level in series for (_xm, ym) in level})
-        xi = {mo: t for t, mo in enumerate(xmonos)}
-        yi = {mo: t for t, mo in enumerate(ymonos)}
-        C = np.zeros((len(xmonos), len(ymonos)), dtype=complex)
-        for n, level in enumerate(series):
+        out = []
+        for n, level in enumerate(self.kernel_series(order)):
+            xmonos = sorted({xm for xm, _ym in level})
+            ymonos = sorted({ym for _xm, ym in level})
+            xi = {mo: t for t, mo in enumerate(xmonos)}
+            yi = {mo: t for t, mo in enumerate(ymonos)}
+            C = np.zeros((len(xmonos), len(ymonos)), dtype=complex)
             w = (-1j) ** (n % 4)
             for (xm, ym), c in level.items():
-                C[xi[xm], yi[ym]] += w * float(c)
-        out = self._kernel_cache[order] = (xmonos, C, ymonos)
+                C[xi[xm], yi[ym]] = w * float(c)
+            out.append((xmonos, C, ymonos))
+        self._kernel_cache[order] = out
         return out
 
     def verify_kernel_series(self, series: list) -> bool:

@@ -3,7 +3,7 @@
     F f(y) = c_k^{-1} int f(x) E(x, -i y) w_k(x) dx,
     E(x, -i y) = sum_n (-i)^n K_n(x, y).
 
-:func:`kernel_matrix` is the one route to E.  When every root is a
+:func:`kernel_route` picks one route to E per group.  When every root is a
 coordinate vector (z2^m, dihedral(1), dihedral(2)) the kernel is Rösler's
 closed product of rank-one kernels (Dunkl operators: theory and
 applications, LNM 1817),
@@ -15,10 +15,13 @@ j_nu(z) = 0F1(; nu + 1; -z^2/4).  Every other group sums the bihomogeneous
 components K_n built by :meth:`DunklContext.kernel_series`, which converge
 like an exponential's Taylor series, so truncating near order thirty is
 accurate to square-summable noise against Gaussian-damped inputs on moderate
-balls.  The transforms read E from a
-:class:`dunkldirac.quadrature.KernelTables` memo, which calls
-:func:`kernel_matrix` once per (rule, targets, order) it holds.  The natural
-eigenfunctions are
+balls.  :func:`kernel_matrix` evaluates E at given points.  The transforms
+read E at a rule's nodes r_i xi_k from a
+:class:`dunkldirac.quadrature.KernelTables` memo, which builds each
+(rule, targets, order) table it holds once: the Bessel route through
+:func:`kernel_matrix` at the nodes, the series route degree by degree on the
+factors r and xi, since K_n has x-degree n (:func:`_series_kernel`).  The
+natural eigenfunctions are
 
     L_j^{mu/2 + ell - 1}(r^2) H_ell(x) e^{-r^2/2},
 
@@ -54,14 +57,25 @@ def kernel_route(setup: ReflectionSetup) -> str:
     return "series" if axis_multiplicities(setup) is None else "bessel"
 
 
-def _series_kernel(dk: DunklContext, X: np.ndarray, Y: np.ndarray,
-                   order: int) -> np.ndarray:
-    """E(x, -i y) summed through `order` from the coefficients cached on dk."""
-    xmonos, C, ymonos = dk.kernel_coefficients(order)
-    right = np.ascontiguousarray(C @ power_table(Y, ymonos).T)
-    # the real matrix of x-monomials meets the complex right factor as its
-    # interleaved float view, so it is never copied to complex
-    return (power_table(X, xmonos) @ right.view(float)).view(complex)
+def _series_kernel(dk: DunklContext, r: np.ndarray, dirs: np.ndarray,
+                   Y: np.ndarray, order: int) -> np.ndarray:
+    """E(r_i xi_k, -i y) summed through `order`, rows as :func:`tensor_points`.
+
+    K_n has x-degree n, so E = sum_n r_i^n G_n(xi_k, y), where G_n meets
+    level n's block of :meth:`DunklContext.kernel_coefficients` with the
+    powers of the directions and of y alone; no table spans nodes and
+    monomials of every degree.  r = [1] evaluates at the points dirs.
+    """
+    levels = dk.kernel_coefficients(order)
+    G = np.empty((len(levels), len(dirs), len(Y)), dtype=complex)
+    for n, (xmonos, C, ymonos) in enumerate(levels):
+        right = np.ascontiguousarray(C @ power_table(Y, ymonos).T)
+        # the real direction powers meet the complex right factor as its
+        # interleaved float view, so they are never copied to complex
+        G[n] = (power_table(dirs, xmonos) @ right.view(float)).view(complex)
+    R = np.power.outer(r, np.arange(len(levels)))
+    E = (R @ G.reshape(len(levels), -1).view(float)).view(complex)
+    return E.reshape(len(r) * len(dirs), len(Y))
 
 
 def _bessel_kernel(ks: list, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -95,7 +109,7 @@ def kernel_matrix(dk: DunklContext, X: np.ndarray, Y: np.ndarray,
     case.  Every other group sums the series through `order`.
     """
     if kernel_route(dk.setup) == "series":
-        return _series_kernel(dk, X, Y, order)
+        return _series_kernel(dk, np.ones(1), X, Y, order)
     return _bessel_kernel(axis_multiplicities(dk.setup), X, Y)
 
 
@@ -111,13 +125,15 @@ def _grid_transform(dk: DunklContext, f: RadialExpr, targets: np.ndarray,
     w_k, with f read at the nodes or (inverted) at xi_k / r_i; see
     :func:`transform_values` and :func:`transform_inverted_direct`."""
     tables = KernelTables() if tables is None else tables
+    series = kernel_route(dk.setup) == "series"
     out = np.zeros((len(targets), 1 << dk.setup.m), dtype=complex)
     for fold, part in residue_classes(f, -1 if inverted else 1):
         extra = 2 - dk.setup.mu - fold if inverted else fold
         r, W, dirs, ws = tensor_rule(dk.setup, 2, 1, extra, n_r, n_ang)
         key = (dk.setup, 2, 1, extra, n_r, n_ang, targets.tobytes(), "kernel", order)
         out += tables.contract(
-            key, lambda: kernel_matrix(dk, tensor_points(r, dirs), targets, order),
+            key, lambda: (_series_kernel(dk, r, dirs, targets, order) if series else
+                          kernel_matrix(dk, tensor_points(r, dirs), targets, order)),
             grid_values(part, 1 / r if inverted else r, W, dirs, ws))
     return out / normalization(dk.setup)
 

@@ -207,7 +207,10 @@ class KernelTables:
     phases) at one rule's nodes against the targets: nodes x targets, complex,
     C-contiguous and read-only, keyed by the rule's key, the targets' bytes
     and what else the kernel reads (a route tag with a or the series order).
-    Two serve a tower whose rungs alternate between two rules.
+    Two serve a tower whose rungs alternate between two rules.  On a miss
+    the route's ``build`` makes the table: the series route sums it degree
+    by degree on the rule's factors (r, dirs), and the other routes evaluate
+    at :func:`tensor_points`.
     """
 
     def __init__(self):

@@ -86,3 +86,29 @@ def test_kernel_coefficients_reaches_the_traced_series(monkeypatch):
     assert isinstance(series, list) and len(series) == 5
     assert all(isinstance(level, dict) for level in series)
     assert count((dk, 4), series) == sum(len(level) for level in series) > 0
+
+
+def test_series_transform_reaches_the_traced_series_once_per_order(monkeypatch):
+    """Series transform tables are built outside ``kernel_matrix``, so the
+    ``dunkl.kernel_series_s`` span sees them only if every build goes
+    through the public ``DunklContext.kernel_series``: once per context and
+    order, however many tables and transforms read it."""
+    cls = resolve("dunkl", "DunklContext")
+    calls, original = [], cls.kernel_series
+
+    def wrapped(self, order):
+        calls.append((id(self), order))
+        return original(self, order)
+
+    monkeypatch.setattr(cls, "kernel_series", wrapped)
+    reflection = importlib.import_module("dunkldirac.reflection")
+    transform = importlib.import_module("dunkldirac.dunkltransform")
+    poly = importlib.import_module("dunkldirac.poly")
+    f = poly.RadialExpr.monomial(2, (1, 0))
+    targets = [[0.5, -0.3], [-0.8, 0.6]]
+    contexts = [cls(reflection.hyperoctahedral(2, 1, 2)) for _ in range(2)]
+    for dk in contexts:
+        for order in (8, 10, 8):
+            for n_r in (6, 8):
+                transform.transform_values(dk, f, targets, order, n_r, 12)
+    assert sorted(calls) == sorted((id(dk), order) for dk in contexts for order in (8, 10))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +29,8 @@ from dunkldirac.laguerre import LaguerreTower
 from dunkldirac.measure import mehta_constant
 from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
-from dunkldirac.quadrature import KernelTables
-from dunkldirac.reflection import hyperoctahedral, z2_power
+from dunkldirac.quadrature import KernelTables, tensor_points, tensor_rule
+from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
 
 
 def sample_points(rng, n, lo=0.3, hi=1.2):
@@ -70,7 +71,9 @@ def test_kernel_matrix_truncation_converges():
 ])
 def test_series_route_matches_the_bessel_product(ks):
     """The series, which sign-flip groups no longer take, against the closed
-    product they do take; rows include a point on an axis and a zero target."""
+    product they do take; rows include a point on an axis and a zero target.
+    Summed degree by degree on tensor factors (r, dirs), as the transforms
+    build it, it meets the product at the tensor points, r = 0 included."""
     m = len(ks)
     dk = DunklContext(z2_power(m, list(ks)))
     rng = np.random.default_rng(19)
@@ -78,8 +81,51 @@ def test_series_route_matches_the_bessel_product(ks):
     Y = rng.uniform(-1, 1, size=(5, m)) / np.sqrt(m)
     X[0, 1:] = 0
     Y[0] = 0
-    series = _series_kernel(dk, X, Y, 20)
+    series = _series_kernel(dk, np.ones(1), X, Y, 20)
     np.testing.assert_allclose(series, kernel_matrix(dk, X, Y, 20), rtol=1e-12)
+    r = np.array([0.0, 0.25, 0.6, 1.0])
+    dirs = X / np.linalg.norm(X, axis=1)[:, None]
+    np.testing.assert_allclose(_series_kernel(dk, r, dirs, Y, 24),
+                               kernel_matrix(dk, tensor_points(r, dirs), Y, 24),
+                               rtol=1e-13)
+
+
+@pytest.mark.parametrize("setup, order, n_r, n_ang", [
+    (hyperoctahedral(2, 1, 2), 28, 60, 64),
+    (hyperoctahedral(2, Fraction(1, 2), Fraction(1, 3)), 16, 20, 24),
+    (symmetric(3, Fraction(1, 2)), 10, 8, 10),
+], ids=["B2(1,2)", "B2(1/2,1/3)", "symmetric3"])
+def test_tensor_series_route_matches_the_point_evaluator(setup, order, n_r, n_ang):
+    """The transforms' tables, summed degree by degree on the rule's
+    factors, against the point evaluator at the rule's nodes.  Both sum the
+    same truncated series, whose terms reach (|x| |y|)^n / n! (Rösler's
+    bound for k >= 0), so they are compared at 1e-13 of e^{|x| |y|}."""
+    dk = DunklContext(setup)
+    r, _W, dirs, _ws = tensor_rule(setup, 2, 1, 0, n_r, n_ang)
+    rng = np.random.default_rng(37)
+    Y = rng.uniform(-1.2, 1.2, size=(6, setup.m))
+    X = tensor_points(r, dirs)
+    scale = np.exp(np.outer(np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)))
+    diff = _series_kernel(dk, r, dirs, Y, order) - kernel_matrix(dk, X, Y, order)
+    assert np.abs(diff / scale).max() <= 1e-13
+
+
+def test_series_transform_memory_follows_the_largest_degree_block():
+    """With the series built, a symmetric(3) transform holds no table of
+    nodes by monomials of every degree: 17,280 nodes times 455 monomials
+    through order 12 would be 63 MB."""
+    dk = DunklContext(symmetric(3, Fraction(1, 2)))
+    dk.kernel_coefficients(12)
+    f = RadialExpr.monomial(3, (1, 0, 0))
+    rng = np.random.default_rng(41)
+    targets = rng.uniform(-1.2, 1.2, size=(6, 3))
+    tracemalloc.start()
+    try:
+        transform_values(dk, f, targets, order=12, n_r=30, n_ang=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def bessel_points(m):
