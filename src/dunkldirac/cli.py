@@ -58,7 +58,7 @@ from .dunkltransform import (deformed_transform, eigenfunction, eigenvalue,
                              inverted_damped_values, kernel_route,
                              transform_inverted, transform_inverted_direct)
 from .fischer import (fischer_constant, fischer_tower, harmonic_basis,
-                      monogenic_basis, monomials, tower_decompose)
+                      monogenic_basis, monomials, singular_degree, tower_decompose)
 from .fourier import (damped_values, fourier_apply,
                       measured_eigenvalue, pde_residual, spectral_eigenvalue)
 from .kelvin import (dirac_via_inversion, intertwined_component, inversion,
@@ -198,13 +198,21 @@ def _all_of(*checks) -> Callable:
     return check
 
 
-def _seeds_up_to(flag: str, kind: str, top: int) -> Callable:
-    """Check for suites seeding every degree up to --flag with a basis element:
-    in rank 1 the monogenics stop at degree 0 and the harmonics at degree 1."""
+def _seeds_up_to(flag: str, kind: str = "", rank_one: bool = True) -> Callable:
+    """Check for suites building the kind's basis ("monogenic" or "harmonic";
+    --kind when empty) in each degree up to --flag: no degree may be singular
+    for its projection (negative multiplicities only), and with rank_one each
+    must seed an element, which rank 1 does up to degree 0 or 1."""
     def check(args, setup):
-        if setup.m == 1 and getattr(args, flag.replace("-", "_")) > top:
-            raise BadInput(f"--m 1 has no {kind} of degree above {top}; "
+        top, name = getattr(args, flag.replace("-", "_")), kind or args.kind
+        last = int(name == "harmonic")
+        if rank_one and setup.m == 1 and top > last:
+            raise BadInput(f"--m 1 has no {name}s of degree above {last}; "
                            f"lower --{flag} or raise --m")
+        if (bad := singular_degree(setup, name, top)) is not None:
+            raise BadInput(f"gamma + m/2 = {setup.gamma + Fraction(setup.m, 2)}: the "
+                           f"degree-{bad} {name} projection divides by zero; "
+                           f"lower --{flag} below {bad}")
     return check
 
 
@@ -489,7 +497,8 @@ def cmd_verify_kelvin(args, dk):
     return {"degree": args.degree, "image_cache": info}
 
 
-@suite("basis", "harmonic or monogenic basis dump", check=_exact_sphere,
+@suite("basis", "harmonic or monogenic basis dump",
+       check=_all_of(_seeds_up_to("ell-max", rank_one=False), _exact_sphere),
        kind=("monogenic", "harmonic"), ell_max=3, gram=False)
 def cmd_basis(args, dk):
     build, op = ((monogenic_basis, dk.dirac) if args.kind == "monogenic"
@@ -509,7 +518,8 @@ def cmd_basis(args, dk):
 
 
 @suite("fischer", "tower decomposition and lowering constants",
-       check=_seeds_up_to("ell-max", "monogenics", 0),
+       check=_all_of(_seeds_up_to("ell-max", "monogenic"),
+                     _seeds_up_to("degree", "monogenic", rank_one=False)),
        a=Fraction(2), b=Fraction(0), c=Fraction(0), degree=4, trials=5,
        ell_max=2, s_max=4)
 def cmd_fischer(args, dk):
@@ -559,7 +569,7 @@ def cmd_fischer(args, dk):
 
 
 @suite("laguerre-table", "psi_t coefficients with step and norm constants",
-       check=_seeds_up_to("ell-max", "monogenics", 0),
+       check=_seeds_up_to("ell-max", "monogenic"),
        a=Fraction(2), b=Fraction(0), c=Fraction(0), t_max=4, ell_max=2)
 def cmd_laguerre_table(args, dk):
     par = DeformParams(args.a, args.b, args.c)
@@ -588,7 +598,7 @@ def cmd_laguerre_table(args, dk):
 
 
 @suite("orthogonality", "damped towers are orthogonal with known norms",
-       check=_all_of(_seeds_up_to("ell-max", "monogenics", 0), _sphere_rule),
+       check=_all_of(_seeds_up_to("ell-max", "monogenic"), _sphere_rule),
        a=Fraction(2), b=Fraction(0), c=Fraction(0), t_max=3, ell_max=2,
        numeric=False, nr=60, ntheta=80, tol=1e-8)
 def cmd_orthogonality(args, dk):
@@ -653,7 +663,7 @@ def cmd_orthogonality(args, dk):
 
 
 @suite("transform-eigen", "transform eigenvalues on the damped towers",
-       check=_all_of(_positive_a, _seeds_up_to("l-max", "monogenics", 0),
+       check=_all_of(_positive_a, _seeds_up_to("l-max", "monogenic"),
                      _sphere_rule),
        a=Fraction(2), b=Fraction(0), t_max=3, l_max=2, nr=100, ntheta=120,
        order=28, points=6, tol=1e-6)
@@ -714,7 +724,7 @@ def cmd_kernel_residual(args, _dk):
 
 
 @suite("a-minus2-suite", "the inverted realization, exact and through the transform",
-       check=_all_of(_seeds_up_to("l-max", "harmonics", 1), _sphere_rule),
+       check=_all_of(_seeds_up_to("l-max", "harmonic"), _sphere_rule),
        degree=3, j_max=1, l_max=1, order=28, nr=60, ntheta=64, points=5, tol=1e-6)
 def cmd_a_minus2_suite(args, dk):
     inputs = [(f, f.to_text()) for f in _input_set(dk.m, args.degree)]

@@ -1,10 +1,17 @@
 """Monogenic and harmonic polynomial spaces, null solutions, raising towers.
 
 A spherical monogenic of degree ell is a homogeneous Clifford-valued
-polynomial killed by the Dunkl Dirac operator.  Multiplying by r^{beta_ell}
-with beta_ell = -(b + c ell)/(1 + c) turns it into a null solution of the
-deformed operator, and powers of x_a then raise it through a tower on which
-the operator acts by explicit one-step constants.
+polynomial killed by the Dunkl Dirac operator.  Multiplying it by
+r^{beta_ell} with beta_ell = -(b + c ell)/(1 + c) turns it into a null
+solution of the deformed operator, and powers of x_a then raise it through a
+tower on which the operator acts by explicit one-step constants.
+
+The bases come from the Fischer decomposition, one element per seed monomial
+and no linear solve: a seed is projected onto the harmonics by Dunkl-Xu's
+formula in powers of |x|^2 Delta_k, and a harmonic onto the monogenics by
+one step of x D.  The seeds are the monomials with x_m to a power below 2
+(harmonics) or free of x_m (monogenics, times each blade), as many as the
+dimension of the space, and their projections are independent.
 """
 
 from __future__ import annotations
@@ -14,71 +21,86 @@ from math import comb
 
 from .deformed import DeformedContext
 from .dunkl import DunklContext
-from .linalg import nullspace
+from .linalg import primitive_scale
 from .poly import RadialExpr
 
 
 def monomials(m: int, deg: int) -> list:
     """All exponent tuples of total degree deg, lexicographically sorted."""
-    if deg < 0:
-        return []
     if m == 1:
-        return [(deg,)]
-    out = []
-    for e in range(deg, -1, -1):
-        out.extend((e,) + rest for rest in monomials(m - 1, deg - e))
-    return sorted(out)
+        return [(deg,)] if deg >= 0 else []
+    return [(e,) + rest for e in range(deg + 1) for rest in monomials(m - 1, deg - e)]
 
 
 def harmonic_dimension(m: int, ell: int) -> int:
     """Dimension of the degree-ell harmonics in m variables; a test oracle
-    for :func:`harmonic_basis`, which no suite runs."""
+    for the span of :func:`harmonic_basis`."""
     if ell < 0:
         return 0
-    d = comb(ell + m - 1, m - 1)
-    return d - (comb(ell + m - 3, m - 1) if ell >= 2 else 0)
+    return comb(ell + m - 1, m - 1) - (comb(ell + m - 3, m - 1) if ell >= 2 else 0)
 
 
 def monogenic_dimension(m: int, ell: int) -> int:
     """Dimension of the degree-ell monogenics with values in Cl(0, m); a test
-    oracle for :func:`monogenic_basis`, which no suite runs."""
+    oracle for the span of :func:`monogenic_basis`."""
     if ell < 0:
         return 0
-    d = comb(ell + m - 1, m - 1)
-    prev = comb(ell + m - 2, m - 1) if ell >= 1 else 0
-    return (d - prev) * (1 << m)
+    return (comb(ell + m - 1, m - 1) - (comb(ell + m - 2, m - 1) if ell else 0)) << m
 
 
-def _kernel_basis(op, m: int, cols: list) -> list:
-    """Basis of the kernel of op on the span of the x^mono e_blade in cols.
+def _pole(g: Fraction, kind: str, n: int) -> bool:
+    """Whether the degree-n projection of the kind divides by zero at
+    gamma + m/2 = g: (2 - g - n)_j vanishes for a j <= n/2, or, for a
+    monogenic of degree n >= 1, n - 1 + g does."""
+    return (any(g == 2 - n + i for i in range(n // 2))
+            or (kind == "monogenic" and n > 0 and g == 1 - n))
 
-    Matrix rows are keyed by the term keys (s, mono, blade) of the images;
-    the normal form makes those coordinates unique.
-    """
-    images = [op(RadialExpr.monomial(m, mo, blade=blade)) for mo, blade in cols]
-    rows: dict = {}
-    for image in images:
-        for key, _c in image.rational_terms():
-            rows.setdefault(key, len(rows))
-    if not rows:
-        return [RadialExpr.monomial(m, mo, blade=blade) for mo, blade in cols]
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, image in enumerate(images):
-        for key, c in image.rational_terms():
-            mat[rows[key]][j] = c
-    return [RadialExpr(m, {(0, mo, blade): c for (mo, blade), c in zip(cols, vec) if c})
-            for vec in nullspace(mat)]
+
+def singular_degree(setup, kind: str, top: int):
+    """The least degree n <= top at which the basis of the kind ("harmonic"
+    or "monogenic") divides by zero, or None; negative multiplicities only."""
+    g = setup.gamma + Fraction(setup.m, 2)
+    return next((n for n in range(top + 1) if _pole(g, kind, n)), None)
+
+
+def _projections(dk: DunklContext, kind: str, ell: int):
+    """The projections onto the degree-ell harmonics or monogenics (kind) of
+    the seeds x^beta with beta_m <= 1 or beta_m = 0 respectively, in
+    :func:`monomials` order, each scaled by the positive rational that makes
+    its coefficients coprime integers."""
+    g = dk.setup.gamma + Fraction(dk.m, 2)
+    if _pole(g, kind, ell):
+        raise ValueError(f"the degree-{ell} {kind} projection divides by zero")
+    for mo in monomials(dk.m, ell):
+        if mo[-1] > (kind == "harmonic"):
+            continue
+        h = term = RadialExpr.monomial(dk.m, mo)
+        w = Fraction(1)
+        for j in range(1, ell // 2 + 1):
+            term, w = dk.laplacian(term), w / (4 * j * (1 - g - ell + j))
+            h = h + term.mul_radial(2 * j).scale(w)
+        if kind == "monogenic" and ell:
+            h = h + dk.dirac(h).vector_mul_left().scale(Fraction(1, 2 * (ell - 1 + g)))
+        yield h.scale(primitive_scale(h.terms.values()))
 
 
 def harmonic_basis(dk: DunklContext, ell: int) -> list:
-    """Basis of scalar Dunkl-harmonics of degree ell (kernel of the Laplacian)."""
-    return _kernel_basis(dk.laplacian, dk.m, [(mo, 0) for mo in monomials(dk.m, ell)])
+    """Basis of scalar Dunkl-harmonics of degree ell (kernel of the Laplacian):
+    for each seed P = x^beta with beta_m <= 1, Dunkl and Xu's projection
+    (Orthogonal Polynomials of Several Variables, Thm. 5.2.4)
+    sum_j |x|^{2j} Delta_k^j P / (4^j j! (2 - gamma - m/2 - ell)_j).
+    Raises ValueError where a denominator vanishes."""
+    return list(_projections(dk, "harmonic", ell))
 
 
 def monogenic_basis(dk: DunklContext, ell: int) -> list:
-    """Basis of degree-ell spherical monogenics with values in the full algebra."""
-    return _kernel_basis(dk.dirac, dk.m, [(mo, blade) for mo in monomials(dk.m, ell)
-                                          for blade in range(1 << dk.m)])
+    """Basis of degree-ell spherical monogenics with values in the full algebra:
+    for each seed x^beta with beta_m = 0 and harmonic projection h, the
+    monogenic h + x D h / (2 (ell - 1 + gamma + m/2)) (D^2 h = 0 and
+    {D, x} = -2 (E + gamma + m/2)), times each blade in turn.  Raises
+    ValueError where a denominator vanishes."""
+    return [mg.blade_mul_right(blade) for mg in _projections(dk, "monogenic", ell)
+            for blade in range(1 << dk.m)]
 
 
 def null_solution(dctx: DeformedContext, monogenic: RadialExpr, ell: int) -> RadialExpr:

@@ -1,15 +1,15 @@
-"""Exact linear algebra over Q, used for nullspaces and small solves.
+"""Exact linear algebra over Q: primitive integer vectors and unique
+solutions of small integer systems.
 
-:func:`nullspace` clears its rows to primitive integer rows and
-:func:`solve_columns` takes integer rows; both bring them to reduced echelon
-form by one fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-1968): each step sets row_i <- (p row_i - h row_p) / d for every row other
-than the pivot row, with p the new pivot, h the row's entry in the pivot
-column and d the previous pivot.  The division is exact because every entry
-stays a minor of the input: on a pivot row it is d times a reduced echelon
-entry, a determinant by Cramer's rule; elsewhere a bordered minor
-(Sylvester's identity).  Every pivot entry ends equal to the last pivot d,
-so both answers are integers over d.
+:func:`solve_columns` takes integer rows (the kernel series clears each orbit
+block to them) and brings them to reduced echelon form by one fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968): each step sets
+row_i <- (p row_i - h row_p) / d for every row other than the pivot row, with
+p the new pivot, h the row's entry in the pivot column and d the previous
+pivot.  The division is exact because every entry stays a minor of the
+input: on a pivot row it is d times a reduced echelon entry, a determinant by
+Cramer's rule; elsewhere a bordered minor (Sylvester's identity).  Every
+pivot entry ends equal to the last pivot d, so the answer is integers over d.
 """
 
 from __future__ import annotations
@@ -18,20 +18,19 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def primitive_scale(values) -> Fraction:
+    """The positive rational that makes the rationals values, not all zero,
+    coprime integers."""
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(den, gcd(*(v.numerator * (den // v.denominator) for v in values)))
+
+
 class SingularSystem(ValueError):
     pass
 
 
 class InconsistentSystem(ValueError):
     pass
-
-
-def _integer_row(row):
-    """row scaled to a primitive integer row."""
-    den = lcm(*(Fraction(x).denominator for x in row))
-    ints = [int(Fraction(x) * den) for x in row]
-    g = gcd(*ints) or 1
-    return [v // g for v in ints]
 
 
 def _reduced_echelon(M):
@@ -58,28 +57,6 @@ def _reduced_echelon(M):
         pivots.append((prow, col))
         d = piv
     return pivots, d
-
-
-def nullspace(A) -> list[list[Fraction]]:
-    """Basis of the right kernel of A (rows = equations).
-
-    One primitive integer vector per free column, positive there and zero
-    at the other free columns.
-    """
-    if not A:
-        return []
-    M = [_integer_row(row) for row in A]
-    pivots, d = _reduced_echelon(M)
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for fc in (c for c in range(len(M[0])) if c not in pivot_cols):
-        vec = [0] * len(M[0])
-        vec[fc] = d
-        for pr, pc in pivots:
-            vec[pc] = -M[pr][fc]
-        g = gcd(*vec) * (1 if d > 0 else -1)
-        basis.append([Fraction(v // g) for v in vec])
-    return basis
 
 
 def solve_columns(A, B_cols) -> tuple[list[list[int]], int]:

@@ -17,27 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+
+from .linalg import primitive_scale
 
 
 def _primitive(vec) -> tuple:
+    """vec scaled to coprime integers, its first nonzero entry positive."""
     fr = [Fraction(x) for x in vec]
     if not any(fr):
         raise ValueError("zero root")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+    scale = primitive_scale(fr) * (1 if next(x for x in fr if x) > 0 else -1)
+    return tuple(x * scale for x in fr)
 
 
 @dataclass(frozen=True)

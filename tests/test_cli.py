@@ -634,6 +634,29 @@ def test_dihedral_of_order_one_runs_and_order_zero_exits_2(tmp_path, capsys):
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, degree, kind, flag", [
+    (["basis", "--ell-max", "1"], 1, "monogenic", "--ell-max"),
+    (["fischer"], 1, "monogenic", "--ell-max"),
+    (["fischer", "--ell-max", "0", "--degree", "3"], 1, "monogenic", "--degree"),
+    (["laguerre-table"], 1, "monogenic", "--ell-max"),
+    (["orthogonality"], 1, "monogenic", "--ell-max"),
+    (["transform-eigen"], 1, "monogenic", "--l-max"),
+    (["a-minus2-suite", "--l-max", "2"], 2, "harmonic", "--l-max"),
+])
+def test_singular_projection_exits_2_naming_the_degree(tmp_path, capsys, argv, degree,
+                                                       kind, flag):
+    """On z2^2 at k = -1/2, gamma + m/2 = 0: the degree-1 monogenic and the
+    degree-2 harmonic projections divide by zero, so every suite that would
+    build those bases rejects the setup in one line before any report."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--family", "z2", "--m", "2", "--k=-1/2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"dunkldirac {argv[0]}: error: gamma + m/2 = 0: the degree-{degree} {kind} "
+        f"projection divides by zero; lower {flag} below {degree}"]
+    assert not list(tmp_path.iterdir())
+
+
 BOUNDARY_SIZES = {
     "verify-osp": ["--degree", "1", "--trials", "1"],
     "fischer": ["--degree", "1", "--trials", "1", "--ell-max", "0", "--s-max", "1"],
@@ -680,6 +703,9 @@ boundary_rationals = st.one_of(st.sampled_from([0, -1, -2, 1, 2]).map(Fraction),
          a=Fraction(2), b=Fraction(0), c=Fraction(0))
 @example(name="basis --gram", family="symmetric", m=3, k="1/2", a=Fraction(2),
          b=Fraction(0), c=Fraction(0))
+# a pole of the Fischer projection: degree-1 monogenics at gamma + m/2 = 0
+@example(name="basis", family="z2", m=2, k="-1/2", a=Fraction(2), b=Fraction(0),
+         c=Fraction(0))
 def test_boundary_inputs_never_raise(capsys, name, family, m, k, a, b, c):
     """Over every family, a <= 0, c = -1, the singular locus and rank 1, a
     suite finishes (exit 0 or 1) or rejects its input in one line (exit 2);

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,11 +17,13 @@ from dunkldirac.fischer import (
     monogenic_dimension,
     monomials,
     null_solution,
+    singular_degree,
     tower_decompose,
 )
+from dunkldirac.linalg import _reduced_echelon
 from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
-from dunkldirac.reflection import symmetric, z2_power
+from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
 
 
 def test_monomials_enumeration():
@@ -45,24 +48,77 @@ def test_monogenic_dimensions():
             assert monogenic_dimension(m, ell) == scalar_dim * (1 << m)
 
 
+def coefficient_rank(basis) -> int:
+    """Rank of the basis elements' coefficient rows over their term keys."""
+    keys = sorted({key for f in basis for key in f.terms})
+    rows = [[int(f.terms.get(key, 0)) for key in keys] for f in basis]
+    return len(_reduced_echelon(rows)[0]) if rows else 0
+
+
+def is_primitive(f) -> bool:
+    cs = list(f.terms.values())
+    return all(c.denominator == 1 for c in cs) and gcd(*(int(c) for c in cs)) == 1
+
+
+# beyond m = 2: off-axis roots, two root orbits, and rank 4
+WIDER_SETUPS = [z2_power(3, [Fraction(1, 2), Fraction(1, 3), Fraction(3, 2)]),
+                hyperoctahedral(2, Fraction(1, 2), Fraction(1, 3)),
+                hyperoctahedral(3, Fraction(1, 2), Fraction(1, 3)),
+                symmetric(4, Fraction(1, 2))]
+
+
 def test_harmonic_basis_is_annihilated_and_counted():
+    """Each basis element is harmonic and primitive, and the elements are as
+    many as the dimension of the space and independent (coefficient rank)."""
     for setup in [z2_power(2, [Fraction(1, 2), Fraction(3, 2)]),
-                  symmetric(3, Fraction(1, 2))]:
+                  symmetric(3, Fraction(1, 2)), *WIDER_SETUPS]:
         dk = DunklContext(setup)
         for ell in range(4):
             basis = harmonic_basis(dk, ell)
-            assert len(basis) == harmonic_dimension(setup.m, ell)
+            dim = harmonic_dimension(setup.m, ell)
+            assert len(basis) == coefficient_rank(basis) == dim
             for h in basis:
+                assert is_primitive(h)
                 assert dk.laplacian(h).is_zero()
 
 
 def test_monogenic_basis_is_annihilated_and_counted():
-    dk = DunklContext(z2_power(2, [Fraction(1, 2), Fraction(3, 2)]))
-    for ell in range(3):
-        basis = monogenic_basis(dk, ell)
-        assert len(basis) == monogenic_dimension(2, ell)
-        for mg in basis:
-            assert dk.dirac(mg).is_zero()
+    """The basis elements are as many as the dimension and independent
+    (coefficient rank); each is monogenic, and the primitive form of the
+    slot-0 part of its seed x^beta e_B in the Fischer decomposition at
+    (a, b, c) = (2, 0, 0)."""
+    for setup in [z2_power(2, [Fraction(1, 2), Fraction(3, 2)]), *WIDER_SETUPS]:
+        dk = DunklContext(setup)
+        dctx = DeformedContext(dk, DeformParams(2, 0, 0))
+        for ell in range(3 if setup.m == 4 else 4):
+            basis = monogenic_basis(dk, ell)
+            dim = monogenic_dimension(setup.m, ell)
+            assert len(basis) == coefficient_rank(basis) == dim
+            seeds = [(mo, blade) for mo in monomials(setup.m, ell) if mo[-1] == 0
+                     for blade in range(1 << setup.m)]
+            assert len(seeds) == len(basis)
+            for mg, (mo, blade) in zip(basis, seeds):
+                assert dk.dirac(mg).is_zero()
+                assert is_primitive(mg)
+                seed = RadialExpr.monomial(setup.m, mo, blade=blade)
+                slot0 = tower_decompose(dctx, seed)[0]
+                key = next(iter(mg.terms))
+                ratio = slot0.terms[key] / mg.terms[key]
+                assert ratio > 0 and slot0 == mg.scale(ratio)
+
+
+def test_bases_raise_only_at_a_pole_of_the_projection():
+    """On z2^2 at k = -1/2, gamma + m/2 = 0: the degree-1 monogenic step and
+    the j = 1 harmonic factor at degree 2 divide by zero; the degree-3
+    harmonics, whose one factor is (2 - 0 - 3)_1, still build."""
+    dk = DunklContext(z2_power(2, [Fraction(-1, 2)] * 2))
+    with pytest.raises(ValueError, match="divides by zero"):
+        monogenic_basis(dk, 1)
+    with pytest.raises(ValueError, match="divides by zero"):
+        harmonic_basis(dk, 2)
+    assert [singular_degree(dk.setup, kind, 3) for kind in ("monogenic", "harmonic")] == [1, 2]
+    basis = harmonic_basis(dk, 3)
+    assert len(basis) == 2 and all(dk.laplacian(h).is_zero() for h in basis)
 
 
 def make_ctx(a, b, c):

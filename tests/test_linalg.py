@@ -1,9 +1,9 @@
-"""Fraction-free linear solving: exact kernels and unique solutions."""
+"""Fraction-free linear solving: reduced echelon form and unique solutions."""
 
 import math
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 from dunkldirac.linalg import (
     InconsistentSystem,
     SingularSystem,
-    nullspace,
+    _reduced_echelon,
+    primitive_scale,
     solve_columns,
 )
 
@@ -89,29 +90,27 @@ def test_solve_columns_batches():
         assert matvec(A, x) == [Fraction(v) for v in b]
 
 
-def test_nullspace_of_known_matrix():
-    # rank 1, kernel dimension 2
-    A = [[1, 2, 3]]
-    basis = nullspace(A)
-    assert len(basis) == 2
-    for v in basis:
-        assert matvec(A, v) == [Fraction(0)]
-
-
-def test_nullspace_full_rank_is_empty():
-    assert nullspace([[1, 0], [0, 1]]) == []
-
-
-def test_nullspace_spans_constructed_kernel():
-    # A built to kill (1, 1, 1) and (1, -1, 0)
-    A = [[1, 1, -2], [0, 0, 0]]
-    basis = nullspace(A)
-    assert len(basis) == 2
-    for v in basis:
-        assert matvec(A, v) == [Fraction(0), Fraction(0)]
-
-
 entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@given(st.lists(entries, min_size=1, max_size=5).filter(any))
+def test_primitive_scale_clears_to_coprime_integers(values):
+    scale = primitive_scale(values)
+    ints = [v * scale for v in values]
+    assert scale > 0 and all(v.denominator == 1 for v in ints)
+    assert math.gcd(*(int(v) for v in ints)) == 1
+
+
+def det(A):
+    """Exact determinant by the Leibniz sum over permutations."""
+    n, out = len(A), Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        out += term
+    return out
 
 
 @given(data=st.data())
@@ -125,19 +124,9 @@ def test_random_square_systems_roundtrip(data):
     try:
         x = solve(rows, [rhs])[0]
     except SingularSystem:
-        assert nullspace(A), "singular verdict without a kernel vector"
+        assert det(A) == 0, "singular verdict on an invertible matrix"
         return
     assert matvec(A, x) == b
-
-
-@given(data=st.data())
-def test_nullspace_vectors_annihilate(data):
-    rows = data.draw(st.integers(1, 3))
-    cols = data.draw(st.integers(1, 4))
-    A = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
-    for v in nullspace(A):
-        assert matvec(A, v) == [Fraction(0)] * rows
-        assert any(v), "kernel basis vector must be nonzero"
 
 
 def rank(A):
@@ -155,33 +144,20 @@ def rank(A):
     return r
 
 
-@given(data=st.data())
-def test_nullspace_basis_is_primitive_and_unit_on_its_free_column(data):
-    """One primitive integer vector per free column (a column in the span of
-    the ones before it): positive there, zero at the other free columns.
-    Harmonic and monogenic bases inherit this normalization."""
-    rows = data.draw(st.integers(1, 4))
-    cols = data.draw(st.integers(1, 5))
-    A = [[data.draw(entries) for _ in range(cols)] for _ in range(rows)]
-    free = [j for j in range(cols)
-            if rank([row[:j + 1] for row in A]) == rank([row[:j] for row in A])]
-    basis = nullspace(A)
-    assert len(basis) == len(free)
-    for v, fc in zip(basis, free):
-        assert all(x.denominator == 1 for x in v)
-        assert gcd(*(int(x) for x in v)) == 1
-        assert v[fc] > 0
-        assert all(v[other] == 0 for other in free if other != fc)
-
-
 def test_rank_nullity_on_random_matrices():
+    """The echelon form's pivot columns are exactly the columns outside the
+    span of the ones before them, so rank plus nullity is the column count."""
     rng = random.Random(2026)
     for _ in range(20):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         A = [[Fraction(rng.randint(-4, 4)) for _ in range(cols)]
              for _ in range(rows)]
-        kernel = nullspace(A)
-        # rank from the kernel: rank + nullity = cols
-        rank = cols - len(kernel)
-        assert 0 <= rank <= min(rows, cols)
+        free = [j for j in range(cols)
+                if rank([row[:j + 1] for row in A]) == rank([row[:j] for row in A])]
+        M = [[int(v) for v in row] for row in A]
+        pivots, d = _reduced_echelon(M)
+        pivot_cols = [c for _, c in pivots]
+        assert len(pivots) == rank(A)
+        assert sorted(pivot_cols + free) == list(range(cols))
+        assert all(M[pr][pc] == d for pr, pc in pivots)
