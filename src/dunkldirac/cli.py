@@ -61,8 +61,7 @@ from .fischer import (fischer_constant, fischer_tower, harmonic_basis,
                       monogenic_basis, monomials, singular_degree, tower_decompose)
 from .fourier import (damped_values, fourier_apply,
                       measured_eigenvalue, pde_residual, spectral_eigenvalue)
-from .kelvin import (dirac_via_inversion, intertwined_component, inversion,
-                     inversion_params, p_map, power_cache_info, pq_constant, q_map)
+from .kelvin import InversionReport, KelvinReport, inversion, power_cache_info
 from .laguerre import LaguerreTower
 from .measure import (axis_multiplicities, inner_product_exact, norm_constant,
                       sphere_inner_exact, unit_cache_info, weight_exponent)
@@ -353,15 +352,15 @@ def _layer_caches(dk: DunklContext) -> dict:
 
 def _inversion_rows(dk: DunklContext, inputs: list):
     """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each
-    (input, text) pair; returns the context's cache_info()."""
-    dctx = DeformedContext(dk, inversion_params(dk.setup.mu))
+    (input, text) pair, from kelvin.InversionReport; returns the
+    cache_info() of the context at (-2, 2 - mu, -2)."""
+    report = InversionReport(dk)
     for f, text in inputs:
-        yield {"relation": "I(I f) = f", "input": text,
-               "pass": (inversion(dk, inversion(dk, f)) - f).is_zero()}
-        defect = dirac_via_inversion(dk, f) - dctx.dirac(f)
+        twice, conjugated = report(f)
+        yield {"relation": "I(I f) = f", "input": text, "pass": twice.is_zero()}
         yield {"relation": "I D I = D at (-2, 2 - mu, -2)",
-               "input": text, "pass": defect.is_zero()}
-    return dctx.cache_info()
+               "input": text, "pass": conjugated.is_zero()}
+    return report.cache_info()
 
 
 # -- the registry -------------------------------------------------------------
@@ -476,23 +475,18 @@ def cmd_verify_kelvin(args, dk):
     rng = random.Random(args.seed)
     inputs = [(f, f.to_text()) for f in _input_set(dk.m, args.degree)]
     for par in _params_from(args, rng):
-        const = pq_constant(par)
+        report = KelvinReport(dk, par)
         for f, text in inputs:
-            qp = q_map(par, p_map(par, f)) - f.scale(const)
-            pq = p_map(par, q_map(par, f)) - f.scale(const)
             yield {"relation": "Q P = P Q = (2/a)^{b/2}", "input": text,
                    "a": par.a, "b": par.b, "c": par.c,
-                   "pass": qp.is_zero() and pq.is_zero()}
-        com = DeformParams.commuting(par.a, par.b)
-        dctx = DeformedContext(dk, com)
+                   "pass": all(d.is_zero() for d in report.rescaling(f))}
+        com = report.par
         for f, text in inputs:
-            ok = all((intertwined_component(dctx, i, f)
-                      - dctx.dirac_component(i, f)).is_zero()
-                     for i in range(1, dk.m + 1))
             yield {"relation": "(a/2)^{(b-1)/2} Q T_i P = D_i",
                    "input": text, "a": com.a, "b": com.b, "c": com.c,
-                   "pass": ok}
-    # the components above bypass the image caches; only I D I applies D
+                   "pass": all(d.is_zero() for d in report.intertwining(f))}
+    # the rows above apply T_i and D_i from the reports' own unit images;
+    # image_cache counts the D of the inversion rows alone
     info = yield from _inversion_rows(dk, inputs)
     return {"degree": args.degree, "image_cache": info}
 

@@ -28,8 +28,10 @@ denominator from its input to its eight defects, and makes a Fraction only
 for a nonzero defect term.  The images depend on (a, b, c) and on the
 group, so no two contexts share them.
 
-The components D_i stay uncached: the factorization and commutator rows of
-``verify-factorization`` and the Kelvin rows compose them directly.  Three
+The components D_i have no images on the context: the factorization and
+commutator rows of ``verify-factorization`` compose them directly, and the
+Kelvin report (:class:`~dunkldirac.kelvin.KelvinReport`) keeps its own unit
+images of them, built from :meth:`DeformedContext.dirac_component`.  Three
 routines here are test oracles that no suite runs, reference computations
 the tests confront D with: dirac_squared_closed (D^2 through the bridge
 above, with sum_components_squared_closed behind it), dirac_on_damped (D

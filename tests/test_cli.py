@@ -111,7 +111,7 @@ def test_suites_applying_d_or_x_a_record_image_cache(tmp_path, argv):
     assert all(set(counts) == {"hits", "misses"} for counts in layers.values())
     assert all(n >= 0 for counts in layers.values() for n in counts.values())
     assert sum(layers["dunkl.dunkl_monomial"].values()) > 0
-    # the exact integrals reuse their unit integrals, P and Q their powers of a/2
+    # the exact integrals reuse their unit integrals, P and Q their class tables
     memo = {"orthogonality": "measure.unit_integral", "verify-kelvin": "kelvin.power"}
     if argv[0] in memo:
         assert layers[memo[argv[0]]]["hits"] > 0

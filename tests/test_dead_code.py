@@ -27,8 +27,11 @@ ORACLES = {
     "DunklContext.laplacian_explicit",
     "DunklContext.verify_kernel_series",
     "LaguerreTower.oscillator_constant",
+    "dirac_via_inversion",
     "harmonic_dimension",
+    "intertwined_component",
     "monogenic_dimension",
+    "pq_constant",
 }
 
 

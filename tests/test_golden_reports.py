@@ -1,4 +1,4 @@
-"""Report bytes stay put: five small suite runs against committed references.
+"""Report bytes stay put: six small suite runs against committed references.
 
 The files under ``tests/golden`` are the rows, the summary and the console
 line of each run in ``GOLDEN_RUNS``, with the report directory written as
@@ -27,6 +27,10 @@ GOLDEN_RUNS = {
     "verify-kelvin-z2-2": [
         "verify-kelvin", "--family", "z2", "--m", "2", "--k", "1/2,3/2",
         "--degree", "2", "--a", "2/3", "--b", "1/5", "--c", "1/7"],
+    # off-axis reflections, so T_i, D_i and D mix monomials
+    "verify-kelvin-symmetric3": [
+        "verify-kelvin", "--family", "symmetric", "--m", "3", "--k", "1/2",
+        "--degree", "2", "--a", "4/3", "--b=-3/5", "--c", "5/7"],
     "laguerre-table-z2-2": [
         "laguerre-table", "--family", "z2", "--m", "2", "--k", "1/2,3/2",
         "--a", "4/3", "--b", "1/3", "--c", "1/2", "--t-max", "3", "--ell-max", "1"],

@@ -1,16 +1,20 @@
 """Rescaling maps P, Q and the inversion that reaches a = -2."""
 
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dunkldirac import kelvin
+from dunkldirac import cli, kelvin
 from dunkldirac.cli import main
 from dunkldirac.deformed import DeformedContext
 from dunkldirac.dunkl import DunklContext
 from dunkldirac.kelvin import (
+    InversionReport,
+    KelvinReport,
     dirac_via_inversion,
     intertwined_component,
     inversion,
@@ -23,7 +27,7 @@ from dunkldirac.kelvin import (
 from dunkldirac.params import DeformParams
 from dunkldirac.poly import RadialExpr
 from dunkldirac.quadrature import evaluate
-from dunkldirac.reflection import z2_power
+from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
 from dunkldirac.scalars import ExactScalar
 
 from conftest import lattice_expr, rand_fraction, random_expr
@@ -209,10 +213,37 @@ def test_p_and_q_match_the_constructor_route(m, ab, den):
             assert_same_expr(mine(par, scalars), ref(par, scalars))
 
 
+def constructor_inversion(dk, f):
+    """r^s p_d -> r^{2 - mu - s - 2d} p_d through the RadialExpr constructor."""
+    mu = dk.setup.mu
+    return RadialExpr(f.m, {(2 - mu - s - 2 * sum(mono), mono, blade): coeff
+                            for (s, mono, blade), coeff in f.rational_terms()})
+
+
+@pytest.mark.parametrize("ks", [(Fraction(1, 2), Fraction(3, 2)), (Fraction(1, 3), Fraction(3, 2))],
+                         ids=["mu=6", "mu=17/3"])
+@pytest.mark.parametrize("den", [1, 3, 7])
+def test_inversion_matches_the_constructor_route(ks, den):
+    """The same terms in the same order, rational and ExactScalar
+    coefficients alike, so text, JSON and float sums downstream agree."""
+    dk = DunklContext(z2_power(2, list(ks)))
+    par = DeformParams.commuting(Fraction(5, 2), Fraction(-1, 5))
+    rng = random.Random(den)
+    for _ in range(3):
+        f = lattice_expr(rng, 2, den)
+        for g in (f, p_map(par, f)):
+            got, want = inversion(dk, g), constructor_inversion(dk, g)
+            assert got == want
+            assert list(got.rational_terms()) == list(want.rational_terms())
+            assert got.to_text() == want.to_text()
+            assert got.to_json() == want.to_json()
+
+
 def test_memoized_powers_keep_their_terms_through_a_suite_run(tmp_path):
-    """Memo entries are shared: the power behind pq_constant at the golden
-    verify-kelvin triple is the same object, with the same terms, after
-    that suite has scaled by it and by its neighbours."""
+    """Memo entries are shared: the suite reads P and Q from the memo of
+    class tables that power_cache_info counts, and its lookups hit there;
+    the power behind pq_constant at the golden verify-kelvin triple is the
+    same object, with the same terms, after the suite has run."""
     par = DeformParams(Fraction(2, 3), Fraction(1, 5), Fraction(1, 7))
     const = pq_constant(par)
     terms = dict(const.terms)
@@ -223,3 +254,105 @@ def test_memoized_powers_keep_their_terms_through_a_suite_run(tmp_path):
     assert kelvin.power_cache_info().hits > hits
     assert pq_constant(par) is const
     assert const.terms == terms
+
+
+# -- the integer reports against the compositional route -------------------------
+
+REPORT_GROUPS = [
+    DunklContext(z2_power(2, [Fraction(1, 3), Fraction(3, 2)])),
+    DunklContext(hyperoctahedral(2, Fraction(1, 2), Fraction(1, 3))),
+    DunklContext(symmetric(3, Fraction(1, 2))),
+]
+# a/2 = 1/4 = 2^-2, 9/4 = (3/2)^2 and 18: whole powers of a perfect-power
+# base fold into the rational part
+EDGE_A = [Fraction(1, 2), Fraction(9, 2), Fraction(36)]
+small = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
+
+
+@st.composite
+def kelvin_cases(draw):
+    """A group, a commuting triple (edge bases or random a > 0) and a
+    multi-term rational input whose exponents sit on the lattices 1/1 to 1/5."""
+    dk = draw(st.sampled_from(REPORT_GROUPS))
+    m = dk.m
+    keys = st.tuples(st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5])),
+                     st.tuples(*[st.integers(0, 2)] * m), st.integers(0, (1 << m) - 1))
+    terms = draw(st.dictionaries(keys, small.filter(bool), min_size=1, max_size=4))
+    a = draw(st.sampled_from(EDGE_A) | small.filter(lambda x: x > 0))
+    return dk, DeformParams.commuting(a, draw(small)), RadialExpr(m, terms)
+
+
+def by_composition(dk, par, f, shift):
+    """The Kelvin defects through p_map, q_map, T_i and the inversion on
+    RadialExpr, with the constant's and the prefactor's exponents of a/2,
+    and the b of the a = -2 triple, raised by shift."""
+    half = par.a / 2
+    raise_by = ExactScalar.power(half, shift)
+    const = pq_constant(par) * raise_by
+    rescaling = (q_map(par, p_map(par, f)) - f.scale(const),
+                 p_map(par, q_map(par, f)) - f.scale(const))
+    dctx = DeformedContext(dk, par)
+    intertwining = tuple(intertwined_component(dctx, i, f).scale(raise_by)
+                         - dctx.dirac_component(i, f) for i in range(1, dk.m + 1))
+    inv = inversion_params(dk.setup.mu)
+    ctx = DeformedContext(dk, DeformParams(inv.a, inv.b + shift, inv.c))
+    inverted = (inversion(dk, inversion(dk, f)) - f, dirac_via_inversion(dk, f) - ctx.dirac(f))
+    return rescaling, intertwining, inverted, ctx
+
+
+@given(case=kelvin_cases(), step=st.sampled_from([0, 1]))
+@settings(max_examples=40, deadline=None)
+def test_integer_reports_equal_the_compositional_route(case, step):
+    """Equal defects, key by key in their folded values, on the true
+    relations (all zero) and with each exponent raised by one step of its
+    lattice (defects left standing, folded where a/2 is a perfect power)."""
+    dk, par, f = case
+    shift = Fraction(step, 2 * par.b.denominator)
+    rescaling, intertwining, inverted, ctx = by_composition(dk, par, f, shift)
+    report = KelvinReport(dk, par)
+    report.constant += shift
+    report.prefactor += shift
+    inv = InversionReport(dk)
+    inv.context = ctx
+    assert report.rescaling(f) == rescaling
+    assert report.intertwining(f) == intertwining
+    assert inv(f) == inverted
+    # the zero test is not vacuous: a shifted constant leaves Q P f - C f standing
+    if step and par.a != 2 and not f.is_zero():
+        assert not any(d.is_zero() for d in rescaling)
+
+
+def test_reports_take_rational_coefficients_only():
+    par = DeformParams.commuting(Fraction(3), Fraction(1, 2))
+    dk = REPORT_GROUPS[0]
+    f = p_map(par, RadialExpr.monomial(2, (1, 0)))
+    for run in (KelvinReport(dk, par).rescaling, KelvinReport(dk, par).intertwining,
+                InversionReport(dk)):
+        with pytest.raises(ValueError, match="rational coefficients only"):
+            run(f)
+
+
+@pytest.mark.parametrize("exponent, relation", [
+    ("constant", "Q P = P Q = (2/a)^{b/2}"),
+    ("prefactor", "(a/2)^{(b-1)/2} Q T_i P = D_i"),
+])
+def test_a_shifted_exponent_fails_every_row_of_its_relation(tmp_path, monkeypatch,
+                                                            exponent, relation):
+    """The golden verify-kelvin run with the constant's or the prefactor's
+    exponent of a/2 one step off its lattice: every row of that relation
+    reads FAILED, every other row still passes."""
+
+    class Shifted(KelvinReport):
+        def __init__(self, dk, par):
+            super().__init__(dk, par)
+            value = getattr(self, exponent)
+            setattr(self, exponent, value + Fraction(1, value.denominator))
+
+    monkeypatch.setattr(cli, "KelvinReport", Shifted)
+    assert main(["verify-kelvin", "--family", "z2", "--m", "2", "--k", "1/2,3/2",
+                 "--degree", "2", "--a", "2/3", "--b", "1/5", "--c", "1/7",
+                 "--out", str(tmp_path)]) == 1
+    rows = [json.loads(line) for line in (tmp_path / "verify-kelvin.jsonl").read_text().splitlines()]
+    hit = [row["pass"] for row in rows if row["relation"] == relation]
+    assert len(hit) == 24 and not any(hit)
+    assert all(row["pass"] for row in rows if row["relation"] != relation)
