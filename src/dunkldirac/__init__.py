@@ -18,7 +18,7 @@ from .deformed import (DeformedContext, factorization_solutions_generic,
 from .dunkl import DunklContext
 from .dunkltransform import deformed_transform, transform_values
 from .fischer import harmonic_basis, monogenic_basis, tower_decompose
-from .fourier import fourier_apply, kernel_values, spectral_eigenvalue
+from .fourier import kernel_values, spectral_eigenvalue
 from .kelvin import inversion, p_map, q_map
 from .laguerre import LaguerreTower
 from .measure import (inner_product_exact, mehta_constant, norm_constant,
@@ -35,7 +35,7 @@ __all__ = [
     "DeformParams", "DeformedContext", "DunklContext", "ExactScalar",
     "LaguerreTower", "RadialExpr", "ReflectionSetup",
     "deformed_transform", "dihedral", "factorization_solutions_generic",
-    "factorization_solutions_zero_k", "fourier_apply", "harmonic_basis",
+    "factorization_solutions_zero_k", "harmonic_basis",
     "hyperoctahedral", "inner_product_exact", "inversion", "kernel_values",
     "mehta_constant", "monogenic_basis", "norm_constant", "p_map", "q_map",
     "spectral_eigenvalue", "sphere_inner_exact", "symmetric",

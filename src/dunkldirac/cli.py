@@ -59,8 +59,8 @@ from .dunkltransform import (deformed_transform, eigenfunction, eigenvalue,
                              transform_inverted, transform_inverted_direct)
 from .fischer import (fischer_constant, fischer_tower, harmonic_basis,
                       monogenic_basis, monomials, singular_degree, tower_decompose)
-from .fourier import (damped_values, fourier_apply,
-                      measured_eigenvalue, pde_residual, spectral_eigenvalue)
+from .fourier import (damped_values, measured_eigenvalue, pde_residual,
+                      spectral_eigenvalue)
 from .kelvin import InversionReport, KelvinReport, inversion, power_cache_info
 from .laguerre import LaguerreTower
 from .measure import (axis_multiplicities, inner_product_exact, norm_constant,
@@ -130,8 +130,8 @@ FLAG_HELP = {
     "gram": "include numeric sphere Gram matrices in the summary",
     "numeric": "also cross-check each pair by quadrature",
     "order": "kernel series order for nontrivial multiplicities; ignored "
-             "where the closed Bessel product applies (z2^m, dihedral(1), "
-             "dihedral(2))",
+             "where the kernel is closed: the plane wave at k = 0 and the "
+             "Bessel product on z2^m, dihedral(1), dihedral(2)",
 }
 
 
@@ -669,7 +669,6 @@ def cmd_transform_eigen(args, dk):
     rng = np.random.default_rng(args.seed)
     targets = rng.uniform(0.4, 1.2, size=(args.points, setup.m))
     targets *= np.sign(rng.uniform(-1, 1, size=targets.shape))
-    closed = setup.gamma == 0
     for ell in range(args.l_max + 1):
         if dctx.is_singular(ell):
             yield {"ell": ell, "excluded": "singular locus"}
@@ -679,11 +678,8 @@ def cmd_transform_eigen(args, dk):
             start = time.perf_counter()
             psi = tower.psi(t)
             try:
-                if closed:
-                    got = fourier_apply(dctx, psi, targets, args.nr, args.ntheta, tables)
-                else:
-                    got = deformed_transform(dctx, psi, targets, args.order,
-                                             args.nr, args.ntheta, tables)
+                got = deformed_transform(dctx, psi, targets, args.order,
+                                         args.nr, args.ntheta, tables)
             except ValueError as exc:
                 yield {"t": t, "l": ell, "excluded": f"numeric part: {exc}"}
                 continue
@@ -697,7 +693,7 @@ def cmd_transform_eigen(args, dk):
                    "runtime_ms": round(ms, 3),
                    "pass": bool(rel <= args.tol and resid <= args.tol)}
     return {"a": par.a, "b": par.b, "c": par.c,
-            "kernel": "closed" if closed else kernel_route(setup), "tol": args.tol,
+            "kernel": kernel_route(setup), "tol": args.tol,
             "rule_cache": _since(rules, _hits_misses(rule_cache_info())),
             "kernel_cache": _hits_misses(tables),
             "image_cache": dctx.cache_info()}

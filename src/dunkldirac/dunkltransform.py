@@ -1,12 +1,13 @@
-"""Dunkl transform with a nontrivial reflection weight.
+"""Dunkl transform with a reflection weight, and its deformed relatives.
 
     F f(y) = c_k^{-1} int f(x) E(x, -i y) w_k(x) dx,
     E(x, -i y) = sum_n (-i)^n K_n(x, y).
 
-:func:`kernel_route` picks one route to E per group.  When every root is a
-coordinate vector (z2^m, dihedral(1), dihedral(2)) the kernel is Rösler's
-closed product of rank-one kernels (Dunkl operators: theory and
-applications, LNM 1817),
+:func:`kernel_route` picks one route to E per group.  With every
+multiplicity zero E is the plane wave e^{-i <x, y>}, for every group.  When
+every root is a coordinate vector (z2^m, dihedral(1), dihedral(2)) the
+kernel is Rösler's closed product of rank-one kernels (Dunkl operators:
+theory and applications, LNM 1817),
 
     E(x, -i y) = prod_j [j_{k_j - 1/2}(z_j) - i z_j/(2 k_j + 1) j_{k_j + 1/2}(z_j)],
 
@@ -15,22 +16,31 @@ j_nu(z) = 0F1(; nu + 1; -z^2/4).  Every other group sums the bihomogeneous
 components K_n built by :meth:`DunklContext.kernel_series`, which converge
 like an exponential's Taylor series, so truncating near order thirty is
 accurate to square-summable noise against Gaussian-damped inputs on moderate
-balls.  :func:`kernel_matrix` evaluates E at given points.  The transforms
-read E at a rule's nodes r_i xi_k from a
-:class:`dunkldirac.quadrature.KernelTables` memo, which builds each
-(rule, targets, order) table it holds once: the Bessel route through
-:func:`kernel_matrix` at the nodes, the series route degree by degree on the
-factors r and xi, since K_n has x-degree n (:func:`_series_kernel`).  The
-natural eigenfunctions are
+balls.  :func:`kernel_matrix` evaluates E at given points.
+
+One loop, :func:`_grid_transform`, computes every transform.  On the
+commuting line c = 2/a - 1 the deformed transform of f e^{-r^a/a} is
+
+    (2/a)^{gamma + m/2 - 1} c_k^{-1} r_y^{-ab/2}
+        int f(x) E(rho(x), -i y') r^{ab/2 + (a/2 - 1) mu} w_k e^{-r^a/a} dx,
+
+rho(x) = (2/a)^{1/2} x r^{a/2 - 1} and y' = rho(y): the a = 2 transform
+under the substitution that the radial maps P and Q of
+:mod:`dunkldirac.kelvin` make term by term.  Each residue class of f meets
+the a-rule of its folded exponent, and rho carries that rule's node r_i xi_k
+to rho_i xi_k, rho_i = (2/a)^{1/2} r_i^{a/2}, a node of the Gaussian rule.
+The kernel is read there from a :class:`dunkldirac.quadrature.KernelTables`
+memo, which builds each (rule, targets, order) table it holds once: the
+plane wave and the series route on the factors rho and xi, since K_n has
+x-degree n (:func:`_series_kernel`), the Bessel route through
+:func:`kernel_matrix` at the nodes.  At a = 2, b = 0 this is the Dunkl
+transform, whose natural eigenfunctions are
 
     L_j^{mu/2 + ell - 1}(r^2) H_ell(x) e^{-r^2/2},
 
 H_ell harmonic for the Dunkl Laplacian, with eigenvalue (-i)^{2j + ell}.
-
-The same machinery reaches two relatives: the a = -2 realization, whose
-transform is the conjugate of this one by the inversion x -> x/r^2, and the
-deformed transform on the commuting line c = 2/a - 1, which the radial
-reparametrizations P and Q reduce to the a = 2 case.
+The a = -2 realization's transform is the conjugate of that one by the
+inversion x -> x/r^2.
 """
 
 from __future__ import annotations
@@ -42,19 +52,32 @@ from scipy.special import hyp0f1
 
 from .deformed import DeformedContext
 from .dunkl import DunklContext
-from .kelvin import inversion, p_map, q_coordinate_map
+from .kelvin import inversion
 from .laguerre import laguerre_poly
 from .measure import axis_multiplicities, mehta_constant
+from .params import DeformParams
 from .poly import RadialExpr
 from .quadrature import (KernelTables, evaluate, grid_values, power_table,
                          residue_classes, tensor_points, tensor_rule)
 from .reflection import ReflectionSetup
-from .scalars import ExactScalar
 
 
 def kernel_route(setup: ReflectionSetup) -> str:
-    """Which route :func:`kernel_matrix` takes: "bessel" or "series"."""
+    """Which route :func:`kernel_matrix` takes: "plane", "bessel" or "series"."""
+    if not any(setup.mults):
+        return "plane"
     return "series" if axis_multiplicities(setup) is None else "bessel"
+
+
+def _plane_kernel(r: np.ndarray, dirs: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """e^{-i <r_i xi_k, y>}, rows as :func:`tensor_points`; r = [1] evaluates
+    at the points dirs."""
+    theta = np.multiply.outer(-r, dirs @ Y.T)
+    # cos and sin of the real angle cost half a complex exp
+    phases = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=phases.real)
+    np.sin(theta, out=phases.imag)
+    return phases.reshape(-1, len(Y))
 
 
 def _series_kernel(dk: DunklContext, r: np.ndarray, dirs: np.ndarray,
@@ -104,11 +127,15 @@ def kernel_matrix(dk: DunklContext, X: np.ndarray, Y: np.ndarray,
                   order: int) -> np.ndarray:
     """E(x, -i y) for every row pair, as a complex (len(X), len(Y)) array.
 
-    Sign-flip groups take the closed Bessel product and ignore `order`;
-    0F1 is even in z and 1 at z = 0, so points on an axis need no special
-    case.  Every other group sums the series through `order`.
+    The plane wave (every multiplicity zero) and the sign-flip groups'
+    closed Bessel product ignore `order`; 0F1 is even in z and 1 at z = 0,
+    so points on an axis need no special case.  Every other group sums the
+    series through `order`.
     """
-    if kernel_route(dk.setup) == "series":
+    route = kernel_route(dk.setup)
+    if route == "plane":
+        return _plane_kernel(np.ones(1), X, Y)
+    if route == "series":
         return _series_kernel(dk, np.ones(1), X, Y, order)
     return _bessel_kernel(axis_multiplicities(dk.setup), X, Y)
 
@@ -118,37 +145,50 @@ def normalization(setup: ReflectionSetup) -> float:
     return float(mehta_constant(setup))
 
 
-def _grid_transform(dk: DunklContext, f: RadialExpr, targets: np.ndarray,
-                    order: int, n_r: int, n_ang: int, tables: KernelTables,
-                    inverted: bool = False) -> np.ndarray:
-    """c_k^{-1} sum over the Gaussian tensor grid of f E(node, -i target)
-    w_k, with f read at the nodes or (inverted) at xi_k / r_i; see
-    :func:`transform_values` and :func:`transform_inverted_direct`."""
+def _grid_transform(dk: DunklContext, par: DeformParams, f: RadialExpr,
+                    targets: np.ndarray, order: int, n_r: int, n_ang: int,
+                    tables: KernelTables, inverted: bool = False) -> np.ndarray:
+    """Transform of f e^{-r^a/a} at the targets for par on the line
+    c = 2/a - 1, one column per blade (see the module docstring).
+
+    Each residue class of f mod a is weighted on the a-rule of its folded
+    exponent and meets the kernel table of that rule and the targets in one
+    real matmul; calls that pass one ``tables`` share its tables (a fresh
+    memo by default).  With inverted (a = 2, b = 0 only), f is split with
+    half = -1 and read at xi_k / r_i, for :func:`transform_inverted_direct`.
+    """
+    setup, a, b = dk.setup, float(par.a), float(par.b)
+    route = kernel_route(setup)
     tables = KernelTables() if tables is None else tables
-    series = kernel_route(dk.setup) == "series"
-    out = np.zeros((len(targets), 1 << dk.setup.m), dtype=complex)
-    for fold, part in residue_classes(f, -1 if inverted else 1):
-        extra = 2 - dk.setup.mu - fold if inverted else fold
-        r, W, dirs, ws = tensor_rule(dk.setup, 2, 1, extra, n_r, n_ang)
-        key = (dk.setup, 2, 1, extra, n_r, n_ang, targets.tobytes(), "kernel", order)
+    r_y = np.sqrt(np.sum(targets * targets, axis=1))
+    y = (2 / a) ** 0.5 * targets * (r_y ** (a / 2 - 1))[:, None]
+    # the rule carries r^{e_h - ab/2}, e_h = ab + (a/2 - 1) mu on the line
+    base = par.a * par.b / 2 + (par.a / 2 - 1) * setup.mu
+    out = np.zeros((len(targets), 1 << setup.m), dtype=complex)
+    for fold, part in residue_classes(f, -1 if inverted else par.a / 2):
+        extra = 2 - setup.mu - fold if inverted else base + fold
+        r, W, dirs, ws = tensor_rule(setup, par.a, 1, extra, n_r, n_ang)
+        rho = (2 / a) ** 0.5 * r ** (a / 2)
+        key = (setup, par.a, 1, extra, n_r, n_ang, y.tobytes(), order)
         out += tables.contract(
-            key, lambda: (_series_kernel(dk, r, dirs, targets, order) if series else
-                          kernel_matrix(dk, tensor_points(r, dirs), targets, order)),
+            key, lambda: (_plane_kernel(rho, dirs, y) if route == "plane" else
+                          _series_kernel(dk, rho, dirs, y, order) if route == "series" else
+                          kernel_matrix(dk, tensor_points(rho, dirs), y, order)),
             grid_values(part, 1 / r if inverted else r, W, dirs, ws))
-    return out / normalization(dk.setup)
+    post = (2 / a) ** (float(setup.mu) / 2 - 1) * r_y ** (-a * b / 2)
+    return out * post[:, None] / normalization(setup)
+
+
+_DUNKL = DeformParams.commuting(2, 0)
 
 
 def transform_values(dk: DunklContext, f: RadialExpr, targets: np.ndarray,
                      order: int = 28, n_r: int = 60, n_ang: int = 64,
                      tables: KernelTables = None) -> np.ndarray:
-    """Transform of f e^{-r^2/2} at the target points, one column per blade.
-
-    Each residue class of f is weighted on its cached tensor rule and meets
-    the kernel table of that rule and the targets in one real matmul; calls
-    that pass one ``tables`` share its tables (a fresh memo by default).
-    """
-    return _grid_transform(dk, f, np.asarray(targets, dtype=float), order, n_r,
-                           n_ang, tables)
+    """Dunkl transform of f e^{-r^2/2} at the target points, one column per
+    blade: :func:`_grid_transform` at (a, b) = (2, 0)."""
+    return _grid_transform(dk, _DUNKL, f, np.asarray(targets, dtype=float), order,
+                           n_r, n_ang, tables)
 
 
 def eigenfunction(dk: DunklContext, j: int, ell: int,
@@ -209,8 +249,8 @@ def transform_inverted_direct(dk: DunklContext, g: RadialExpr, targets: np.ndarr
     # on the Gaussian grid, so g is split with half = -1; each class's
     # r_v^fold = r_x^{-fold} goes into the rule and its rebased part is
     # evaluated at the inverted nodes xi_k / r_i, a tensor grid too.
-    out = _grid_transform(dk, g, targets / r2t[:, None], order, n_r, n_ang, tables,
-                          inverted=True)
+    out = _grid_transform(dk, _DUNKL, g, targets / r2t[:, None], order, n_r, n_ang,
+                          tables, inverted=True)
     return out * (r2t ** ((2 - float(dk.setup.mu)) / 2))[:, None]
 
 
@@ -225,26 +265,17 @@ def inverted_damped_values(dk: DunklContext, g: RadialExpr,
 def deformed_transform(dctx: DeformedContext, psi: RadialExpr, targets: np.ndarray,
                        order: int = 28, n_r: int = 60, n_ang: int = 64,
                        tables: KernelTables = None) -> np.ndarray:
-    """Deformed transform of psi e^{-r^a/a} with any sign-flip weight.
+    """Deformed transform of psi e^{-r^a/a} at the targets, one column per
+    blade, for every group on the commuting line c = 2/a - 1.  There its
+    kernel against r^{e_h} w_k dx is
 
-    Only on the commuting line c = 2/a - 1, where the reparametrization P
-    carries psi e^{-r^a/a} to (P psi) e^{-r^2/2} and its inverse Q carries
-    the transform back:
+        (2/a)^{gamma + m/2 - 1} c_k^{-1} (r_x r_y)^{-ab/2} E(rho(x), -i y'),
 
-        F_D = (a/2)^{b/2} Q_y F P_x,
-
-    with (Q h)(y) = r_y^{-ab/2} h((2/a)^{1/2} y r_y^{a/2 - 1}).  For the
-    trivial weight this must match the closed-kernel route in
-    :func:`dunkldirac.fourier.fourier_apply`.
+    in the coordinates of the module docstring, which at k = 0 is
+    :func:`dunkldirac.fourier.kernel_values`.  Off the line it raises
+    ValueError.
     """
-    par = dctx.par
-    if not par.is_commuting_choice():
-        raise ValueError("reduction to the a = 2 transform needs c = 2/a - 1")
-    a, b = float(par.a), float(par.b)
-    targets = np.asarray(targets, dtype=float)
-    fz = p_map(par, psi)
-    vals = transform_values(dctx.dk, fz, q_coordinate_map(par, targets),
-                            order, n_r, n_ang, tables)
-    pre = float(ExactScalar.power(par.a / 2, par.b / 2))
-    r_tgt = np.sqrt(np.sum(targets * targets, axis=1))
-    return vals * pre * (r_tgt ** (-a * b / 2))[:, None]
+    if not dctx.par.is_commuting_choice():
+        raise ValueError("the transform's kernel is known only on the line c = 2/a - 1")
+    return _grid_transform(dctx.dk, dctx.par, psi, np.asarray(targets, dtype=float),
+                           order, n_r, n_ang, tables)

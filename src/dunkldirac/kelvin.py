@@ -38,8 +38,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import gcd, lcm
 
-import numpy as np
-
 from .deformed import DeformedContext
 from .dunkl import DunklContext
 from .params import DeformParams
@@ -299,11 +297,3 @@ class InversionReport:
         return tuple(_new(m, den, {k: Fraction(v, c) for k, v in t.items()})
                      for c, t in defects)
 
-
-# -- the pointwise coordinate map for numerics ------------------------------
-
-def q_coordinate_map(par: DeformParams, pts: np.ndarray) -> np.ndarray:
-    """y'(y) = (2/a)^{1/2} y r^{a/2 - 1}, so that (Qg)(y) = r^{-ab/2} g(y'(y))."""
-    a = float(par.a)
-    r = np.sqrt(np.sum(pts * pts, axis=-1, keepdims=True))
-    return (2 / a) ** 0.5 * pts * r ** (a / 2 - 1)

@@ -86,10 +86,11 @@ def _jacobi_rule(n: int, a: float, b: float):
         return _golub_welsch(n, mu0, lambda k: 0.0 * k, off, p, lambda j, x: (
             -j * x * p(j, x) + (j + 2 * g - 1) * p(j - 1, x)) / (1 - x ** 2), True)
     s = lambda k: 2.0 * k + a + b
-    # the diagonal's k = 0 entry apart, as its general form is 0 / 0 at a + b = 0
+    # the diagonal's k = 0 entry and the off-diagonal's k = 1 factor apart,
+    # as their general forms are 0 / 0 at a + b = 0 and a + b = -1
     diag = lambda k: np.r_[(b - a) / (2 + a + b), (b * b - a * a) / (s(k[1:]) * (s(k[1:]) + 2))]
     off = lambda k: (2.0 / s(k) * np.sqrt((k + a) * (k + b) / (s(k) + 1))
-                     * np.where(k == 1, 1.0, np.sqrt(k * (k + a + b) / (s(k) - 1))))
+                     * np.r_[1.0, np.sqrt(k[1:] * (k[1:] + a + b) / (s(k[1:]) - 1))])
     return _golub_welsch(n, 2.0 ** (a + b + 1) * beta(a + 1, b + 1), diag, off,
                          lambda j, x: eval_jacobi(j, a, b, x),
                          lambda j, x: 0.5 * (j + a + b + 1) * eval_jacobi(j - 1, a + 1, b + 1, x))
@@ -203,14 +204,13 @@ def rule_cache_info():
 
 class KernelTables:
     """The two most recently built kernel tables of the transforms, with hit
-    and miss counts.  A table is a kernel (E(x, -i y), or the closed route's
-    phases) at one rule's nodes against the targets: nodes x targets, complex,
-    C-contiguous and read-only, keyed by the rule's key, the targets' bytes
-    and what else the kernel reads (a route tag with a or the series order).
-    Two serve a tower whose rungs alternate between two rules.  On a miss
-    the route's ``build`` makes the table: the series route sums it degree
-    by degree on the rule's factors (r, dirs), and the other routes evaluate
-    at :func:`tensor_points`.
+    and miss counts.  A table is the kernel E(x, -i y) at one rule's
+    (rescaled) nodes against the (rescaled) targets: nodes x targets,
+    complex, C-contiguous and read-only, keyed by the rule's key, the
+    targets' bytes and the series order.  Two serve a tower whose rungs
+    alternate between two rules.  On a miss the route's ``build`` makes the
+    table: the plane wave's phases and the series, degree by degree, on the
+    rule's factors (r, dirs), and the Bessel product at :func:`tensor_points`.
     """
 
     def __init__(self):

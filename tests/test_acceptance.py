@@ -19,11 +19,11 @@ from dunkldirac.deformed import (
     factorization_solutions_zero_k,
 )
 from dunkldirac.dunkl import DunklContext
-from dunkldirac.dunkltransform import eigenfunction, eigenvalue, transform_values
+from dunkldirac.dunkltransform import (deformed_transform, eigenfunction, eigenvalue,
+                                      transform_values)
 from dunkldirac.fischer import harmonic_basis, monogenic_basis
 from dunkldirac.fourier import (
     damped_values,
-    fourier_apply,
     measured_eigenvalue,
     pde_residual,
     spectral_eigenvalue,
@@ -296,7 +296,7 @@ def test_fourier_eigenvalues_and_kernel_equations():
             tower = LaguerreTower(dctx, ell, monogenic_basis(dk0, ell)[0])
             for t in range(5 - ell):
                 psi = tower.psi(t)
-                got = fourier_apply(dctx, psi, targets)
+                got = deformed_transform(dctx, psi, targets, n_r=100, n_ang=120)
                 ref = damped_values(dctx, psi, targets)
                 lam, resid = measured_eigenvalue(ref, got)
                 want = spectral_eigenvalue(par, ell, t)

@@ -252,7 +252,7 @@ def test_orthogonality_numeric_rows_fail_above_their_roundoff_floor(tmp_path, mo
 
 
 def test_transform_eigen_reuses_the_kernel_tables_of_repeated_rules(tmp_path):
-    """The closed route's 12 transforms on z2^3 meet their rules in the
+    """The plane-wave route's 12 transforms on z2^3 meet their rules in the
     order -2, -4/3, -2, -4/3 x 6, -2/3, -4/3, -2/3 (by folded exponent); the
     memo keeps the two most recently built tables, so each rule's table is
     built once."""
@@ -296,6 +296,16 @@ def test_transform_eigen_closed_route(tmp_path):
         assert "runtime_ms" in row and "expected_eigenvalue" in row
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transform_eigen_with_multiplicities_summing_to_zero(tmp_path):
+    """gamma = 0 with nonzero multiplicities is a weighted transform: the
+    Bessel kernel against the weighted rule, not the plane wave."""
+    code = main(["transform-eigen", "--family", "z2", "--m", "2", "--k", "1/3,-1/3",
+                 "--t-max", "1", "--l-max", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert read_summary(tmp_path, "transform-eigen")["kernel"] == "bessel"
+
+
 def test_a_minus2_suite(tmp_path):
     code = main(["a-minus2-suite", "--m", "2", "--k", "1/2,1/2",
                  "--degree", "2", "--j-max", "0", "--l-max", "0",
@@ -328,7 +338,7 @@ _EIGEN_SMALL = ["--t-max", "0", "--l-max", "0", "--points", "2",
 
 
 @pytest.mark.parametrize("argv, kernel", [
-    (["transform-eigen", "--k", "0,0", *_EIGEN_SMALL], "closed"),
+    (["transform-eigen", "--k", "0,0", *_EIGEN_SMALL], "plane"),
     (["transform-eigen", "--k", "1/2,3/2", *_EIGEN_SMALL], "bessel"),
     (["transform-eigen", "--family", "dihedral", "--k", "1/2,3/2", *_EIGEN_SMALL],
      "bessel"),

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import hyp0f1
 
 from dunkldirac.deformed import DeformedContext
@@ -24,7 +25,8 @@ from dunkldirac.dunkltransform import (
     transform_values,
 )
 from dunkldirac.fischer import harmonic_basis, monogenic_basis
-from dunkldirac.fourier import damped_values, fourier_apply, measured_eigenvalue
+from dunkldirac.fourier import damped_values, measured_eigenvalue
+from dunkldirac.kelvin import p_map
 from dunkldirac.laguerre import LaguerreTower
 from dunkldirac.measure import mehta_constant
 from dunkldirac.params import DeformParams
@@ -288,18 +290,49 @@ def test_shared_kernel_tables_give_the_bits_of_a_fresh_memo(setup):
         assert np.array_equal(got, route(dk, g, targets, 16, 20, 24))
 
 
-def test_deformed_transform_reduces_to_fourier_apply_at_zero_k():
-    dk = DunklContext(z2_power(2, [Fraction(0), Fraction(0)]))
-    ctx = DeformedContext(dk, DeformParams.commuting(4, Fraction(1, 2)))
-    rng = random.Random(13)
-    targets = sample_points(rng, 4, lo=0.5, hi=1.1)
-    mg = monogenic_basis(dk, 1)[0]
-    tower = LaguerreTower(ctx, 1, mg)
-    psi = tower.psi(1)
-    via_series = deformed_transform(ctx, psi, targets, order=28)
-    via_kernel = fourier_apply(ctx, psi, targets)
-    scale = np.abs(via_kernel).max()
-    assert np.abs(via_series - via_kernel).max() < 1e-8 * scale
+# one group per kernel route off the plane wave: Bessel in two and three
+# variables, and the series
+ORACLE_CONTEXTS = [DunklContext(setup) for setup in (
+    z2_power(2, [Fraction(1, 2), Fraction(3, 2)]), z2_power(3, Fraction(1, 2)),
+    hyperoctahedral(2, 1, 2))]
+
+
+@st.composite
+def oracle_case(draw):
+    dk = draw(st.sampled_from(ORACLE_CONTEXTS))
+    keys = st.tuples(st.integers(0, 12).map(lambda n: Fraction(n, 6)),
+                     st.tuples(*[st.integers(0, 2)] * dk.m),
+                     st.integers(0, (1 << dk.m) - 1))
+    coeffs = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    psi = RadialExpr(dk.m, draw(st.dictionaries(keys, coeffs, min_size=1, max_size=4)))
+    return dk, psi
+
+
+@given(case=oracle_case(),
+       a=st.sampled_from([Fraction(2, 3), Fraction(4, 3), Fraction(2), Fraction(4)]),
+       b=st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(-1, 5)]),
+       order=st.sampled_from([8, 16]))
+@settings(max_examples=30, deadline=None)
+def test_deformed_transform_matches_the_pq_reduction(case, a, b, order):
+    """On the commuting line the deformed transform is the a = 2 one
+    conjugated by the radial maps,
+
+        F_D psi (y) = (a/2)^{b/2} r_y^{-ab/2} (F P psi)(y'),
+        y' = (2/a)^{1/2} y r_y^{a/2 - 1},
+
+    with P psi exact.  Under rho = (2/a)^{1/2} r^{a/2} the a-rule's nodes are
+    the Gaussian rule's, so the two sums agree to roundoff at any rule size;
+    the floor covers cancellation between nodes."""
+    dk, psi = case
+    par = DeformParams.commuting(a, b)
+    fa, fb = float(a), float(b)
+    targets = np.random.default_rng(53).uniform(-1.2, 1.2, size=(4, dk.m))
+    r_y = np.linalg.norm(targets, axis=1)
+    y = (2 / fa) ** 0.5 * targets * (r_y ** (fa / 2 - 1))[:, None]
+    got = deformed_transform(DeformedContext(dk, par), psi, targets, order, 12, 10)
+    want = transform_values(dk, p_map(par, psi), y, order, 12, 10)
+    want *= ((fa / 2) ** (fb / 2) * r_y ** (-fa * fb / 2))[:, None]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_deformed_transform_eigenfunctions_with_weight():
@@ -323,5 +356,5 @@ def test_deformed_transform_eigenfunctions_with_weight():
 def test_deformed_transform_gates_off_the_commuting_line():
     dk = DunklContext(z2_power(2, [Fraction(1, 2), Fraction(1, 2)]))
     ctx = DeformedContext(dk, DeformParams(4, 0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="c = 2/a - 1"):
         deformed_transform(ctx, RadialExpr.monomial(2, (0, 0)), np.ones((1, 2)))

@@ -1,4 +1,4 @@
-"""The integral transform with the closed kernel (trivial reflection weight)."""
+"""The closed kernel (trivial reflection weight), and the transform at k = 0."""
 
 import random
 from fractions import Fraction
@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from dunkldirac.deformed import DeformedContext
 from dunkldirac.dunkl import DunklContext
+from dunkldirac.dunkltransform import deformed_transform
 from dunkldirac.fischer import monogenic_basis
 from dunkldirac.fourier import (
     damped_values,
-    fourier_apply,
     kernel_constant,
     kernel_values,
     measured_eigenvalue,
@@ -133,17 +133,6 @@ def test_spectral_eigenvalue_general_a():
 
 # -- the transform ------------------------------------------------------------
 
-def test_fourier_apply_gates():
-    dk = DunklContext(z2_power(2, [Fraction(1, 2), Fraction(1, 2)]))
-    ctx = DeformedContext(dk, DeformParams.commuting(2, 0))
-    with pytest.raises(ValueError, match="trivial"):
-        fourier_apply(ctx, RadialExpr.monomial(2, (0, 0)), np.ones((1, 2)))
-    flat = DunklContext(z2_power(2, [Fraction(0), Fraction(0)]))
-    off = DeformedContext(flat, DeformParams(4, 0, 1))
-    with pytest.raises(ValueError, match="c = 2/a - 1"):
-        fourier_apply(off, RadialExpr.monomial(2, (0, 0)), np.ones((1, 2)))
-
-
 def test_eigenfunctions_of_the_classical_transform():
     """At (2, 0): psi_t e^{-r^2/2} maps to (-i)^{t+ell} times itself."""
     ctx = make_ctx(2, 0)
@@ -154,7 +143,7 @@ def test_eigenfunctions_of_the_classical_transform():
         tower = LaguerreTower(ctx, ell, mg)
         for t in range(3):
             psi = tower.psi(t)
-            got = fourier_apply(ctx, psi, targets)
+            got = deformed_transform(ctx, psi, targets, n_r=100, n_ang=120)
             ref = damped_values(ctx, psi, targets)
             lam, resid = measured_eigenvalue(ref, got)
             assert resid < 1e-10
@@ -170,7 +159,7 @@ def test_eigenfunctions_at_fractional_a():
     tower = LaguerreTower(ctx, 1, mg)
     for t in range(2):
         psi = tower.psi(t)
-        got = fourier_apply(ctx, psi, targets)
+        got = deformed_transform(ctx, psi, targets, n_r=100, n_ang=120)
         ref = damped_values(ctx, psi, targets)
         lam, resid = measured_eigenvalue(ref, got)
         assert resid < 1e-8
@@ -192,26 +181,28 @@ def test_transform_intertwines_the_operator_with_multiplication():
     psi = tower.psi(t)
     # D (psi_t e^{-u}) = (dirac_on_damped psi_t) e^{-u}
     dpsi = ctx.dirac_on_damped(psi)
-    lhs = fourier_apply(ctx, dpsi, targets)
+    lhs = deformed_transform(ctx, dpsi, targets, n_r=100, n_ang=120)
     # right side: i (1+c) x_a F(psi), with F(psi) = lam psi e^{-u} at the
     # targets, so x_a F(psi) = lam (x_a psi) e^{-u}
     lam, resid = measured_eigenvalue(damped_values(ctx, psi, targets),
-                                     fourier_apply(ctx, psi, targets))
+                                     deformed_transform(ctx, psi, targets, n_r=100,
+                                                        n_ang=120))
     assert resid < 1e-8
     one_c = float(1 + ctx.par.c)
     rhs = 1j * one_c * lam * damped_values(ctx, ctx.x_a(psi), targets)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
 
 
-# the closed kernel needs the trivial weight, so each setup has k = 0
+# the closed kernel is the trivial weight's, so each setup has k = 0
 FLAT_CONTEXTS = [DunklContext(setup) for setup in (
     z2_power(2, Fraction(0)), hyperoctahedral(2, Fraction(0), Fraction(0)),
     z2_power(3, Fraction(0)), symmetric(3, Fraction(0)))]
 
 
 def flat_fourier(dctx, psi, targets, n_r, n_ang):
-    """fourier_apply as a sum over the flattened product grid: every node's
-    values and phases computed pointwise, then one three-operand einsum."""
+    """The k = 0 transform as a sum over the flattened product grid: every
+    node's values and closed-kernel phases computed pointwise, then one
+    three-operand einsum."""
     par, setup = dctx.par, dctx.dk.setup
     a, b = float(par.a), float(par.b)
     r_tgt = np.sqrt(np.sum(targets * targets, axis=1))
@@ -249,12 +240,12 @@ def flat_case(draw):
        a=st.sampled_from([Fraction(2), Fraction(4, 3), Fraction(2, 3)]),
        b=st.sampled_from([Fraction(0), Fraction(1, 4)]))
 @settings(max_examples=30, deadline=None)
-def test_fourier_apply_equals_the_flat_grid_sum(case, a, b):
+def test_deformed_transform_equals_the_flat_grid_sum(case, a, b):
     """Radial exponents in steps of 1/6 give psi several residue classes."""
     dk, psi = case
     ctx = DeformedContext(dk, DeformParams.commuting(a, b))
     targets = np.random.default_rng(47).uniform(-1.2, 1.2, size=(4, dk.m))
-    got = fourier_apply(ctx, psi, targets, 12, 10)
+    got = deformed_transform(ctx, psi, targets, n_r=12, n_ang=10)
     want, scale = flat_fourier(ctx, psi, targets, 12, 10)
     # the floor covers cancellation between nodes, which no ordering avoids
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale.max())

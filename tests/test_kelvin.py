@@ -21,7 +21,6 @@ from dunkldirac.kelvin import (
     inversion_params,
     p_map,
     pq_constant,
-    q_coordinate_map,
     q_map,
 )
 from dunkldirac.params import DeformParams
@@ -133,6 +132,12 @@ def test_inversion_fixes_the_kelvin_degree():
 
 
 # -- pointwise coordinate maps ------------------------------------------------
+
+def q_coordinate_map(par, pts):
+    """y'(y) = (2/a)^{1/2} y r^{a/2 - 1}, so that (Qg)(y) = r^{-ab/2} g(y'(y))."""
+    r = np.sqrt(np.sum(pts * pts, axis=-1, keepdims=True))
+    return (2 / float(par.a)) ** 0.5 * pts * r ** (float(par.a) / 2 - 1)
+
 
 def test_p_map_is_the_pullback_under_the_coordinate_change():
     """(P f)(x) = |x|^b f(z(x)), where z inverts y': so (P f)(y'(y)) = |y'(y)|^b f(y)."""

@@ -104,6 +104,25 @@ def test_circle_rule_weighted_moments():
     assert abs(np.sum(wts * odd)) < 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", (1, 2, 12, 60))
+def test_circle_rule_with_multiplicities_summing_to_zero(n):
+    """k1 + k2 = 0 puts the Jacobi exponents at a + b = -1, where the
+    off-diagonal's general k = 1 factor is 0 / 0: the rule never evaluates
+    it, and stays scipy's and exact on the weighted moments."""
+    ks = [Fraction(1, 3), Fraction(-1, 3)]
+    dirs, wts = circle_rule(ks[0], ks[1], n)
+    x, w = _jacobi_rule(n, -5 / 6, -1 / 6)
+    want_x, want_w = roots_jacobi(n, -5 / 6, -1 / 6)
+    np.testing.assert_allclose(x, want_x, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(w, want_w, rtol=1e-13, atol=0)
+    for mono in [(0, 0), (2, 0), (2, 4), (6, 2)]:
+        if sum(mono) < 4 * n:
+            vals = dirs[:, 0] ** mono[0] * dirs[:, 1] ** mono[1]
+            exact = float(sphere_moment(2, mono, ks).numeric())
+            np.testing.assert_allclose(np.sum(wts * vals), exact, rtol=1e-12)
+
+
 # -- grids and evaluation ------------------------------------------------------
 
 def test_weighted_grid_total_mass_is_mehta_like():
