@@ -45,6 +45,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -296,12 +297,23 @@ def _rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
 
 
 def _input_set(m: int, degree: int) -> list:
-    out = []
-    for deg in range(degree + 1):
-        for mono in monomials(m, deg):
-            for blade in range(1 << m):
-                out.append(RadialExpr.monomial(m, mono, blade=blade))
-    return out
+    """The scalar monomials up to degree, in monomials order (no blades)."""
+    return [RadialExpr.monomial(m, mono)
+            for deg in range(degree + 1) for mono in monomials(m, deg)]
+
+
+def _per_blade(m: int, inputs: list, report: Callable):
+    """(text, defects) of f e_B for each input f, then each blade B, from one
+    report(f): the reports' operators multiply from the left, so the defects
+    of f e_B are report(f)'s (dict or tuple) each times e_B on the right."""
+    for f in inputs:
+        defects = report(f)
+        named = isinstance(defects, dict)
+        for blade in range(1 << m):
+            right = [d.blade_mul_right(blade) for d in
+                     (defects.values() if named else defects)]
+            yield (f.blade_mul_right(blade).to_text(),
+                   dict(zip(defects, right)) if named else right)
 
 
 def _params_from(args, rng: random.Random) -> list:
@@ -352,11 +364,10 @@ def _layer_caches(dk: DunklContext) -> dict:
 
 def _inversion_rows(dk: DunklContext, inputs: list):
     """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each
-    (input, text) pair, from kelvin.InversionReport; returns the
+    input times each blade, from kelvin.InversionReport; returns the
     cache_info() of the context at (-2, 2 - mu, -2)."""
     report = InversionReport(dk)
-    for f, text in inputs:
-        twice, conjugated = report(f)
+    for text, (twice, conjugated) in _per_blade(dk.m, inputs, report):
         yield {"relation": "I(I f) = f", "input": text, "pass": twice.is_zero()}
         yield {"relation": "I D I = D at (-2, 2 - mu, -2)",
                "input": text, "pass": conjugated.is_zero()}
@@ -392,15 +403,16 @@ def suite(name: str, help: str, *, group: bool = True,
 @suite("verify-osp", "superalgebra relations, exact",
        a=None, b=None, c=None, degree=3, trials=3)
 def cmd_verify_osp(args, dk):
+    """The eight relations on every monomial times every blade, per triple."""
     rng = random.Random(args.seed)
-    inputs = [(f, f.to_text()) for f in _input_set(dk.m, args.degree)]
+    inputs = _input_set(dk.m, args.degree)
     image_cache = {op: {"hits": 0, "misses": 0} for op in ("dirac", "x_a")}
     for par in _params_from(args, rng):
         dctx = DeformedContext(dk, par)
         triple = {"a": str(par.a), "b": str(par.b), "c": str(par.c),
                   "group": dk.setup.name}
-        for f, text in inputs:
-            for name, defect in dctx.osp_relations_report(f).items():
+        for text, defects in _per_blade(dk.m, inputs, dctx.osp_relations_report):
+            for name, defect in defects.items():
                 yield {"relation": name, "input": text, **triple,
                        "pass": defect.is_zero()}
         for op, counts in dctx.cache_info().items():
@@ -462,9 +474,10 @@ def cmd_verify_factorization(args, _dk):
 
 @suite("verify-basicprops", "first-order Dunkl calculus relations, exact", degree=3)
 def cmd_verify_basicprops(args, dk):
-    for f in _input_set(dk.m, args.degree):
-        for name, defect in dk.basic_props_report(f).items():
-            yield {"relation": name, "input": f.to_text(),
+    inputs = _input_set(dk.m, args.degree)
+    for text, defects in _per_blade(dk.m, inputs, dk.basic_props_report):
+        for name, defect in defects.items():
+            yield {"relation": name, "input": text,
                    "group": dk.setup.name, "pass": defect.is_zero()}
     return {"degree": args.degree}
 
@@ -473,18 +486,18 @@ def cmd_verify_basicprops(args, dk):
        check=_positive_a, a=None, b=None, c=None, degree=3, trials=3)
 def cmd_verify_kelvin(args, dk):
     rng = random.Random(args.seed)
-    inputs = [(f, f.to_text()) for f in _input_set(dk.m, args.degree)]
+    inputs = _input_set(dk.m, args.degree)
     for par in _params_from(args, rng):
         report = KelvinReport(dk, par)
-        for f, text in inputs:
+        for text, defects in _per_blade(dk.m, inputs, report.rescaling):
             yield {"relation": "Q P = P Q = (2/a)^{b/2}", "input": text,
                    "a": par.a, "b": par.b, "c": par.c,
-                   "pass": all(d.is_zero() for d in report.rescaling(f))}
+                   "pass": all(d.is_zero() for d in defects)}
         com = report.par
-        for f, text in inputs:
+        for text, defects in _per_blade(dk.m, inputs, report.intertwining):
             yield {"relation": "(a/2)^{(b-1)/2} Q T_i P = D_i",
                    "input": text, "a": com.a, "b": com.b, "c": com.c,
-                   "pass": all(d.is_zero() for d in report.intertwining(f))}
+                   "pass": all(d.is_zero() for d in defects)}
     # the rows above apply T_i and D_i from the reports' own unit images;
     # image_cache counts the D of the inversion rows alone
     info = yield from _inversion_rows(dk, inputs)
@@ -717,8 +730,7 @@ def cmd_kernel_residual(args, _dk):
        check=_all_of(_seeds_up_to("l-max", "harmonic"), _sphere_rule),
        degree=3, j_max=1, l_max=1, order=28, nr=60, ntheta=64, points=5, tol=1e-6)
 def cmd_a_minus2_suite(args, dk):
-    inputs = [(f, f.to_text()) for f in _input_set(dk.m, args.degree)]
-    info = yield from _inversion_rows(dk, inputs)
+    info = yield from _inversion_rows(dk, _input_set(dk.m, args.degree))
     rng = np.random.default_rng(args.seed)
     targets = rng.uniform(0.5, 1.3, size=(args.points, dk.m))
     targets *= np.sign(rng.uniform(-1, 1, size=targets.shape))
@@ -750,7 +762,9 @@ def cmd_a_minus2_suite(args, dk):
 
 # -- the runner ---------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The parser of every registered suite, built once per process."""
     top = argparse.ArgumentParser(
         prog="dunkldirac",
         description="verification suites for the deformed Dunkl Dirac family")

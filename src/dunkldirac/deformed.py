@@ -236,6 +236,8 @@ class DeformedContext:
         D and x_a are applied sixteen times on integer numerators over one
         denominator (:meth:`~dunkldirac.poly._UnitImages.apply`); a Fraction is
         made only for a nonzero defect term.  f must have rational coefficients.
+        The defects on f e_B are these times e_B (both operators act from the
+        left), so verify-osp runs the report on scalar monomials only.
         """
         if any(isinstance(c, ExactScalar) for c in f.terms.values()):
             raise ValueError("the osp report takes rational coefficients only")

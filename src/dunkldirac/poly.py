@@ -137,7 +137,8 @@ class _UnitImages:
     operator that multiplies by Clifford elements from the left does.  So
     the image of r^s x^mono e_blade is the image of r^s x^mono, built once
     by ``image`` and kept in ``bases`` as integers over one denominator,
-    times e_blade on the right.
+    times e_blade on the right.  The exact suites use the same property for
+    whole reports: one per scalar monomial, its defects times each e_blade.
 
     Every key held here sits on one lattice ``den``: it starts as a lattice
     that holds every shift the operator makes, so images of units on it stay

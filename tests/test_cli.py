@@ -76,13 +76,14 @@ def test_verify_osp_summary_records_image_cache_hits(tmp_path):
 
 
 def test_verify_osp_image_cache_counts_are_pinned(tmp_path):
-    """Sixteen applications of D and x_a per input, none merged away (x_a^2 E f
-    reuses x_a E f): the counts of a degree-2 run on z2^3 at the three
+    """Sixteen applications of D and x_a per scalar monomial, none merged away
+    (x_a^2 E f reuses x_a E f) and none per blade (the blades come from right
+    multiplication): the counts of a degree-2 run on z2^3 at the three
     seeded triples."""
     assert main(["verify-osp", "--family", "z2", "--m", "3", "--k", "1/2",
                  "--degree", "2", "--out", str(tmp_path)]) == 0
     assert read_summary(tmp_path, "verify-osp")["image_cache"] == {
-        "dirac": {"hits": 4896, "misses": 1368}, "x_a": {"hits": 5440, "misses": 1360}}
+        "dirac": {"hits": 405, "misses": 378}, "x_a": {"hits": 422, "misses": 428}}
 
 
 @pytest.mark.parametrize("argv", [

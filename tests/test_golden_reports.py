@@ -1,4 +1,4 @@
-"""Report bytes stay put: six small suite runs against committed references.
+"""Report bytes stay put: seven small suite runs against committed references.
 
 The files under ``tests/golden`` are the rows, the summary and the console
 line of each run in ``GOLDEN_RUNS``, with the report directory written as
@@ -24,6 +24,11 @@ GOLDEN_RUNS = {
     "verify-osp-symmetric3": [
         "verify-osp", "--family", "symmetric", "--m", "3", "--k", "1/2",
         "--degree", "1", "--a", "4/3", "--b=-3/5", "--c", "5/7"],
+    # degree 2 on z2^3: each x3^2 input folds into three terms, so a blade
+    # reaches every term of its input
+    "verify-osp-z2-3": [
+        "verify-osp", "--family", "z2", "--m", "3", "--k", "1/2,1/3,3/2",
+        "--degree", "2", "--a", "4/3", "--b=-2/5", "--c=-3/7"],
     "verify-kelvin-z2-2": [
         "verify-kelvin", "--family", "z2", "--m", "2", "--k", "1/2,3/2",
         "--degree", "2", "--a", "2/3", "--b", "1/5", "--c", "1/7"],
