@@ -364,14 +364,11 @@ def _layer_caches(dk: DunklContext) -> dict:
 
 def _inversion_rows(dk: DunklContext, inputs: list):
     """Rows for I(I f) = f and I D I = D at (-2, 2 - mu, -2) on each
-    input times each blade, from kelvin.InversionReport; returns the
-    cache_info() of the context at (-2, 2 - mu, -2)."""
-    report = InversionReport(dk)
-    for text, (twice, conjugated) in _per_blade(dk.m, inputs, report):
+    input times each blade, from kelvin.InversionReport."""
+    for text, (twice, conjugated) in _per_blade(dk.m, inputs, InversionReport(dk)):
         yield {"relation": "I(I f) = f", "input": text, "pass": twice.is_zero()}
         yield {"relation": "I D I = D at (-2, 2 - mu, -2)",
                "input": text, "pass": conjugated.is_zero()}
-    return report.cache_info()
 
 
 # -- the registry -------------------------------------------------------------
@@ -406,7 +403,7 @@ def cmd_verify_osp(args, dk):
     """The eight relations on every monomial times every blade, per triple."""
     rng = random.Random(args.seed)
     inputs = _input_set(dk.m, args.degree)
-    image_cache = {op: {"hits": 0, "misses": 0} for op in ("dirac", "x_a")}
+    image_cache = {"dirac": {"hits": 0, "misses": 0}}
     for par in _params_from(args, rng):
         dctx = DeformedContext(dk, par)
         triple = {"a": str(par.a), "b": str(par.b), "c": str(par.c),
@@ -498,10 +495,8 @@ def cmd_verify_kelvin(args, dk):
             yield {"relation": "(a/2)^{(b-1)/2} Q T_i P = D_i",
                    "input": text, "a": com.a, "b": com.b, "c": com.c,
                    "pass": all(d.is_zero() for d in defects)}
-    # the rows above apply T_i and D_i from the reports' own unit images;
-    # image_cache counts the D of the inversion rows alone
-    info = yield from _inversion_rows(dk, inputs)
-    return {"degree": args.degree, "image_cache": info}
+    yield from _inversion_rows(dk, inputs)
+    return {"degree": args.degree}
 
 
 @suite("basis", "harmonic or monogenic basis dump",
@@ -730,7 +725,7 @@ def cmd_kernel_residual(args, _dk):
        check=_all_of(_seeds_up_to("l-max", "harmonic"), _sphere_rule),
        degree=3, j_max=1, l_max=1, order=28, nr=60, ntheta=64, points=5, tol=1e-6)
 def cmd_a_minus2_suite(args, dk):
-    info = yield from _inversion_rows(dk, _input_set(dk.m, args.degree))
+    yield from _inversion_rows(dk, _input_set(dk.m, args.degree))
     rng = np.random.default_rng(args.seed)
     targets = rng.uniform(0.5, 1.3, size=(args.points, dk.m))
     targets *= np.sign(rng.uniform(-1, 1, size=targets.shape))
@@ -757,7 +752,7 @@ def cmd_a_minus2_suite(args, dk):
                    "eigen_rel_err": eig, "runtime_ms": round(ms, 3),
                    "pass": agree <= args.tol and eig <= args.tol}
     return {"kernel": kernel_route(dk.setup), "tol": args.tol,
-            "kernel_cache": _hits_misses(tables), "image_cache": info}
+            "kernel_cache": _hits_misses(tables)}
 
 
 # -- the runner ---------------------------------------------------------------
@@ -800,8 +795,7 @@ def main(argv=None) -> int:
             rep.add(next(rows))
         except StopIteration as done:
             extra = done.value
-            # beside the image caches, the caches of the layers they call
-            if "image_cache" in extra:
+            if caches is not None:
                 now = _layer_caches(dk)
                 extra["layer_caches"] = {name: _since(caches[name], now[name])
                                          for name in now}

@@ -23,13 +23,14 @@ must not be mutated.
 on rational inputs in integers, from the same tables: a value is
 ``(den, wden, common, {(n, w, mono, blade): int})``, the sum of
 v / common (a/2)^{w / wden} r^{n / den} x^mono e_blade.  T_i and D_i keep w,
-being rational-linear, and apply from their unit images
-(:class:`~dunkldirac.poly._UnitImages`), whose lattice grows by lcm with
-their inputs'.  A defect makes one ExactScalar per (n, mono, blade) key with
-a nonzero entry, and its canonical form decides the verdict, so whole powers
-of a perfect-power a/2 fold as they do in the maps.
-:class:`InversionReport` runs the inversion rows the same way, with no power
-of a/2 to carry.
+being rational-linear: each applies directly to the int numerators of one
+exponent of a/2 at a time, and its output is cleared back to ints.  A
+report meets each unit term once per operator, so it keeps no images.  A
+defect makes one ExactScalar per (n, mono, blade) key with a nonzero
+entry, and its canonical form decides the verdict, so whole powers of a
+perfect-power a/2 fold as they do in the maps.  :class:`InversionReport`
+runs the inversion rows the same way, D_k and D applied directly, with no
+power of a/2 to carry.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from math import gcd, lcm
 from .deformed import DeformedContext
 from .dunkl import DunklContext
 from .params import DeformParams
-from .poly import RadialExpr, _UnitImages, _acc, _combine, _new
+from .poly import RadialExpr, _acc, _combine, _ints, _new
 from .scalars import ExactScalar
 
 
@@ -155,14 +156,6 @@ def dirac_via_inversion(dk: DunklContext, f: RadialExpr) -> RadialExpr:
 
 # -- the verify-kelvin relations in integers ---------------------------------
 
-def _ints(terms: dict) -> tuple:
-    """(common, {key: int}): rational coefficients over one denominator."""
-    if any(isinstance(c, ExactScalar) for c in terms.values()):
-        raise ValueError("the Kelvin reports take rational coefficients only")
-    common = lcm(*(c.denominator for c in terms.values()))
-    return common, {k: c.numerator * (common // c.denominator) for k, c in terms.items()}
-
-
 def _graded(f: RadialExpr) -> tuple:
     """f as (den, wden, common, {(n, w, mono, blade): int}), no power of a/2."""
     common, terms = _ints(f.terms)
@@ -191,23 +184,24 @@ def _powered(g: tuple, e: Fraction) -> tuple:
                                 for (n, w, mono, b), v in terms.items()}
 
 
-def _applied(images: _UnitImages, m: int, g: tuple) -> tuple:
-    """A rational-linear operator on g from its unit images, each exponent
-    of a/2 applied on its own; images and g meet on the lcm of their lattices."""
+def _applied(op, m: int, g: tuple) -> tuple:
+    """A rational-linear operator on g, applied to the int numerators of
+    each exponent of a/2 on its own; the outputs meet on the lcm of their
+    lattices and over one denominator."""
     den, wden, common, terms = g
-    images.lift(den)
-    by = images.den // den
     split: dict = {}
     for (n, w, mono, b), v in terms.items():
-        split.setdefault(w, {})[(n * by, mono, b)] = v
-    parts = [(w, images.apply(m, (1, t))) for w, t in split.items()]
+        split.setdefault(w, {})[(n, mono, b)] = v
+    images = [(w, op(_new(m, den, t))) for w, t in split.items()]
+    den = lcm(den, *(f.den for _w, f in images))
+    parts = [(w, _ints(f._on(den))) for w, f in images]
     total = lcm(*(d for _w, (d, _t) in parts))
     out: dict = {}
     for w, (d, t) in parts:
         s = total // d
         for (n, mono, b), v in t.items():
             out[(n, w, mono, b)] = v * s
-    return images.den, wden, common * total, out
+    return den, wden, common * total, out
 
 
 def _difference(base, m: int, g: tuple, h: tuple) -> RadialExpr:
@@ -232,8 +226,7 @@ class KelvinReport:
 
     The intertwining holds on the commuting triple ``par`` = (a, b, 2/a - 1).
     The report reads the exponents of a/2 from ``constant`` and
-    ``prefactor``, and keeps the unit images of T_i and of D_i at ``par``
-    for its lifetime.
+    ``prefactor``, and applies T_i and D_i at ``par`` directly.
     """
 
     def __init__(self, dk: DunklContext, par: DeformParams):
@@ -245,10 +238,8 @@ class KelvinReport:
         self._p = partial(_classes, a, b, False)
         self._q = partial(_classes, a, b, True)
         dctx = DeformedContext(dk, self.par)
-        self._t = [_UnitImages(partial(dk.dunkl, i)) for i in range(1, m + 1)]
-        # every shift D_i makes is a multiple of 1/den(a/2)
-        self._d = [_UnitImages(partial(dctx.dirac_component, i), self.base.denominator)
-                   for i in range(1, m + 1)]
+        self._t = [partial(dk.dunkl, i) for i in range(1, m + 1)]
+        self._d = [partial(dctx.dirac_component, i) for i in range(1, m + 1)]
 
     def rescaling(self, f: RadialExpr) -> tuple:
         """(Q P f - C f, P Q f - C f) with C = (a/2)^constant."""
@@ -269,31 +260,28 @@ class KelvinReport:
 
 class InversionReport:
     """I(I f) = f and I D_k I = D at inversion_params(mu), as defects on
-    rational inputs, computed in integers on one lattice per input.
+    rational inputs, computed in integers.
 
-    D applies from the unit images of its context ``context``, whose
-    cache_info() the report hands on; D_k from the report's own.
+    D_k and D (the compositional image of its context ``context``) apply
+    directly to the int numerators of f and of I f.
     """
 
     def __init__(self, dk: DunklContext):
-        self.m, self.mu = dk.m, Fraction(dk.setup.mu)
+        self.dk, self.m, self.mu = dk, dk.m, Fraction(dk.setup.mu)
         self.context = DeformedContext(dk, inversion_params(self.mu))
-        self._dirac = _UnitImages(dk.dirac)
-
-    def cache_info(self) -> dict:
-        return self.context.cache_info()
 
     def __call__(self, f: RadialExpr) -> tuple:
         """(I I f - f, I D_k I f - D f)."""
-        mu, m, dk_ops, ops = self.mu, self.m, self._dirac, self.context._dirac
-        den = lcm(f.den, mu.denominator, dk_ops.den, ops.den)
-        dk_ops.lift(den)
-        ops.lift(den)
-        fi = _ints(f._on(den))
-        inv = lambda pair: (pair[0], _inverted(mu, den, pair[1]))
-        i_f = inv(fi)
-        defects = (_combine((1, inv(i_f)), (-1, fi)),
-                   _combine((1, inv(dk_ops.apply(m, i_f))), (-1, ops.apply(m, fi))))
-        return tuple(_new(m, den, {k: Fraction(v, c) for k, v in t.items()})
-                     for c, t in defects)
-
+        mu, m = self.mu, self.m
+        den = lcm(f.den, mu.denominator)
+        common, terms = _ints(f._on(den))
+        i_f = _inverted(mu, den, terms)
+        top = self.dk.dirac(_new(m, den, i_f))
+        bottom = self.context._dirac_image(_new(m, den, terms))
+        out = lcm(top.den, bottom.den)
+        (c1, t1), (c2, t2) = _ints(top._on(out)), _ints(bottom._on(out))
+        defects = ((den, _combine((1, (common, _inverted(mu, den, i_f))), (-1, (common, terms)))),
+                   (out, _combine((1, (common * c1, _inverted(mu, out, t1))),
+                                  (-1, (common * c2, t2)))))
+        return tuple(_new(m, n, {k: Fraction(v, c) for k, v in t.items()})
+                     for n, (c, t) in defects)

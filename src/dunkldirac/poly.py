@@ -37,9 +37,6 @@ from math import comb, lcm
 from operator import add
 
 from .clifford import blade_product, bar_sign, blade_indices
-from .scalars import RATIONAL, ExactScalar
-
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -88,6 +85,14 @@ def _combine(*parts) -> tuple:
     return common, out
 
 
+def _ints(terms: dict) -> tuple:
+    """(common, {key: int}): rational coefficients over one denominator."""
+    if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
+        raise ValueError("the integer reports take rational coefficients only")
+    common = lcm(*(c.denominator for c in terms.values()))
+    return common, {k: c.numerator * (common // c.denominator) for k, c in terms.items()}
+
+
 def _int_euler(den: int, pair: tuple) -> tuple:
     """:meth:`RadialExpr.euler` on a (common, {key: int}) pair on the lattice den."""
     common, terms = pair
@@ -127,143 +132,6 @@ def _merge(out: "RadialExpr", other: "RadialExpr"):
 def _exponent(n: int, den: int):
     """n / den as an int on the unit lattice and a Fraction otherwise."""
     return n if den == 1 else Fraction(n, den)
-
-
-class _UnitImages:
-    """A linear operator on RadialExpr applied term by term from its images
-    on unit terms.
-
-    The operator must commute with right multiplication by blades, as every
-    operator that multiplies by Clifford elements from the left does.  So
-    the image of r^s x^mono e_blade is the image of r^s x^mono, built once
-    by ``image`` and kept in ``bases`` as integers over one denominator,
-    times e_blade on the right.  The exact suites use the same property for
-    whole reports: one per scalar monomial, its defects times each e_blade.
-
-    Every key held here sits on one lattice ``den``: it starts as a lattice
-    that holds every shift the operator makes, so images of units on it stay
-    on it, and it grows to the lcm with each input's lattice, every stored
-    key lifted at once.  Inputs are lifted onto it, so a term has one image
-    and one id whatever lattice it arrives on, and every output sits on it.
-    An image is kept under its int term key (n, mono, blade) as integers
-    over one denominator, ``(d, ((id, num), ...))`` with d the lcm of the
-    image's coefficient denominators and each id indexing ``keys``.
-
-    One loop, :meth:`_sum`, puts the input coefficients and the images they
-    meet over one common denominator and sums plain ints on the ids through
-    :func:`_acc`, with the events and zero tests of a Fraction sum, so the
-    terms come in the same order; the images are in normal form already, so
-    nothing is folded again.  :meth:`apply`, the integer step, maps
-    ``(common, {key: int})`` on the lattice to the same pair; a call on a
-    RadialExpr makes one ``Fraction(v, common)`` per output term.  An
-    ExactScalar coefficient is split into its rational parts, one per term
-    key of the scalar, each summed on its own column of ids and put back
-    together as ExactScalars at the end, in the base of the inputs that
-    carry a power of one (two such bases raise ValueError).
-    """
-
-    __slots__ = ("image", "den", "images", "bases", "ids", "keys", "lookups")
-
-    def __init__(self, image, den: int = 1):
-        self.image = image
-        self.den = den
-        self.images: dict = {}
-        self.bases: dict = {}
-        self.ids: dict = {}
-        self.keys: list = []
-        self.lookups = 0
-
-    def lift(self, den: int):
-        """Grow the lattice to lcm(self.den, den), every stored key lifted at once."""
-        if self.den % den == 0:
-            return
-        by = lcm(self.den, den) // self.den
-        self.images = {(n * by, mono, b): img for (n, mono, b), img in self.images.items()}
-        self.bases = {(n * by, mono): base for (n, mono), base in self.bases.items()}
-        self.keys = [(n * by, mono, b) for n, mono, b in self.keys]
-        self.ids = {k: i for i, k in enumerate(self.keys)}
-        self.den *= by
-
-    def _build(self, m: int, key) -> tuple:
-        n, mono, blade = key
-        base = self.bases.get((n, mono))
-        if base is None:
-            img = self.image(_new(m, self.den, {(n, mono, 0): _ONE}))
-            if self.den % img.den:
-                raise ValueError(f"image leaves the lattice 1/{self.den}")
-            terms = img._on(self.den)
-            den = lcm(*(c.denominator for c in terms.values()))
-            base = self.bases[(n, mono)] = (den, _new(m, self.den, {
-                k: c.numerator * (den // c.denominator) for k, c in terms.items()}))
-        den, base = base
-        img = []
-        for k, v in base.blade_mul_right(blade)._on(self.den).items():
-            if k not in self.ids:
-                self.ids[k] = len(self.keys)
-                self.keys.append(k)
-            img.append((self.ids[k], v))
-        self.images[key] = img = (den, tuple(img))
-        return img
-
-    def _sum(self, m: int, terms: dict, by: int = 1) -> tuple:
-        """(common, {id: int}, columns): the image of terms, n on den / by;
-        columns is (term keys, base) if a coefficient is an ExactScalar."""
-        self.lookups += len(terms)
-        parts = []            # (image entries, numerator, denominator, column)
-        cols = {RATIONAL: 0}  # term key of an ExactScalar -> column
-        scalars, base = False, None
-        for key, cf in terms.items():
-            if by != 1:
-                key = (key[0] * by, key[1], key[2])
-            den, entries = self.images.get(key) or self._build(m, key)
-            if isinstance(cf, ExactScalar):
-                scalars = True
-                if cf.base != base and (powered := cf.powered_base()) is not None:
-                    if base is not None:
-                        raise ValueError(f"mixed bases {base} and {powered}")
-                    base = powered
-                for tk, c in cf.terms.items():
-                    col = cols.setdefault(tk, len(cols))
-                    parts.append((entries, c.numerator, c.denominator * den, col))
-            else:
-                parts.append((entries, cf.numerator, cf.denominator * den, 0))
-        common = lcm(*(p[2] for p in parts))
-        n = len(self.keys)
-        acc: dict = {}
-        for entries, num, den, col in parts:
-            if col:
-                entries = [(col * n + i, v) for i, v in entries]
-            scale = num * (common // den)
-            for i, v in entries:
-                _acc(acc, i, scale * v)
-        return common, acc, (list(cols), base) if scalars else None
-
-    def apply(self, m: int, pair: tuple) -> tuple:
-        """The integer step: the image of (common, {key: int}), keys on the
-        lattice den, as the same pair on it."""
-        d, acc, _ = self._sum(m, pair[1])
-        keys = self.keys
-        return pair[0] * d, {keys[i]: v for i, v in acc.items()}
-
-    def __call__(self, f: "RadialExpr") -> "RadialExpr":
-        self.lift(f.den)
-        common, acc, scalars = self._sum(f.m, f.terms, self.den // f.den)
-        keys = self.keys
-        if scalars is None:
-            return _new(f.m, self.den,
-                        {keys[i]: Fraction(v, common) for i, v in acc.items()})
-        tks, base = scalars
-        n = len(keys)
-        split: dict = {}
-        for j, v in acc.items():
-            col, i = divmod(j, n)
-            split.setdefault(keys[i], {})[tks[col]] = Fraction(v, common)
-        return _new(f.m, self.den,
-                    {k: ExactScalar._canonical(base, t) for k, t in split.items()})
-
-    def info(self) -> dict:
-        """Hits and misses; nothing is evicted, so the misses are the images stored."""
-        return {"hits": self.lookups - len(self.images), "misses": len(self.images)}
 
 
 def _add_term(terms: dict, n: int, mono: tuple, blade: int, c, den: int):

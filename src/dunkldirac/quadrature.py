@@ -124,6 +124,8 @@ def sphere_rule(m: int, n_ang: int):
     """
     if m == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    if n_ang < 1:
+        raise ValueError("n_ang must be a positive integer.")
     if m == 2:
         th = 2 * np.pi * np.arange(n_ang) / n_ang
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)

@@ -70,23 +70,26 @@ def test_verify_osp_writes_reports_and_passes(tmp_path):
 def test_verify_osp_summary_records_image_cache_hits(tmp_path):
     assert main(["verify-osp", "--out", str(tmp_path)]) == 0
     cache = read_summary(tmp_path, "verify-osp")["image_cache"]
-    assert set(cache) == {"dirac", "x_a"}
-    for counts in cache.values():
-        assert counts["hits"] > 0 and counts["misses"] > 0
+    assert set(cache) == {"dirac"}
+    assert cache["dirac"]["hits"] > 0 and cache["dirac"]["misses"] > 0
 
 
 def test_verify_osp_image_cache_counts_are_pinned(tmp_path):
-    """Sixteen applications of D and x_a per scalar monomial, none merged away
-    (x_a^2 E f reuses x_a E f) and none per blade (the blades come from right
-    multiplication): the counts of a degree-2 run on z2^3 at the three
-    seeded triples."""
+    """Eight applications of D per scalar monomial, none merged away and
+    none per blade (the blades come from right multiplication): the counts
+    of a degree-2 run on z2^3 at the three seeded triples."""
     assert main(["verify-osp", "--family", "z2", "--m", "3", "--k", "1/2",
                  "--degree", "2", "--out", str(tmp_path)]) == 0
     assert read_summary(tmp_path, "verify-osp")["image_cache"] == {
-        "dirac": {"hits": 405, "misses": 378}, "x_a": {"hits": 422, "misses": 428}}
+        "dirac": {"hits": 405, "misses": 378}}
 
 
-@pytest.mark.parametrize("argv", [
+# the group suites that apply D through a DeformedContext, so its unit images
+IMAGE_SUITES = {"verify-osp", "fischer", "laguerre-table", "orthogonality",
+                "transform-eigen"}
+
+
+GROUP_SUITE_RUNS = [
     ["fischer", "--ell-max", "1", "--s-max", "2", "--degree", "2", "--trials", "1"],
     ["laguerre-table", "--t-max", "2", "--ell-max", "1"],
     ["orthogonality", "--t-max", "1", "--ell-max", "1"],
@@ -95,16 +98,27 @@ def test_verify_osp_image_cache_counts_are_pinned(tmp_path):
      "--ntheta", "16", "--tol", "1e-3"],
     ["a-minus2-suite", "--degree", "1", "--j-max", "0", "--l-max", "0",
      "--nr", "20", "--ntheta", "16", "--tol", "1e-3"],
-])
+    ["verify-osp", "--degree", "1", "--trials", "1"],
+    ["verify-basicprops", "--degree", "1"],
+    ["basis", "--ell-max", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", GROUP_SUITE_RUNS)
 def test_suites_applying_d_or_x_a_record_image_cache(tmp_path, argv):
-    """Every suite that applies D or x_a reports verify-osp's image_cache."""
-    main(argv + ["--out", str(tmp_path)])
+    """Every group suite writes the caches of the exact layer; the suites
+    that apply D through a DeformedContext also write its image_cache."""
+    assert {run[0] for run in GROUP_SUITE_RUNS} == {
+        name for name, spec in SUITES.items() if spec.group}
+    assert main(argv + ["--out", str(tmp_path)]) == 0
     summary = read_summary(tmp_path, argv[0])
-    cache = summary["image_cache"]
-    assert set(cache) == {"dirac", "x_a"}
-    assert all(set(counts) == {"hits", "misses"} for counts in cache.values())
-    assert sum(n for counts in cache.values() for n in counts.values()) > 0
-    # and the caches of the layers below, named as the bench tracer names them
+    if argv[0] in IMAGE_SUITES:
+        cache = summary["image_cache"]
+        assert set(cache) == {"dirac"} and set(cache["dirac"]) == {"hits", "misses"}
+        assert sum(cache["dirac"].values()) > 0
+    else:
+        assert "image_cache" not in summary
+    # the caches of the layers below, named as the bench tracer names them
     layers = summary["layer_caches"]
     assert set(layers) == {"dunkl.dunkl_monomial", "reflection.reflect_monomial",
                            "clifford.blade_product", "poly.r_squared_power",
@@ -116,6 +130,26 @@ def test_suites_applying_d_or_x_a_record_image_cache(tmp_path, argv):
     memo = {"orthogonality": "measure.unit_integral", "verify-kelvin": "kelvin.power"}
     if argv[0] in memo:
         assert layers[memo[argv[0]]]["hits"] > 0
+
+
+def test_verify_kelvin_builds_no_unit_images(tmp_path, monkeypatch):
+    """T_i, D_i, D_k and the D of the inversion rows apply directly: a
+    verify-kelvin run, its inversion rows included, builds no unit image,
+    while verify-osp, counted the same way, builds D's."""
+    from dunkldirac import deformed
+
+    builds = []
+    build = deformed._UnitImages._build
+    monkeypatch.setattr(deformed._UnitImages, "_build",
+                        lambda self, *args: builds.append(args) or build(self, *args))
+    assert main(["verify-kelvin", "--family", "symmetric", "--m", "3", "--k", "1/2",
+                 "--degree", "1", "--trials", "1", "--out", str(tmp_path)]) == 0
+    relations = {row["relation"] for row in read_rows(tmp_path, "verify-kelvin")}
+    assert {"(a/2)^{(b-1)/2} Q T_i P = D_i", "I D I = D at (-2, 2 - mu, -2)"} <= relations
+    assert builds == []
+    assert main(["verify-osp", "--degree", "1", "--trials", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert builds
 
 
 def test_layer_caches_are_read_through_a_profiler_wrapper(tmp_path, monkeypatch):
@@ -592,6 +626,24 @@ def test_singular_degrees_are_excluded_rows(tmp_path, capsys):
     summary = read_summary(tmp_path, "orthogonality")
     assert (summary["checks"], summary["excluded"], summary["all_pass"]) == (2, 2, False)
     assert "2 excluded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform-eigen", "--t-max", "0", "--l-max", "0", "--nr", "10"],
+    ["a-minus2-suite", "--k", "0", "--degree", "0", "--j-max", "0", "--l-max", "0",
+     "--points", "1", "--order", "6", "--nr", "10"],
+    ["a-minus2-suite", "--family", "symmetric", "--k", "1/2", "--degree", "0",
+     "--j-max", "0", "--l-max", "0", "--points", "1", "--order", "6", "--nr", "10"],
+    ["orthogonality", "--numeric", "--k", "0", "--t-max", "0", "--ell-max", "0",
+     "--nr", "10"],
+])
+def test_an_empty_angular_rule_is_an_excluded_row(tmp_path, argv):
+    """--ntheta 0 at m = 2 on the plain sphere rule (k = 0 or roots off the
+    axes) excludes the numeric row, as --nr 0 does, instead of dividing by
+    zero."""
+    assert main(argv + ["--ntheta", "0", "--out", str(tmp_path)]) == 1
+    excluded = [row["excluded"] for row in read_rows(tmp_path, argv[0]) if "excluded" in row]
+    assert excluded == ["numeric part: n_ang must be a positive integer."]
 
 
 def test_fischer_decomposes_sampled_towers(tmp_path):

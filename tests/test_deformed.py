@@ -198,7 +198,7 @@ def test_ansatz_at_a_two_is_the_dunkl_dirac():
     assert (par.a, par.b, par.c) == (2, 0, 0)
 
 
-# -- the unit-term image caches of D and x_a ---------------------------------------
+# -- the unit-term images of D, and x_a -------------------------------------------
 
 GROUPS = [
     DunklContext(z2_power(3, [Fraction(1, 2), Fraction(1, 3), Fraction(2)])),
@@ -287,22 +287,17 @@ def test_exact_scalar_coefficients_pass_through_the_images():
 def test_cache_info_counts_hits_and_misses_per_operator():
     ctx = DeformedContext(GROUPS[2], DeformParams(2, 0, 0))
     f = RadialExpr.monomial(2, (1, 0)) + RadialExpr.monomial(2, (0, 1), blade=0b11)
-    assert ctx.cache_info() == {"dirac": {"hits": 0, "misses": 0},
-                                "x_a": {"hits": 0, "misses": 0}}
+    assert ctx.cache_info() == {"dirac": {"hits": 0, "misses": 0}}
     ctx.dirac(f)
     ctx.dirac(f)
     ctx.x_a(f.scale(3))
-    assert ctx.cache_info() == {"dirac": {"hits": 2, "misses": 2},
-                                "x_a": {"hits": 0, "misses": 2}}
-    # an ExactScalar input is split per exponent of its base, and each of
-    # its terms still counts once: two terms of two exponents each
+    assert ctx.cache_info() == {"dirac": {"hits": 2, "misses": 2}}
+    # an ExactScalar input takes the composition and leaves the counts alone
     two = ExactScalar(Fraction(3, 2), {0: 1, Fraction(1, 2): 1})
     g = p_map(DeformParams(3, 0, 0), f).scale(two)
     assert all(len(c.terms) == 2 for c in g.terms.values())
     ctx.dirac(g)
-    ctx.dirac(g)
-    assert ctx.cache_info() == {"dirac": {"hits": 4, "misses": 4},
-                                "x_a": {"hits": 0, "misses": 2}}
+    assert ctx.cache_info() == {"dirac": {"hits": 2, "misses": 2}}
 
 
 def reference_sum(ops, f) -> list:
@@ -331,32 +326,31 @@ def seeded_triples(draw):
 @given(case=group_and_expr(over_3_5_7), par=seeded_triples(), scale=over_3_5_7.filter(bool))
 @settings(max_examples=40, deadline=None)
 def test_images_sum_in_the_term_order_of_a_fraction_sum(case, par, scale):
-    """Downstream float sums (term_tables) run in term order, so D and x_a
-    must return their terms in the order of the plain Fraction sum, with no
+    """Downstream float sums (term_tables) run in term order, so D must
+    return its terms in the order of the plain Fraction sum, with no
     coefficient stored as zero."""
     dk, f = case
     ctx = DeformedContext(dk, par)
     # overlapping images with denominators 3, 5, 7 that can cancel mid-sum
     g = f.scale(scale) + f.mul_x(1).scale(Fraction(2, 5)) - f.mul_radial(2).scale(Fraction(1, 7))
-    for ops, op in ((ctx._dirac, ctx.dirac), (ctx._x_a, ctx.x_a)):
-        for h in (f, g, op(g)):
-            got = op(h)
-            assert list(got.terms.items()) == reference_sum(ops, h)
-            assert all(got.terms.values())
+    for h in (f, g, ctx.dirac(g)):
+        got = ctx.dirac(h)
+        assert list(got.terms.items()) == reference_sum(ctx._dirac, h)
+        assert all(got.terms.values())
 
 
 def test_exact_scalar_inputs_keep_the_term_order_of_a_plain_sum():
-    """The split per exponent of the base runs through the same loop, so
-    ExactScalar coefficients, one or two exponents each, keep the order too."""
+    """D on ExactScalar coefficients, one or two exponents each, is the
+    composition itself, term order included."""
     par = DeformParams.commuting(Fraction(3), Fraction(1, 2))
     ctx = DeformedContext(GROUPS[2], par)
     for seed in range(6):
         f = p_map(par, random_expr(random.Random(seed), 2, 2))
         for g in (f, f + f.scale(ExactScalar.power(Fraction(3, 2), Fraction(1, 3)))):
-            for ops, op in ((ctx._dirac, ctx.dirac), (ctx._x_a, ctx.x_a)):
-                got = op(g)
-                assert list(got.terms.items()) == reference_sum(ops, g)
-                assert all(got.terms.values())
+            got, want = ctx.dirac(g), ctx._dirac_image(g)
+            assert any(isinstance(c, ExactScalar) for c in got.terms.values())
+            assert got.den == want.den
+            assert list(got.terms.items()) == list(want.terms.items())
 
 
 @pytest.mark.parametrize("dk", GROUPS)
