@@ -39,6 +39,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import os
 import random
 import sys
@@ -151,15 +152,18 @@ def _add_flag(p: argparse.ArgumentParser, name: str, default):
 
 
 def _check_params(args):
-    """Counts, sizes and seeds are non-negative; a = 0 and c = -1 are
+    """Counts, sizes and seeds are non-negative, ranks and target points
+    positive, a tolerance positive and finite; a = 0 and c = -1 are
     degenerate for every suite that takes them."""
     for name, val in vars(args).items():
         if type(val) is int and val < 0:
             raise BadInput(f"--{name.replace('_', '-')} must be non-negative")
-    for name in ("m", "ms"):
+    for name in ("m", "ms", "points"):
         ranks = getattr(args, name, 1)
         if min(ranks if isinstance(ranks, list) else [ranks]) < 1:
             raise BadInput(f"--{name} must be at least 1")
+    if not 0 < getattr(args, "tol", 1) < math.inf:
+        raise BadInput(f"--tol {args.tol} must be positive and finite")
     if getattr(args, "a", None) == 0:
         raise BadInput("--a 0 degenerates the radial deformation")
     if getattr(args, "c", None) == -1:
@@ -218,21 +222,15 @@ def _seeds_up_to(flag: str, kind: str = "", rank_one: bool = True) -> Callable:
 
 # -- report plumbing --------------------------------------------------------
 
-def _jsonable(val):
-    if type(val) in (str, bool, int, float) or val is None:
-        return val
-    if isinstance(val, dict):
-        return {str(k): _jsonable(v) for k, v in val.items()}
-    if isinstance(val, Fraction):
-        return str(val)
+def _encode(val):
+    """json.dumps's hook: complex as [re, im], numpy values as Python ones,
+    anything else (exact values among it) as its string."""
     if isinstance(val, complex):
         return [val.real, val.imag]
     if isinstance(val, (np.floating, np.integer)):
         return val.item()
     if isinstance(val, np.ndarray):
-        return [_jsonable(v) for v in val.tolist()]
-    if isinstance(val, (list, tuple)):
-        return [_jsonable(v) for v in val]
+        return val.tolist()
     return str(val)
 
 
@@ -253,15 +251,15 @@ class Reporter:
     def add(self, row: dict):
         if "excluded" not in row and not isinstance(row.get("pass"), bool):
             raise TypeError(f"check verdict must be a bool, got {row.get('pass')!r}")
-        row = _jsonable(row)
         self.rows.append(row)
         if self._fh is not None:
-            self._fh.write(json.dumps(row) + "\n")
+            self._fh.write(json.dumps(row, default=_encode) + "\n")
 
     def finish(self, **extra) -> int:
         if self._fh is not None:
             self._fh.close()
         else:
+            self.rows = [json.loads(json.dumps(row, default=_encode)) for row in self.rows]
             fields = []
             for row in self.rows:
                 for key in row:
@@ -278,9 +276,9 @@ class Reporter:
         ok = bool(self.rows) and failed == 0 and excluded == 0
         summary = {"subcommand": self.name, "checks": len(self.rows),
                    "failed": failed, "excluded": excluded, "all_pass": ok,
-                   "rows": str(self.rows_path), **_jsonable(extra)}
+                   "rows": str(self.rows_path), **extra}
         (self.dir / f"{self.name}-summary.json").write_text(
-            json.dumps(summary, indent=2) + "\n")
+            json.dumps(summary, indent=2, default=_encode) + "\n")
         status = "ok" if ok else f"{failed} FAILED" if failed else "INCOMPLETE"
         print(f"{self.name}: {len(self.rows)} checks, {excluded} excluded, "
               f"{status} -> {self.rows_path}")
@@ -354,7 +352,7 @@ def _lru_counts(fn) -> dict:
 
 def _layer_caches(dk: DunklContext) -> dict:
     """The exact layer's caches, named as the bench tracer names its layers."""
-    return {"dunkl.dunkl_monomial": dk.cache_info(),
+    return {**{f"dunkl.{name}": counts for name, counts in dk.cache_info().items()},
             "reflection.reflect_monomial": _lru_counts(reflect_monomial),
             "clifford.blade_product": _lru_counts(blade_product),
             "poly.r_squared_power": _lru_counts(r_squared_power),
@@ -403,7 +401,6 @@ def cmd_verify_osp(args, dk):
     """The eight relations on every monomial times every blade, per triple."""
     rng = random.Random(args.seed)
     inputs = _input_set(dk.m, args.degree)
-    image_cache = {"dirac": {"hits": 0, "misses": 0}}
     for par in _params_from(args, rng):
         dctx = DeformedContext(dk, par)
         triple = {"a": str(par.a), "b": str(par.b), "c": str(par.c),
@@ -412,10 +409,7 @@ def cmd_verify_osp(args, dk):
             for name, defect in defects.items():
                 yield {"relation": name, "input": text, **triple,
                        "pass": defect.is_zero()}
-        for op, counts in dctx.cache_info().items():
-            for kind, n in counts.items():
-                image_cache[op][kind] += n
-    return {"degree": args.degree, "image_cache": image_cache}
+    return {"degree": args.degree}
 
 
 def _commute_rows(dctx: DeformedContext, k: str, inputs: list, degree: int):
@@ -566,8 +560,7 @@ def cmd_fischer(args, dk):
                    "ell": ell, "s": s,
                    "const": fischer_constant(dctx, ell, s),
                    "pass": defect.is_zero()}
-    return {"a": par.a, "b": par.b, "c": par.c,
-            "image_cache": dctx.cache_info()}
+    return {"a": par.a, "b": par.b, "c": par.c}
 
 
 @suite("laguerre-table", "psi_t coefficients with step and norm constants",
@@ -595,8 +588,7 @@ def cmd_laguerre_table(args, dk):
                 row["norm_constant"] = None
                 row["norm_note"] = str(exc)
             yield row
-    return {"a": par.a, "b": par.b, "c": par.c,
-            "image_cache": dctx.cache_info()}
+    return {"a": par.a, "b": par.b, "c": par.c}
 
 
 @suite("orthogonality", "damped towers are orthogonal with known norms",
@@ -660,8 +652,7 @@ def cmd_orthogonality(args, dk):
                         row["pass"] = row["pass"] and err <= bound
                     yield row
     return {"a": par.a, "b": par.b, "c": par.c, "tol": args.tol,
-            "rule_cache": _since(rules, _hits_misses(rule_cache_info())),
-            "image_cache": dctx.cache_info()}
+            "rule_cache": _since(rules, _hits_misses(rule_cache_info()))}
 
 
 @suite("transform-eigen", "transform eigenvalues on the damped towers",
@@ -703,8 +694,7 @@ def cmd_transform_eigen(args, dk):
     return {"a": par.a, "b": par.b, "c": par.c,
             "kernel": kernel_route(setup), "tol": args.tol,
             "rule_cache": _since(rules, _hits_misses(rule_cache_info())),
-            "kernel_cache": _hits_misses(tables),
-            "image_cache": dctx.cache_info()}
+            "kernel_cache": _hits_misses(tables)}
 
 
 @suite("kernel-residual", "closed kernel satisfies its first-order system",

@@ -10,30 +10,31 @@ between the two is
 and the commutator part carries the factor l + cl - c, which vanishes exactly
 on the commuting line c = 2/a - 1.
 
-D is linear, and each context applies it term by term from its images on
-unit terms (:class:`_UnitImages`), built once by the compositional formula
-and kept for the context's lifetime on one radial lattice, which starts at
-the denominator of a/2 (every shift D and x_a make is a multiple of it).
-The images depend on (a, b, c) and on the group, so no two contexts share
-them.  They pay off where D meets the same unit terms again, on the osp
-report's chains and on the raising towers.  An input with ExactScalar
-coefficients takes the composition itself.
+D applies in closed form, term by term: the radial shift rule of T_i gives
 
-x_a is a signed shift of each term, cheaper to apply than to look up, so it
-has no images.  The osp report chains its sixteen applications of D and
-x_a, and E and the scalar factors between them, on integer numerators over
-one denominator from its input to its eight defects, and makes a Fraction
-only for a nonzero defect term.
+    D(r^s x^beta e_B) = r^{s-a/2-1} [((1+c) s + b + c|beta|) x x^beta
+                                     + r^2 D_k x^beta] e_B,
 
-The components D_i have no images either: the factorization and
-commutator rows of ``verify-factorization`` compose them directly, and so
-does the Kelvin report (:class:`~dunkldirac.kelvin.KelvinReport`), which
-meets each unit term once.  Three routines here are test oracles that no
-suite runs, reference computations the tests confront D with:
-dirac_squared_closed (D^2 through the bridge above, with
+so a context hands :meth:`~dunkldirac.dunkl.DunklContext.dirac` only its
+weights ((1+c) q, b q, c q, q), q the lcm of the denominators of b and c,
+and its shift -(a/2 + 1).  The folded D_k x^beta and x x^beta come from the
+DunklContext's memo per monomial, which every triple on the group shares.
+Inputs with rational coefficients are applied as ints over one denominator,
+ExactScalar coefficients pass through as they are.
+
+x_a is a signed shift of each term.  The osp report chains its sixteen
+applications of D and x_a, and E and the scalar factors between them, on
+integer numerators over one denominator from its input to its eight
+defects, and makes a Fraction only for a nonzero defect term.
+
+The components D_i are composed directly, by the factorization and
+commutator rows of ``verify-factorization`` and by the Kelvin report
+(:class:`~dunkldirac.kelvin.KelvinReport`).  Three routines here are test
+oracles that no suite runs, reference computations the tests confront D
+with: dirac_squared_closed (D^2 through the bridge above, with
 sum_components_squared_closed behind it), dirac_on_damped (D on
-f e^{-r^a/a} by the chain rule) and dirac_from_commutator
-(-(1/2)[x_a, r^{2-a} Delta_k], at the triple
+f e^{-r^a/a} by the chain rule, with D_k composed as sum_i e_i T_i) and
+dirac_from_commutator (-(1/2)[x_a, r^{2-a} Delta_k], at the triple
 :meth:`~dunkldirac.params.DeformParams.ansatz`).
 """
 
@@ -45,113 +46,7 @@ from math import lcm
 
 from .dunkl import DunklContext
 from .params import DeformParams
-from .poly import RadialExpr, _acc, _combine, _int_euler, _ints, _merge, _new
-
-
-class _UnitImages:
-    """A linear operator on RadialExpr applied term by term from its images
-    on unit terms.
-
-    The operator must commute with right multiplication by blades, as every
-    operator that multiplies by Clifford elements from the left does.  So
-    the image of r^s x^mono e_blade is the image of r^s x^mono, built once
-    by ``image`` and kept in ``bases`` as integers over one denominator,
-    times e_blade on the right.  The exact suites use the same property for
-    whole reports: one per scalar monomial, its defects times each e_blade.
-
-    Every key held here sits on one lattice ``den``: it starts as a lattice
-    that holds every shift the operator makes, so images of units on it stay
-    on it, and it grows to the lcm with each input's lattice, every stored
-    key lifted at once.  Inputs are lifted onto it, so a term has one image
-    and one id whatever lattice it arrives on, and every output sits on it.
-    An image is kept under its int term key (n, mono, blade) as integers
-    over one denominator, ``(d, ((id, num), ...))`` with d the lcm of the
-    image's coefficient denominators and each id indexing ``keys``.
-
-    One loop, :meth:`_sum`, puts the input coefficients and the images they
-    meet over one common denominator and sums plain ints on the ids through
-    :func:`~dunkldirac.poly._acc`, with the events and zero tests of a
-    Fraction sum, so the terms come in the same order; the images are in
-    normal form already, so nothing is folded again.  :meth:`apply`, the
-    integer step, maps ``(common, {key: int})`` on the lattice to the same
-    pair; a call on a RadialExpr with rational coefficients makes one
-    ``Fraction(v, common)`` per output term.
-    """
-
-    __slots__ = ("image", "den", "images", "bases", "ids", "keys", "lookups")
-
-    def __init__(self, image, den: int):
-        self.image = image
-        self.den = den
-        self.images: dict = {}
-        self.bases: dict = {}
-        self.ids: dict = {}
-        self.keys: list = []
-        self.lookups = 0
-
-    def lift(self, den: int):
-        """Grow the lattice to lcm(self.den, den), every stored key lifted at once."""
-        if self.den % den == 0:
-            return
-        by = lcm(self.den, den) // self.den
-        self.images = {(n * by, mono, b): img for (n, mono, b), img in self.images.items()}
-        self.bases = {(n * by, mono): base for (n, mono), base in self.bases.items()}
-        self.keys = [(n * by, mono, b) for n, mono, b in self.keys]
-        self.ids = {k: i for i, k in enumerate(self.keys)}
-        self.den *= by
-
-    def _build(self, m: int, key) -> tuple:
-        n, mono, blade = key
-        base = self.bases.get((n, mono))
-        if base is None:
-            img = self.image(_new(m, self.den, {(n, mono, 0): Fraction(1)}))
-            if self.den % img.den:
-                raise ValueError(f"image leaves the lattice 1/{self.den}")
-            den, terms = _ints(img._on(self.den))
-            base = self.bases[(n, mono)] = (den, _new(m, self.den, terms))
-        den, base = base
-        img = []
-        for k, v in base.blade_mul_right(blade)._on(self.den).items():
-            if k not in self.ids:
-                self.ids[k] = len(self.keys)
-                self.keys.append(k)
-            img.append((self.ids[k], v))
-        self.images[key] = img = (den, tuple(img))
-        return img
-
-    def _sum(self, m: int, terms: dict, by: int = 1) -> tuple:
-        """(common, {id: int}): the image of terms, n on den / by."""
-        self.lookups += len(terms)
-        parts = []  # (image entries, numerator, denominator)
-        for key, cf in terms.items():
-            if by != 1:
-                key = (key[0] * by, key[1], key[2])
-            den, entries = self.images.get(key) or self._build(m, key)
-            parts.append((entries, cf.numerator, cf.denominator * den))
-        common = lcm(*(p[2] for p in parts))
-        acc: dict = {}
-        for entries, num, den in parts:
-            scale = num * (common // den)
-            for i, v in entries:
-                _acc(acc, i, scale * v)
-        return common, acc
-
-    def apply(self, m: int, pair: tuple) -> tuple:
-        """The integer step: the image of (common, {key: int}), keys on the
-        lattice den, as the same pair on it."""
-        d, acc = self._sum(m, pair[1])
-        keys = self.keys
-        return pair[0] * d, {keys[i]: v for i, v in acc.items()}
-
-    def __call__(self, f: RadialExpr) -> RadialExpr:
-        self.lift(f.den)
-        common, acc = self._sum(f.m, f.terms, self.den // f.den)
-        keys = self.keys
-        return _new(f.m, self.den, {keys[i]: Fraction(v, common) for i, v in acc.items()})
-
-    def info(self) -> dict:
-        """Hits and misses; nothing is evicted, so the misses are the images stored."""
-        return {"hits": self.lookups - len(self.images), "misses": len(self.images)}
+from .poly import RadialExpr, _combine, _int_euler, _ints, _merge, _new
 
 
 class DeformedContext:
@@ -164,12 +59,10 @@ class DeformedContext:
         self.mu = Fraction(dk.setup.mu)
         # the effective dimension of the deformed family
         self.delta = par.a / 2 + (2 * par.b + self.mu - 1) / (1 + par.c)
-        # every shift D or x_a makes is a multiple of 1/den(a/2)
-        self._dirac = _UnitImages(self._dirac_image, (par.a / 2).denominator)
-
-    def cache_info(self) -> dict:
-        """Hits and misses of the unit-term images of D."""
-        return {"dirac": self._dirac.info()}
+        # D's weights ((1+c) q, b q, c q, q) and shift, for DunklContext.dirac
+        q = lcm(par.b.denominator, par.c.denominator)
+        self.weights = (int((1 + par.c) * q), int(par.b * q), int(par.c * q), q)
+        self.shift = -(par.a / 2 + 1)
 
     # -- derived scalars ----------------------------------------------------
 
@@ -197,20 +90,9 @@ class DeformedContext:
         return f.vector_mul_left(self.par.a / 2 - 1)
 
     def dirac(self, f: RadialExpr) -> RadialExpr:
-        """D f = r^{1-a/2} D_k f + b r^{-a/2-1} x f + c r^{-a/2-1} x E f,
-        from the unit images when f has rational coefficients."""
-        if all(isinstance(c, (int, Fraction)) for c in f.terms.values()):
-            return self._dirac(f)
-        return self._dirac_image(f)
-
-    def _dirac_image(self, f: RadialExpr) -> RadialExpr:
-        p = self.par
-        out = self.dk.dirac(f).mul_radial(1 - p.a / 2)
-        if p.b:
-            out = out + f.vector_mul_left(-p.a / 2 - 1).scale(p.b)
-        if p.c:
-            out = out + f.euler().vector_mul_left(-p.a / 2 - 1).scale(p.c)
-        return out
+        """D f = r^{1-a/2} D_k f + b r^{-a/2-1} x f + c r^{-a/2-1} x E f, in
+        closed form (:meth:`~dunkldirac.dunkl.DunklContext.dirac`)."""
+        return self.dk.dirac(f, self.weights, self.shift)
 
     def dirac_component(self, i: int, f: RadialExpr) -> RadialExpr:
         """D_i = r^l T_i + b r^{l-2} x_i + c r^{l-1} x_i d_r  (i is 1-based)."""
@@ -238,7 +120,10 @@ class DeformedContext:
         """
         p = self.par
         lam = Fraction(lam)
-        core = self.dk.dirac(f) - f.vector_mul_left(p.a - 2).scale(lam)
+        core = RadialExpr(self.m)
+        for i in range(1, self.m + 1):
+            _merge(core, self.dk.dunkl(i, f).blade_mul_left(1 << (i - 1)))
+        core = core - f.vector_mul_left(p.a - 2).scale(lam)
         out = core.mul_radial(1 - p.a / 2)
         if p.b:
             out = out + f.vector_mul_left(-p.a / 2 - 1).scale(p.b)
@@ -334,18 +219,19 @@ class DeformedContext:
         All eight defects are zero for every parameter triple; the report
         returns the actual residuals so a caller can display or test them.
         D and x_a are applied sixteen times on integer numerators over one
-        denominator, D from its unit images (:meth:`_UnitImages.apply`) and
-        x_a by :meth:`~dunkldirac.poly.RadialExpr.vector_mul_left`, which
-        keeps ints ints; a Fraction is made only for a nonzero defect term.
+        denominator on the lattice lcm(den(a/2), f.den), D by
+        :meth:`~dunkldirac.dunkl.DunklContext.dirac_pair` and x_a by
+        :meth:`~dunkldirac.poly.RadialExpr.vector_mul_left`, which keeps ints
+        ints; a Fraction is made only for a nonzero defect term.
         f must have rational coefficients.  The defects on f e_B are these
         times e_B (both operators act from the left), so verify-osp runs the
         report on scalar monomials only.
         """
         a, one_c, delta, m = self.par.a, 1 + self.par.c, self.delta, self.m
-        den = lcm(self._dirac.den, f.den)
-        self._dirac.lift(den)
+        den = lcm((a / 2).denominator, f.den)
         fi = _ints(f._on(den))
-        d, e, shift = partial(self._dirac.apply, m), partial(_int_euler, den), a / 2 - 1
+        d = partial(self.dk.dirac_pair, den, weights=self.weights, shift=self.shift)
+        e, shift = partial(_int_euler, den), a / 2 - 1
         # den is a multiple of den(a/2), so x_a keeps the keys on it
         x = lambda pair: (pair[0], _new(m, den, pair[1]).vector_mul_left(shift).terms)
         ef = e(fi)

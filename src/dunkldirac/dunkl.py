@@ -5,9 +5,22 @@ is carried out by polynomial division with a zero-remainder check, so a
 failure of divisibility raises instead of silently truncating.  Per-monomial
 actions are cached on the context: T_i is linear and commutes with the radial
 shift rule T_i(r^s p) = s r^{s-2} x_i p + r^s T_i(p), which holds because r
-is invariant under every reflection of the group.  The one float object is
-the kernel's coefficients, one block per degree, converted from the exact
-series once per order for the numerical transform.
+is invariant under every reflection of the group.
+
+The shift rule puts the Dirac operator D_k = sum_i e_i T_i, and the whole
+deformed family D = r^{1-a/2} D_k + b r^{-a/2-1} x + c r^{-a/2-1} x E, in
+closed form on one term:
+
+    D(r^s x^beta e_B) = r^{s-a/2-1} [((1+c) s + b + c|beta|) x x^beta
+                                     + r^2 D_k x^beta] e_B,
+
+with D_k itself at (a, b, c) = (2, 0, 0).  :meth:`DunklContext.dirac` applies
+it, in integers, from a memo per monomial (:meth:`DunklContext.dirac_monomial`):
+the folded D_k x^beta as ints over one denominator and the folded x x^beta.
+The memo holds no radial exponent and no parameter, so every triple on the
+group shares it.  The one float object is the kernel's coefficients, one
+block per degree, converted from the exact series once per order for the
+numerical transform.
 """
 
 from __future__ import annotations
@@ -17,8 +30,9 @@ from math import lcm
 
 import numpy as np
 
+from .clifford import blade_product
 from .linalg import solve_columns
-from .poly import (RadialExpr, _acc, _add_term, _bump, _exponent, _merge, _new,
+from .poly import (RadialExpr, _acc, _add_term, _bump, _exponent, _ints, _merge, _new,
                    r_squared_power)
 from .reflection import ReflectionSetup, reflect_monomial
 
@@ -55,11 +69,16 @@ class DunklContext:
         self.m = setup.m
         self._t_cache: dict = {}
         self._t_lookups = 0
+        self._d_cache: dict = {}
+        self._d_lookups = 0
         self._kernel_cache: dict = {}
 
     def cache_info(self) -> dict:
-        """Hits and misses of :meth:`dunkl_monomial`; each miss is stored."""
-        return {"hits": self._t_lookups - len(self._t_cache), "misses": len(self._t_cache)}
+        """Hits and misses of :meth:`dunkl_monomial` and :meth:`dirac_monomial`;
+        each miss is stored."""
+        return {name: {"hits": lookups - len(cache), "misses": len(cache)}
+                for name, cache, lookups in (("dunkl_monomial", self._t_cache, self._t_lookups),
+                                             ("dirac_monomial", self._d_cache, self._d_lookups))}
 
     # -- the operators ------------------------------------------------------
 
@@ -101,12 +120,67 @@ class DunklContext:
                 _add_term(t, n, mo2, blade, cf * c, den)
         return _new(self.m, den, t)
 
-    def dirac(self, f: RadialExpr) -> RadialExpr:
-        """sum_i e_i T_i f; squares to minus the Laplacian."""
-        out = RadialExpr(self.m)
-        for i in range(1, self.m + 1):
-            _merge(out, self.dunkl(i, f).blade_mul_left(1 << (i - 1)))
+    def dirac_monomial(self, mono: tuple) -> tuple:
+        """(d, xs, ts): x x^mono and D_k x^mono in the normal form, each as
+        ((ds, mono, blade, int), ...) with r^ds an even integer power from the
+        folding, the ints of ts over d and those of xs over 1."""
+        self._d_lookups += 1
+        cached = self._d_cache.get(mono)
+        if cached is not None:
+            return cached
+        xs, ts = {}, {}
+        for i in range(self.m):
+            _add_term(xs, 0, _bump(mono, i), 1 << i, 1, 1)
+            for mo2, cf in self.dunkl_monomial(i + 1, mono).items():
+                _add_term(ts, 0, mo2, 1 << i, cf, 1)
+        d, ts = _ints(ts)
+        out = self._d_cache[mono] = (d, *(tuple((*k, v) for k, v in t.items()) for t in (xs, ts)))
         return out
+
+    def dirac_pair(self, den: int, pair: tuple, weights=(1, 0, 0, 1), shift=-2) -> tuple:
+        """The integer step of :meth:`dirac`: (common, {key: coeff}) on the
+        lattice den, a multiple of den(shift), to the same pair for the image.
+
+        weights = (A, B, C, Q) are ints and shift is -(a/2 + 1), so that
+        (A s + B + C |beta|) / Q = (1+c) s + b + c|beta|; the classical
+        (1, 0, 0, 1) and -2 give D_k.  A term's image takes
+        :meth:`dirac_monomial`'s two lists, the first times that weight and
+        the second times r^2, both shifted by r^{s + shift}, and e_B on the
+        right.  Coefficients are multiplied by ints only, so ints stay ints
+        and ExactScalars pass through.
+        """
+        common, terms = pair
+        a, b, c, q = weights
+        sh = shift.numerator * (den // shift.denominator)
+        parts = [(key, v, self.dirac_monomial(key[1])) for key, v in terms.items()]
+        total = lcm(*(p[2][0] for p in parts))
+        out: dict = {}
+        for (n, mono, blade), v, (d, xs, ts) in parts:
+            if w := (a * n + (b + c * sum(mono)) * den) * total:
+                vw = v * w
+                for ds, mo, bl, t in xs:
+                    sign, nb = blade_product(bl, blade)
+                    _acc(out, (n + sh + ds * den, mo, nb), vw * t if sign == 1 else -vw * t)
+            vt, up = v * (q * den * (total // d)), n + sh + 2 * den
+            for ds, mo, bl, t in ts:
+                sign, nb = blade_product(bl, blade)
+                _acc(out, (up + ds * den, mo, nb), vt * t if sign == 1 else -vt * t)
+        return common * q * den * total, out
+
+    def dirac(self, f: RadialExpr, weights=(1, 0, 0, 1), shift=-2) -> RadialExpr:
+        """sum_i e_i T_i f, which squares to minus the Laplacian, or with the
+        weights and shift of a triple its deformed operator D f
+        (:meth:`dirac_pair`).  The output sits on lcm(f.den, den(shift));
+        rational coefficients are cleared to ints and back, others pass
+        through."""
+        den = lcm(f.den, shift.denominator)
+        terms = f._on(den)
+        if all(isinstance(c, (int, Fraction)) for c in terms.values()):
+            common, out = self.dirac_pair(den, _ints(terms), weights, shift)
+            return _new(self.m, den, {k: Fraction(v, common) for k, v in out.items()})
+        common, out = self.dirac_pair(den, (1, terms), weights, shift)
+        inv = Fraction(1, common)
+        return _new(self.m, den, {k: c * inv for k, c in out.items()})
 
     def laplacian(self, f: RadialExpr) -> RadialExpr:
         """sum_i T_i T_i f."""

@@ -29,8 +29,9 @@ report meets each unit term once per operator, so it keeps no images.  A
 defect makes one ExactScalar per (n, mono, blade) key with a nonzero
 entry, and its canonical form decides the verdict, so whole powers of a
 perfect-power a/2 fold as they do in the maps.  :class:`InversionReport`
-runs the inversion rows the same way, D_k and D applied directly, with no
-power of a/2 to carry.
+runs the inversion rows the same way, with no power of a/2 to carry: D_k and
+D apply in closed form to its int numerators, from the per-monomial memo of
+:meth:`~dunkldirac.dunkl.DunklContext.dirac_monomial`.
 """
 
 from __future__ import annotations
@@ -262,8 +263,10 @@ class InversionReport:
     """I(I f) = f and I D_k I = D at inversion_params(mu), as defects on
     rational inputs, computed in integers.
 
-    D_k and D (the compositional image of its context ``context``) apply
-    directly to the int numerators of f and of I f.
+    D_k and D apply to the int numerators of I f and of f by
+    :meth:`~dunkldirac.dunkl.DunklContext.dirac_pair`, D with the weights of
+    its context ``context``.  Both shifts, -2 and -(a/2 + 1) = 0, are whole,
+    so every value stays on the input's lattice.
     """
 
     def __init__(self, dk: DunklContext):
@@ -272,16 +275,13 @@ class InversionReport:
 
     def __call__(self, f: RadialExpr) -> tuple:
         """(I I f - f, I D_k I f - D f)."""
-        mu, m = self.mu, self.m
+        mu, m, ctx = self.mu, self.m, self.context
         den = lcm(f.den, mu.denominator)
         common, terms = _ints(f._on(den))
         i_f = _inverted(mu, den, terms)
-        top = self.dk.dirac(_new(m, den, i_f))
-        bottom = self.context._dirac_image(_new(m, den, terms))
-        out = lcm(top.den, bottom.den)
-        (c1, t1), (c2, t2) = _ints(top._on(out)), _ints(bottom._on(out))
-        defects = ((den, _combine((1, (common, _inverted(mu, den, i_f))), (-1, (common, terms)))),
-                   (out, _combine((1, (common * c1, _inverted(mu, out, t1))),
-                                  (-1, (common * c2, t2)))))
-        return tuple(_new(m, n, {k: Fraction(v, c) for k, v in t.items()})
-                     for n, (c, t) in defects)
+        c1, t1 = self.dk.dirac_pair(den, (common, i_f))
+        c2, t2 = self.dk.dirac_pair(den, (common, terms), ctx.weights, ctx.shift)
+        defects = (_combine((1, (common, _inverted(mu, den, i_f))), (-1, (common, terms))),
+                   _combine((1, (c1, _inverted(mu, den, t1))), (-1, (c2, t2))))
+        return tuple(_new(m, den, {k: Fraction(v, c) for k, v in t.items()})
+                     for c, t in defects)

@@ -68,25 +68,30 @@ def test_verify_osp_writes_reports_and_passes(tmp_path):
 
 
 def test_verify_osp_summary_records_image_cache_hits(tmp_path):
+    """D's cache, once the summary's image_cache, is the DunklContext's memo
+    per monomial, reported among the layer caches as dunkl.dirac_monomial."""
     assert main(["verify-osp", "--out", str(tmp_path)]) == 0
-    cache = read_summary(tmp_path, "verify-osp")["image_cache"]
-    assert set(cache) == {"dirac"}
-    assert cache["dirac"]["hits"] > 0 and cache["dirac"]["misses"] > 0
+    summary = read_summary(tmp_path, "verify-osp")
+    assert "image_cache" not in summary
+    cache = summary["layer_caches"]["dunkl.dirac_monomial"]
+    assert cache["hits"] > 0 and cache["misses"] > 0
 
 
 def test_verify_osp_image_cache_counts_are_pinned(tmp_path):
     """Eight applications of D per scalar monomial, none merged away and
-    none per blade (the blades come from right multiplication): the counts
-    of a degree-2 run on z2^3 at the three seeded triples."""
+    none per blade (the blades come from right multiplication), make 783
+    lookups of D's memo in a degree-2 run on z2^3 at the three seeded
+    triples.  The memo is keyed by monomial alone, so its 16 misses are the
+    monomials D meets, shared by the three triples."""
     assert main(["verify-osp", "--family", "z2", "--m", "3", "--k", "1/2",
                  "--degree", "2", "--out", str(tmp_path)]) == 0
-    assert read_summary(tmp_path, "verify-osp")["image_cache"] == {
-        "dirac": {"hits": 405, "misses": 378}}
+    assert read_summary(tmp_path, "verify-osp")["layer_caches"]["dunkl.dirac_monomial"] == {
+        "hits": 767, "misses": 16}
 
 
-# the group suites that apply D through a DeformedContext, so its unit images
-IMAGE_SUITES = {"verify-osp", "fischer", "laguerre-table", "orthogonality",
-                "transform-eigen"}
+# the group suites that apply D or D_k, so read its memo per monomial
+DIRAC_SUITES = {"verify-osp", "fischer", "laguerre-table", "orthogonality",
+                "transform-eigen", "verify-kelvin", "a-minus2-suite", "basis"}
 
 
 GROUP_SUITE_RUNS = [
@@ -106,50 +111,40 @@ GROUP_SUITE_RUNS = [
 
 @pytest.mark.parametrize("argv", GROUP_SUITE_RUNS)
 def test_suites_applying_d_or_x_a_record_image_cache(tmp_path, argv):
-    """Every group suite writes the caches of the exact layer; the suites
-    that apply D through a DeformedContext also write its image_cache."""
+    """Every group suite writes the caches of the exact layer; those that
+    apply D or D_k count lookups of D's memo, dunkl.dirac_monomial, which
+    replaced the per-context image_cache."""
     assert {run[0] for run in GROUP_SUITE_RUNS} == {
         name for name, spec in SUITES.items() if spec.group}
     assert main(argv + ["--out", str(tmp_path)]) == 0
     summary = read_summary(tmp_path, argv[0])
-    if argv[0] in IMAGE_SUITES:
-        cache = summary["image_cache"]
-        assert set(cache) == {"dirac"} and set(cache["dirac"]) == {"hits", "misses"}
-        assert sum(cache["dirac"].values()) > 0
-    else:
-        assert "image_cache" not in summary
+    assert "image_cache" not in summary
     # the caches of the layers below, named as the bench tracer names them
     layers = summary["layer_caches"]
-    assert set(layers) == {"dunkl.dunkl_monomial", "reflection.reflect_monomial",
-                           "clifford.blade_product", "poly.r_squared_power",
-                           "measure.unit_integral", "kelvin.power"}
+    assert set(layers) == {"dunkl.dunkl_monomial", "dunkl.dirac_monomial",
+                           "reflection.reflect_monomial", "clifford.blade_product",
+                           "poly.r_squared_power", "measure.unit_integral", "kelvin.power"}
     assert all(set(counts) == {"hits", "misses"} for counts in layers.values())
     assert all(n >= 0 for counts in layers.values() for n in counts.values())
     assert sum(layers["dunkl.dunkl_monomial"].values()) > 0
+    assert (sum(layers["dunkl.dirac_monomial"].values()) > 0) == (argv[0] in DIRAC_SUITES)
     # the exact integrals reuse their unit integrals, P and Q their class tables
     memo = {"orthogonality": "measure.unit_integral", "verify-kelvin": "kelvin.power"}
     if argv[0] in memo:
         assert layers[memo[argv[0]]]["hits"] > 0
 
 
-def test_verify_kelvin_builds_no_unit_images(tmp_path, monkeypatch):
-    """T_i, D_i, D_k and the D of the inversion rows apply directly: a
-    verify-kelvin run, its inversion rows included, builds no unit image,
-    while verify-osp, counted the same way, builds D's."""
-    from dunkldirac import deformed
-
-    builds = []
-    build = deformed._UnitImages._build
-    monkeypatch.setattr(deformed._UnitImages, "_build",
-                        lambda self, *args: builds.append(args) or build(self, *args))
+def test_verify_kelvin_builds_no_unit_images(tmp_path):
+    """T_i and D_i apply directly, and D_k and the D of the inversion rows
+    read the memo per monomial, which keeps no image of a unit term
+    r^s x^beta e_B: on symmetric(3) at degree 1 the four scalar monomials,
+    each applied once by D_k (inverted) and once by D, make four misses."""
     assert main(["verify-kelvin", "--family", "symmetric", "--m", "3", "--k", "1/2",
                  "--degree", "1", "--trials", "1", "--out", str(tmp_path)]) == 0
     relations = {row["relation"] for row in read_rows(tmp_path, "verify-kelvin")}
     assert {"(a/2)^{(b-1)/2} Q T_i P = D_i", "I D I = D at (-2, 2 - mu, -2)"} <= relations
-    assert builds == []
-    assert main(["verify-osp", "--degree", "1", "--trials", "1",
-                 "--out", str(tmp_path)]) == 0
-    assert builds
+    layers = read_summary(tmp_path, "verify-kelvin")["layer_caches"]
+    assert layers["dunkl.dirac_monomial"] == {"hits": 4, "misses": 4}
 
 
 def test_layer_caches_are_read_through_a_profiler_wrapper(tmp_path, monkeypatch):
@@ -431,6 +426,45 @@ def test_reporter_rejects_a_non_bool_verdict(tmp_path):
     rep.finish()
 
 
+
+def _jsonable_reference(val):
+    """The recursive encoding the reports were written with before the
+    json.dumps hook, kept as the reference the hook must reproduce."""
+    import numpy as np
+    if type(val) in (str, bool, int, float) or val is None:
+        return val
+    if isinstance(val, dict):
+        return {str(k): _jsonable_reference(v) for k, v in val.items()}
+    if isinstance(val, Fraction):
+        return str(val)
+    if isinstance(val, complex):
+        return [val.real, val.imag]
+    if isinstance(val, (np.floating, np.integer)):
+        return val.item()
+    if isinstance(val, np.ndarray):
+        return [_jsonable_reference(v) for v in val.tolist()]
+    if isinstance(val, (list, tuple)):
+        return [_jsonable_reference(v) for v in val]
+    return str(val)
+
+
+def test_report_encoding_matches_the_recursive_reference():
+    import numpy as np
+    from dunkldirac.cli import _encode
+    from dunkldirac.scalars import ExactScalar
+    values = [
+        Fraction(-3, 7), 1.5 - 0.25j, np.float64(0.1), np.float32(0.1), np.int64(-4),
+        np.bool_(True), np.array([0.5, -1.25]), np.array([[1, 2], [3, 4]]),
+        np.array([1 + 2j, -0.5j]), (1, Fraction(1, 2), (2, 3)), [None, True, 2.5, "x"],
+        {1: Fraction(2, 3), "s": {0: [np.float64(1e-17)]}}, float("nan"), float("inf"),
+        ExactScalar.power(Fraction(3, 2), Fraction(1, 3), 2), {1, 2}, 10 ** 30,
+    ]
+    for val in values:
+        want = json.dumps(_jsonable_reference(val))
+        assert json.dumps(val, default=_encode) == want, val
+        assert json.dumps(val, indent=2, default=_encode) == json.dumps(
+            _jsonable_reference(val), indent=2)
+
 # -- config file mode -----------------------------------------------------------
 
 def test_config_file_builds_the_group(tmp_path):
@@ -686,6 +720,29 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, flag):
     assert len(err.splitlines()) == 1 and flag in err
     assert not list(tmp_path.iterdir())
 
+
+
+def _exits_2_naming(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and flag in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("suite", ["transform-eigen", "a-minus2-suite"])
+def test_points_below_one_exits_2(tmp_path, capsys, suite):
+    """No target point leaves nothing to measure: rejected before a report."""
+    _exits_2_naming(tmp_path, capsys, [suite, "--points", "0"], "--points")
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("suite", ["orthogonality --numeric", "transform-eigen",
+                                   "a-minus2-suite", "kernel-residual"])
+def test_tol_that_is_not_positive_and_finite_exits_2(tmp_path, capsys, suite, tol):
+    """A tolerance no error can meet, or any error meets, is rejected."""
+    _exits_2_naming(tmp_path, capsys, suite.split() + [f"--tol={tol}"], "--tol")
 
 def test_dihedral_of_order_one_runs_and_order_zero_exits_2(tmp_path, capsys):
     assert main(["verify-basicprops", "--family", "dihedral", "--m", "1",

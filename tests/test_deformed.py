@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from dunkldirac.deformed import (
 from dunkldirac.dunkl import DunklContext
 from dunkldirac.kelvin import p_map
 from dunkldirac.params import DeformParams
-from dunkldirac.poly import RadialExpr, _acc
+from dunkldirac.poly import RadialExpr
 from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
 from dunkldirac.scalars import ExactScalar
 
@@ -198,7 +199,7 @@ def test_ansatz_at_a_two_is_the_dunkl_dirac():
     assert (par.a, par.b, par.c) == (2, 0, 0)
 
 
-# -- the unit-term images of D, and x_a -------------------------------------------
+# -- D in closed form, and x_a ---------------------------------------------------
 
 GROUPS = [
     DunklContext(z2_power(3, [Fraction(1, 2), Fraction(1, 3), Fraction(2)])),
@@ -207,18 +208,27 @@ GROUPS = [
 ]
 
 
-def uncached_dirac(ctx, f):
+def composed_dirac_k(dk, f):
+    """D_k f as sum_i e_i T_i f, the components composed."""
+    out = RadialExpr(dk.m)
+    for i in range(1, dk.m + 1):
+        out = out + dk.dunkl(i, f).blade_mul_left(1 << (i - 1))
+    return out
+
+
+def composed_dirac(ctx, f):
     """D f by the composition, through the gauge form at lam = 0."""
     return ctx.dirac_on_damped(f, 0)
 
 
-def uncached_x_a(ctx, f):
+def composed_x_a(ctx, f):
     return f.vector_mul_left(ctx.par.a / 2 - 1)
 
 
 def assert_matches_compositions(ctx, f):
-    assert ctx.dirac(f) == uncached_dirac(ctx, f)
-    assert ctx.x_a(f) == uncached_x_a(ctx, f)
+    assert ctx.dk.dirac(f) == composed_dirac_k(ctx.dk, f)
+    assert ctx.dirac(f) == composed_dirac(ctx, f)
+    assert ctx.x_a(f) == composed_x_a(ctx, f)
 
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -248,9 +258,23 @@ def test_cached_operators_match_their_compositions(case, par, other):
     assert_matches_compositions(ctx, f)           # warm
     # the same monomials and blades under another radial exponent
     assert_matches_compositions(ctx, f.mul_radial(Fraction(1, 3)) + f.scale(2))
-    # another triple on the same group builds its own images
+    # another triple on the same group reads the same memo
     if other != par:
         assert_matches_compositions(DeformedContext(dk, DeformParams(*other)), f)
+
+
+@given(case=group_and_expr(), par=triples, power=fractions)
+@settings(max_examples=30, deadline=None)
+def test_exact_scalar_coefficients_match_the_compositions(case, par, power):
+    """ExactScalar coefficients, with one or two powers of 3/2 each, pass
+    through D and D_k and come out as the compositions' coefficients."""
+    dk, f = case
+    ctx = DeformedContext(dk, DeformParams(*par))
+    g = f.scale(ExactScalar.power(Fraction(3, 2), power, 2)) + f.mul_radial(1).scale(
+        ExactScalar(Fraction(3, 2), {Fraction(1, 3): 1, Fraction(-1, 2): -1}))
+    assert all(isinstance(c, ExactScalar) for c in g.terms.values())
+    assert_matches_compositions(ctx, g)
+    assert all(ctx.dirac(g).terms.values()) and all(dk.dirac(g).terms.values())
 
 
 def test_each_context_keeps_its_own_images():
@@ -266,7 +290,7 @@ def test_each_context_keeps_its_own_images():
 def test_mutating_a_result_leaves_the_images_intact():
     ctx = DeformedContext(GROUPS[0], DeformParams(Fraction(3, 2), Fraction(1, 4), Fraction(-1, 2)))
     f = random_expr(random.Random(22), 3, 2)
-    for op in (ctx.dirac, ctx.x_a):
+    for op in (ctx.dirac, ctx.dk.dirac, ctx.x_a):
         got = op(f)
         for key in got.terms:
             got.terms[key] *= 5
@@ -285,30 +309,38 @@ def test_exact_scalar_coefficients_pass_through_the_images():
 
 
 def test_cache_info_counts_hits_and_misses_per_operator():
-    ctx = DeformedContext(GROUPS[2], DeformParams(2, 0, 0))
+    """The DunklContext counts its memos per operator: a lookup of
+    dirac_monomial per input term of D or D_k, whatever the coefficients."""
+    dk = DunklContext(hyperoctahedral(2, Fraction(1, 2), Fraction(1, 3)))
+    ctx = DeformedContext(dk, DeformParams(Fraction(4, 3), Fraction(1, 5), Fraction(2, 7)))
     f = RadialExpr.monomial(2, (1, 0)) + RadialExpr.monomial(2, (0, 1), blade=0b11)
-    assert ctx.cache_info() == {"dirac": {"hits": 0, "misses": 0}}
+    assert dk.cache_info()["dirac_monomial"] == {"hits": 0, "misses": 0}
     ctx.dirac(f)
-    ctx.dirac(f)
+    dk.dirac(f)
     ctx.x_a(f.scale(3))
-    assert ctx.cache_info() == {"dirac": {"hits": 2, "misses": 2}}
-    # an ExactScalar input takes the composition and leaves the counts alone
+    info = dk.cache_info()
+    assert set(info) == {"dunkl_monomial", "dirac_monomial"}
+    assert info["dirac_monomial"] == {"hits": 2, "misses": 2}
+    # T_i is read once per coordinate and monomial, when the memo is built
+    assert info["dunkl_monomial"] == {"hits": 0, "misses": 4}
+    # an ExactScalar input on the same monomials reads the same entries
     two = ExactScalar(Fraction(3, 2), {0: 1, Fraction(1, 2): 1})
     g = p_map(DeformParams(3, 0, 0), f).scale(two)
     assert all(len(c.terms) == 2 for c in g.terms.values())
     ctx.dirac(g)
-    assert ctx.cache_info() == {"dirac": {"hits": 2, "misses": 2}}
+    assert dk.cache_info()["dirac_monomial"] == {"hits": 4, "misses": 2}
 
 
-def reference_sum(ops, f) -> list:
-    """The terms of sum_t coeff_t * image_t, summed in Fractions through _acc
-    over ops' cached images in the order of f's terms (on ops' lattice)."""
-    acc: dict = {}
-    for key, cf in f._on(ops.den).items():
-        den, entries = ops.images[key]
-        for i, num in entries:
-            _acc(acc, i, cf * Fraction(num, den))
-    return [(ops.keys[i], c) for i, c in acc.items()]
+def test_a_second_triple_on_the_same_group_adds_no_misses():
+    dk = DunklContext(symmetric(3, Fraction(1, 2)))
+    f = random_expr(random.Random(24), 3, 2)
+    first = DeformedContext(dk, DeformParams(Fraction(4, 3), Fraction(-2, 5), Fraction(-3, 7)))
+    first.osp_relations_report(f)
+    misses = dk.cache_info()["dirac_monomial"]["misses"]
+    assert misses > 0
+    second = DeformedContext(dk, DeformParams(Fraction(11, 3), Fraction(-9, 5), Fraction(8, 7)))
+    second.osp_relations_report(f)
+    assert dk.cache_info()["dirac_monomial"]["misses"] == misses
 
 
 over_3_5_7 = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([3, 5, 7]))
@@ -325,32 +357,16 @@ def seeded_triples(draw):
 
 @given(case=group_and_expr(over_3_5_7), par=seeded_triples(), scale=over_3_5_7.filter(bool))
 @settings(max_examples=40, deadline=None)
-def test_images_sum_in_the_term_order_of_a_fraction_sum(case, par, scale):
-    """Downstream float sums (term_tables) run in term order, so D must
-    return its terms in the order of the plain Fraction sum, with no
-    coefficient stored as zero."""
+def test_dirac_stores_no_zero_coefficient(case, par, scale):
+    """Images with denominators 3, 5, 7 that overlap and can cancel mid-sum
+    leave no coefficient stored as zero, and D still equals its composition."""
     dk, f = case
     ctx = DeformedContext(dk, par)
-    # overlapping images with denominators 3, 5, 7 that can cancel mid-sum
     g = f.scale(scale) + f.mul_x(1).scale(Fraction(2, 5)) - f.mul_radial(2).scale(Fraction(1, 7))
     for h in (f, g, ctx.dirac(g)):
         got = ctx.dirac(h)
-        assert list(got.terms.items()) == reference_sum(ctx._dirac, h)
+        assert got == composed_dirac(ctx, h)
         assert all(got.terms.values())
-
-
-def test_exact_scalar_inputs_keep_the_term_order_of_a_plain_sum():
-    """D on ExactScalar coefficients, one or two exponents each, is the
-    composition itself, term order included."""
-    par = DeformParams.commuting(Fraction(3), Fraction(1, 2))
-    ctx = DeformedContext(GROUPS[2], par)
-    for seed in range(6):
-        f = p_map(par, random_expr(random.Random(seed), 2, 2))
-        for g in (f, f + f.scale(ExactScalar.power(Fraction(3, 2), Fraction(1, 3)))):
-            got, want = ctx.dirac(g), ctx._dirac_image(g)
-            assert any(isinstance(c, ExactScalar) for c in got.terms.values())
-            assert got.den == want.den
-            assert list(got.terms.items()) == list(want.terms.items())
 
 
 @pytest.mark.parametrize("dk", GROUPS)
@@ -420,7 +436,7 @@ def test_integer_osp_report_equals_the_fraction_composition(dk, par):
             assert list(got) == list(want)
             for name in want:
                 assert got[name] == want[name], name
-                assert got[name].den == ctx._dirac.den
+                assert got[name].den == lcm((par.a / 2).denominator, g.den)
             assert any(not d.is_zero() for d in got.values()) == bool(doctored)
 
 

@@ -9,6 +9,7 @@ x_{m-1}^2 one square at a time, on inputs whose exponents have denominators
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -202,20 +203,21 @@ def test_to_text_and_to_json_pin_rational_exponents():
         assert json.dumps(f.to_json()) == want_json
 
 
-# -- the cached operators ---------------------------------------------------------
+# -- the closed-form operators ------------------------------------------------
 
 def test_dirac_and_x_a_keep_int_exponents_in_their_keys():
     for dk in (DunklContext(z2_power(2, [Fraction(1, 2), Fraction(3, 2)])),
                DunklContext(symmetric(3, Fraction(1, 3)))):
         ctx = DeformedContext(dk, DeformParams(Fraction(4, 3), Fraction(1, 5), Fraction(-2, 7)))
         f = random_expr(random.Random(33), dk.m, 2)
-        for g in (f, f.mul_radial(Fraction(1, 7)), ctx.x_a(f)):
-            assert ctx.dirac(g) == ctx._dirac_image(g)    # the compositions
+        inputs = (f, f.mul_radial(Fraction(1, 7)), ctx.x_a(f))
+        for g in inputs:
+            assert ctx.dirac(g) == ctx.dirac_on_damped(g, 0)    # the compositions
             assert ctx.x_a(g) == g.vector_mul_left(ctx.par.a / 2 - 1)
             for out in (ctx.dirac(g), ctx.x_a(g)):
                 assert out.terms
+                assert out.den == lcm(g.den, 3)
                 assert all(type(n) is int for n, _mono, _b in out.terms)
                 assert all(type(e) is int for _n, mono, _b in out.terms for e in mono)
-        # inputs on lattices 1, 3 and 7 meet one set of images: a term has one id
-        assert len(set(ctx._dirac.keys)) == len(ctx._dirac.keys)
-        assert ctx._dirac.den % 21 == 0
+        # inputs on lattices 1, 3 and 7 read one memo, keyed by monomial alone
+        assert set(dk._d_cache) == {mono for g in inputs for _n, mono, _b in g.terms}
