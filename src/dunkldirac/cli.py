@@ -694,7 +694,7 @@ def cmd_transform_eigen(args, dk):
     return {"a": par.a, "b": par.b, "c": par.c,
             "kernel": kernel_route(setup), "tol": args.tol,
             "rule_cache": _since(rules, _hits_misses(rule_cache_info())),
-            "kernel_cache": _hits_misses(tables)}
+            "kernel_cache": {**_hits_misses(tables), "moments": tables.moments}}
 
 
 @suite("kernel-residual", "closed kernel satisfies its first-order system",
@@ -742,7 +742,7 @@ def cmd_a_minus2_suite(args, dk):
                    "eigen_rel_err": eig, "runtime_ms": round(ms, 3),
                    "pass": agree <= args.tol and eig <= args.tol}
     return {"kernel": kernel_route(dk.setup), "tol": args.tol,
-            "kernel_cache": _hits_misses(tables)}
+            "kernel_cache": {**_hits_misses(tables), "moments": tables.moments}}
 
 
 # -- the runner ---------------------------------------------------------------

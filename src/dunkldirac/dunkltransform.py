@@ -57,8 +57,8 @@ from .laguerre import laguerre_poly
 from .measure import axis_multiplicities, mehta_constant
 from .params import DeformParams
 from .poly import RadialExpr
-from .quadrature import (KernelTables, evaluate, grid_values, power_table,
-                         residue_classes, tensor_points, tensor_rule)
+from .quadrature import (KernelTables, evaluate, power_table, residue_classes,
+                         tensor_points, tensor_rule)
 from .reflection import ReflectionSetup
 
 
@@ -152,9 +152,10 @@ def _grid_transform(dk: DunklContext, par: DeformParams, f: RadialExpr,
     c = 2/a - 1, one column per blade (see the module docstring).
 
     Each residue class of f mod a is weighted on the a-rule of its folded
-    exponent and meets the kernel table of that rule and the targets in one
-    real matmul; calls that pass one ``tables`` share its tables (a fresh
-    memo by default).  With inverted (a = 2, b = 0 only), f is split with
+    exponent and meets the kernel table of that rule and the targets through
+    the table's angular moments, one per monomial, and its own radial powers;
+    calls that pass one ``tables`` share its tables and moments (a fresh memo
+    by default).  With inverted (a = 2, b = 0 only), f is split with
     half = -1 and read at xi_k / r_i, for :func:`transform_inverted_direct`.
     """
     setup, a, b = dk.setup, float(par.a), float(par.b)
@@ -174,7 +175,7 @@ def _grid_transform(dk: DunklContext, par: DeformParams, f: RadialExpr,
             key, lambda: (_plane_kernel(rho, dirs, y) if route == "plane" else
                           _series_kernel(dk, rho, dirs, y, order) if route == "series" else
                           kernel_matrix(dk, tensor_points(rho, dirs), y, order)),
-            grid_values(part, 1 / r if inverted else r, W, dirs, ws))
+            part, 1 / r if inverted else r, W, dirs, ws)
     post = (2 / a) ** (float(setup.mu) / 2 - 1) * r_y ** (-a * b / 2)
     return out * post[:, None] / normalization(setup)
 

@@ -13,10 +13,11 @@ place of scipy.linalg's banded solver, so no rule imports scipy.linalg.
 Every node is r_i xi_k, a radial node times a unit direction, with weight
 W_i ws_k.  A term c r^s x^mono e_B is r_i^{s + |mono|} xi_k^mono there, so
 its integral factors as c (sum_i W_i r_i^{s + |mono|}) (sum_k ws_k xi_k^mono)
-and costs O(n_r + n_ang) per term.  :func:`term_tables` builds those radial
-and angular tables for a whole expression; :func:`integrate_expr` contracts
-them, and :func:`grid_values` joins them into values on the product grid for
-integrands that do not factor (the kernels of :class:`KernelTables`).  The
+and costs O(n_r + n_ang) per term.  :func:`term_tables` builds the radial
+table and coefficients of a whole expression and :func:`power_table` its
+angular one; :func:`integrate_expr` contracts them.  An integrand that does
+not factor, a kernel table of :class:`KernelTables`, is summed over the
+directions once per monomial and then meets the radial table alone.  The
 factors of each rule are built once per (setup, a, lam, folded exponent, n_r,
 n_ang) and cached for the life of the process (:func:`rule_cache_info`).
 """
@@ -31,7 +32,7 @@ from scipy.special import (beta, eval_gegenbauer, eval_genlaguerre, eval_jacobi,
                            eval_legendre, gamma)
 
 from .measure import axis_multiplicities
-from .poly import RadialExpr
+from .poly import RadialExpr, _new
 from .reflection import ReflectionSetup
 
 
@@ -213,26 +214,44 @@ class KernelTables:
     alternate between two rules.  On a miss the route's ``build`` makes the
     table: the plane wave's phases and the series, degree by degree, on the
     rule's factors (r, dirs), and the Bessel product at :func:`tensor_points`.
+    Beside each held table sit its angular moments, one column
+    Mom[i, y] = sum_k ws_k xi_k^mono E[(i, k), y] per monomial a transform
+    has met, built on first use (``moments`` counts them) and dropped with
+    their table.
     """
 
     def __init__(self):
         self.tables: dict = {}
-        self.hits = self.misses = 0
+        self.hits = self.misses = self.moments = 0
 
-    def contract(self, key, build, vals: np.ndarray) -> np.ndarray:
-        """sum_node table[node, target] vals[node, blade], targets x blades;
-        on a miss the older of two held tables goes, then build() makes key's."""
-        table = self.tables.get(key)
-        if table is None:
+    def contract(self, key, build, part: RadialExpr, r: np.ndarray, W: np.ndarray,
+                 dirs: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """sum_{i, k} W_i ws_k part(r_i xi_k) table[(i, k), y], targets x
+        blades; on a miss the older of two held tables goes, then build()
+        makes key's.  The sum runs over the directions through the moments
+        and over the radial nodes through r_i^{s + |mono|} per term."""
+        held = self.tables.get(key)
+        if held is None:
             self.misses += 1
             if len(self.tables) == 2:
                 del self.tables[next(iter(self.tables))]
-            table = self.tables[key] = np.ascontiguousarray(build())
+            table = np.ascontiguousarray(build())
             table.setflags(write=False)
+            held = self.tables[key] = (table, {})
         else:
             self.hits += 1
-        # the real vals meet the table's float view, never copied to complex
-        return (vals.T @ table.view(float)).view(complex).T
+        table, moments = held
+        R, monos, C = term_tables(part, r, True)
+        new = list(dict.fromkeys(mono for mono in monos if mono not in moments))
+        if new:
+            self.moments += len(new)
+            # the real powers meet the table's float view, never copied to complex
+            cols = ((ws[:, None] * power_table(dirs, new)).T
+                    @ table.view(float).reshape(len(r), len(dirs), -1))
+            moments.update(zip(new, cols.transpose(1, 0, 2)))
+        radial = np.einsum("it,ity->ty", W[:, None] * R,
+                           np.stack([moments[mono] for mono in monos], axis=1))
+        return (C.T @ radial).view(complex).T
 
 
 def tensor_points(r: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -258,48 +277,31 @@ def power_table(pts: np.ndarray, monos) -> np.ndarray:
     return out.T
 
 
-def term_tables(expr: RadialExpr, r: np.ndarray, pts: np.ndarray,
-                homogeneous: bool):
-    """(R, A, C): radial powers, monomials and coefficients of expr's terms.
+def term_tables(expr: RadialExpr, r: np.ndarray, homogeneous: bool):
+    """(R, monos, C): radial powers, monomials and coefficients of expr's terms.
 
-    R[i, t] = r_i^e_t, one power per distinct exponent e, A = pts^mono by
-    :func:`power_table`, and C (terms x 2^m) holds each coefficient in its
-    blade's column.  With pts the points and r their lengths, e = s and
-    (R * A) @ C is expr at the points.  With pts unit directions and
-    homogeneous, e = s + |mono| and R[i] A[k] C is expr at r_i pts_k.
+    R[i, t] = r_i^e_t, one power per distinct exponent e, and C (terms x 2^m)
+    holds each coefficient in its blade's column.  With r the lengths of
+    points pts, e = s and (R * power_table(pts, monos)) @ C is expr there.
+    With homogeneous, e = s + |mono|, and R[i] power_table(dirs, monos)[k] C
+    is expr at r_i dirs_k.
     """
-    terms = list(expr.rational_terms())
-    exps = [s + sum(mono) if homogeneous else s for (s, mono, _b), _c in terms]
+    den = expr.den
+    exps = [n + den * sum(mono) if homogeneous else n for n, mono, _b in expr.terms]
     col = {e: j for j, e in enumerate(dict.fromkeys(exps))}
     powers = np.empty((len(r), len(col)))
     for e, j in col.items():
-        powers[:, j] = r ** float(e)
-    R = powers[:, [col[e] for e in exps]]
-    A = power_table(pts, [mono for (_s, mono, _b), _c in terms])
-    C = np.zeros((len(terms), 1 << expr.m))
-    for t, ((_s, _mono, blade), c) in enumerate(terms):
+        powers[:, j] = r ** (e / den)
+    C = np.zeros((len(exps), 1 << expr.m))
+    for t, ((_n, _mono, blade), c) in enumerate(expr.terms.items()):
         C[t, blade] = float(c)
-    return R, A, C
-
-
-def grid_values(expr: RadialExpr, r: np.ndarray, W: np.ndarray,
-                dirs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """W_i ws_k expr(r_i dirs_k) per blade, rows ordered as :func:`tensor_points`.
-
-    Shape (len(r) len(dirs), 2^m); one matmul joins the radial and angular
-    tables.
-    """
-    R, A, C = term_tables(expr, r, dirs, True)
-    n_r, blades = len(r), C.shape[1]
-    left = (W[:, None] * R)[:, None, :] * C.T[None, :, :]   # (n_r, 2^m, terms)
-    vals = left.reshape(n_r * blades, -1) @ (ws[:, None] * A).T
-    return vals.reshape(n_r, blades, -1).transpose(0, 2, 1).reshape(-1, blades)
+    return powers[:, [col[e] for e in exps]], [mono for _n, mono, _b in expr.terms], C
 
 
 def evaluate(expr: RadialExpr, pts: np.ndarray) -> np.ndarray:
     """Values of expr at each point, one column per blade: shape (N, 2^m)."""
-    R, A, C = term_tables(expr, np.sqrt(np.sum(pts * pts, axis=1)), pts, False)
-    return (R * A) @ C
+    R, monos, C = term_tables(expr, np.sqrt(np.sum(pts * pts, axis=1)), False)
+    return (R * power_table(pts, monos)) @ C
 
 
 def residue_classes(expr: RadialExpr, half, by_parity: bool = True) -> list:
@@ -318,17 +320,21 @@ def residue_classes(expr: RadialExpr, half, by_parity: bool = True) -> list:
     Returns (fold, part) pairs with expr = sum of r^fold * part.
     """
     half = Fraction(half)
+    den = expr.den
+    # the degree in units of half is n_v = num / q, q > 0, on int numerators
+    sign = 1 if half > 0 else -1
+    q = sign * den * half.numerator
     classes: dict = {}
-    for (s, mono, blade), coeff in expr.rational_terms():
-        n_v = (s + sum(mono)) / half
-        key = (n_v - 2 * (n_v // 2), sum(mono) % 2 if by_parity else 0)
-        classes.setdefault(key, []).append((n_v, (s, mono, blade), coeff))
+    for key, c in expr.terms.items():
+        deg = sum(key[1])
+        num = sign * half.denominator * (key[0] + den * deg)
+        cls = classes.setdefault((num % (2 * q), deg % 2 if by_parity else 0), [num, {}])
+        cls[0] = min(cls[0], num)
+        cls[1][key] = c
     out = []
-    for (_rho, parity), group in classes.items():
-        fold = half * (min(nv for nv, _key, _c in group) + parity)
-        part = RadialExpr(expr.m, {(s - fold, mono, blade): c
-                                   for _nv, (s, mono, blade), c in group})
-        out.append((fold, part))
+    for (_rho, parity), (lo, terms) in classes.items():
+        fold = Fraction(half.numerator * (lo + parity * q), half.denominator * q)
+        out.append((fold, _new(expr.m, den, terms).mul_radial(-fold)))
     return out
 
 
@@ -339,18 +345,19 @@ def integrate_expr(setup: ReflectionSetup, expr: RadialExpr, a, lam, extra=0,
 
     Each residue class mod a (:func:`residue_classes` at half = a/2, without
     the parity split) has its lowest degree folded into the rule's weight and
-    integrates exactly, as I @ C over its term tables, with I = (W @ R) *
-    (ws @ A) the rule's integral of each unit term.  Summing n terms c_t I_t
-    in floats can be off by n eps sum_t |c_t I_t| in any order, which no
-    tolerance below it can tell from a wrong value; that floor is |I| @ |C|
-    summed over the classes, times n eps.
+    integrates exactly, as I @ C over its term tables, with
+    I = (W @ R) * (ws @ power_table(dirs, monos)) the rule's integral of each
+    unit term.  Summing n terms c_t I_t in floats can be off by
+    n eps sum_t |c_t I_t| in any order, which no tolerance below it can tell
+    from a wrong value; that floor is |I| @ |C| summed over the classes, times
+    n eps.
     """
     out = np.zeros(1 << expr.m)
     mag = np.zeros(1 << expr.m)
     for fold, part in residue_classes(expr, Fraction(a) / 2, by_parity=False):
         r, W, dirs, ws = tensor_rule(setup, a, lam, Fraction(extra) + fold, n_r, n_ang)
-        R, A, C = term_tables(part, r, dirs, True)
-        unit = (W @ R) * (ws @ A)
+        R, monos, C = term_tables(part, r, True)
+        unit = (W @ R) * (ws @ power_table(dirs, monos))
         out += unit @ C
         mag += np.abs(unit) @ np.abs(C)
     return out, len(expr.terms) * np.finfo(float).eps * mag

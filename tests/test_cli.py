@@ -292,7 +292,19 @@ def test_transform_eigen_reuses_the_kernel_tables_of_repeated_rules(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     summary = read_summary(tmp_path, "transform-eigen")
-    assert summary["kernel_cache"] == {"hits": 9, "misses": 3}
+    assert summary["kernel_cache"] == {"hits": 9, "misses": 3, "moments": 14}
+
+
+def test_transform_eigen_counts_the_angular_moments_it_builds(tmp_path):
+    """On z2^2 the rungs (t, ell) = (0, 0), (1, 0), (0, 1), (1, 1) fold onto
+    the rules 0, 2, 2, 2 and meet the monomials {1}, {x1, x2}, {x1, x2} and
+    {1, x1 x2, x1^2}: two tables, and a moment column per monomial new to its
+    table, 1 + 2 + 0 + 3."""
+    assert main(["transform-eigen", "--family", "z2", "--m", "2", "--k", "1/2,3/2",
+                 "--t-max", "1", "--l-max", "1", "--nr", "20", "--ntheta", "16",
+                 "--points", "3", "--out", str(tmp_path)]) == 0
+    summary = read_summary(tmp_path, "transform-eigen")
+    assert summary["kernel_cache"] == {"hits": 2, "misses": 2, "moments": 6}
 
 
 TRANSFORM_SERIES_GRID = ["--nr", "60", "--ntheta", "64", "--tol", "1e-8", "--seed", "1"]
@@ -300,11 +312,11 @@ TRANSFORM_SERIES_GRID = ["--nr", "60", "--ntheta", "64", "--tol", "1e-8", "--see
 
 @pytest.mark.parametrize("argv, counts", [
     (["transform-eigen", "--family", "z2", "--m", "2", "--k", "1/2,3/2",
-      "--t-max", "2", "--l-max", "1"], {"hits": 4, "misses": 2}),
+      "--t-max", "2", "--l-max", "1"], {"hits": 4, "misses": 2, "moments": 6}),
     (["transform-eigen", "--family", "hyperoctahedral", "--m", "2", "--k", "1,2",
-      "--t-max", "1", "--l-max", "1"], {"hits": 2, "misses": 2}),
+      "--t-max", "1", "--l-max", "1"], {"hits": 2, "misses": 2, "moments": 6}),
     (["a-minus2-suite", "--family", "z2", "--m", "2", "--k", "1/2",
-      "--j-max", "0", "--l-max", "1"], {"hits": 2, "misses": 2}),
+      "--j-max", "0", "--l-max", "1"], {"hits": 2, "misses": 2, "moments": 2}),
 ])
 def test_bessel_series_and_inverted_routes_reuse_kernel_tables(tmp_path, argv, counts):
     """The Bessel (z2), series (B2) and a = -2 runs of the transform-series

@@ -28,6 +28,7 @@ from dunkldirac.quadrature import (
     radial_rule,
     rule_cache_info,
     sphere_rule,
+    tensor_points,
     tensor_rule,
 )
 from dunkldirac.reflection import hyperoctahedral, symmetric, z2_power
@@ -305,16 +306,63 @@ def test_plain_sphere_rule_refuses_a_negative_multiplicity():
         assert np.all(np.isfinite(tensor_rule(setup, 2, 1, 0, 10, 16)[3]))
 
 
+# r^(1/3), r^(4/3) and r^(1/2) on one lattice, four blades, and x1 and x1 x2
+# each met by more than one term
+KERNEL_INPUT = RadialExpr(2, {
+    (Fraction(1, 3), (1, 0), 0): Fraction(2), (Fraction(4, 3), (1, 0), 1): Fraction(-1, 2),
+    (Fraction(1, 2), (1, 1), 3): Fraction(3, 4), (0, (1, 1), 2): Fraction(5),
+    (Fraction(1, 3), (0, 0), 0): Fraction(-7, 3), (Fraction(1, 2), (2, 1), 2): Fraction(1, 5)})
+
+
+def kernel_case(seed, n_y=5):
+    """A rule's factors and a random complex table on its nodes x n_y targets."""
+    r, W, dirs, ws = tensor_rule(RULE_SETUPS["z2^2"], 2, 1, Fraction(1, 3), 8, 6)
+    rng = np.random.default_rng(seed)
+    shape = (len(r) * len(dirs), n_y)
+    table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return table, r, W, dirs, ws
+
+
+def node_sum(table, expr, r, W, dirs, ws):
+    """sum_{i, k} table[(i, k), y] W_i ws_k expr(r_i xi_k), node by node, with
+    a bound on its roundoff."""
+    vals = (W[:, None] * ws[None, :]).reshape(-1, 1) * evaluate(expr, tensor_points(r, dirs))
+    scale = np.abs(table).max() * np.abs(vals).sum(axis=0).max()
+    return table.T @ vals.astype(complex), 1e-13 * scale
+
+
 def test_kernel_tables_contract_through_the_float_view():
-    """The real values meet the table's float view; that is the complex
-    matmul, to roundoff, with no complex copy of the values."""
-    rng = np.random.default_rng(31)
-    table = rng.normal(size=(300, 7)) + 1j * rng.normal(size=(300, 7))
-    vals = rng.normal(size=(300, 4))
-    got = KernelTables().contract("k", lambda: table, vals)
-    want = table.T @ vals.astype(complex)
-    assert got.shape == (7, 4)
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(table).max() * np.abs(vals).sum(0).max()
+    """The per-monomial moments, built on the table's float view, and the
+    radial powers regroup the node sum, on the rule's radii and on their
+    inverses alike."""
+    table, r, W, dirs, ws = kernel_case(31)
+    for rr in (r, 1 / r):
+        memo = KernelTables()
+        got = memo.contract("k", lambda: table, KERNEL_INPUT, rr, W, dirs, ws)
+        want, tol = node_sum(table, KERNEL_INPUT, rr, W, dirs, ws)
+        assert got.shape == (5, 4)
+        assert np.abs(got - want).max() <= tol
+        # one column per distinct monomial: 1, x1, x1 x2 and x1^2 x2
+        assert (memo.hits, memo.misses, memo.moments) == (0, 1, 4)
+
+
+def test_kernel_tables_add_moments_to_a_held_table_without_a_build():
+    table, r, W, dirs, ws = kernel_case(37)
+    builds = []
+
+    def build():
+        builds.append(1)
+        return table
+
+    memo = KernelTables()
+    memo.contract("k", build, KERNEL_INPUT, r, W, dirs, ws)
+    later = KERNEL_INPUT + RadialExpr.monomial(2, (0, 1), Fraction(3), blade=1,
+                                                r_exp=Fraction(2, 3))
+    got = memo.contract("k", build, later, r, W, dirs, ws)
+    want, tol = node_sum(table, later, r, W, dirs, ws)
+    assert len(builds) == 1
+    assert (memo.hits, memo.misses, memo.moments) == (1, 1, 5)
+    assert np.abs(got - want).max() <= tol
 
 
 def test_kernel_tables_keep_the_two_most_recent_builds():
@@ -327,13 +375,13 @@ def test_kernel_tables_keep_the_two_most_recent_builds():
         return make
 
     memo = KernelTables()
-    vals = np.ones((3, 1))
+    one, rule = RadialExpr.scalar(1, 1), (np.ones(1), np.ones(1), np.ones((3, 1)), np.ones(3))
     for key in ["a", "b", "a", "b", "c", "b", "a"]:
-        memo.contract(key, build(key), vals)
+        memo.contract(key, build(key), one, *rule)
     # "c" drops "a", the older build, although "a" was found after "b"
     assert builds == ["a", "b", "c", "a"]
     assert (memo.hits, memo.misses) == (3, 4)
-    for table in memo.tables.values():
+    for table, _moments in memo.tables.values():
         assert table.flags.c_contiguous and not table.flags.writeable
 
 
